@@ -50,6 +50,7 @@ from .energy import (
     total_energy,
 )
 from .flow import (
+    Evaluation,
     FlowState,
     Mobilities,
     ModelVariant,
@@ -60,6 +61,7 @@ from .flow import (
     height_rhs,
     psi_rhs,
     stabilization_coefficients,
+    evaluate,
     step,
     tangential_velocity,
 )
@@ -90,6 +92,7 @@ from .spectral import (
     partial,
     partial2,
     set_fft_workers,
+    dealias_solve,
     solve_helmholtz,
 )
 
@@ -108,6 +111,7 @@ __all__ = [
     "dealias",
     "integrate",
     "solve_helmholtz",
+    "dealias_solve",
     "set_fft_workers",
     "get_fft_workers",
     # geometry
@@ -141,6 +145,8 @@ __all__ = [
     "StepperConfig",
     "FlowState",
     "SolverAbort",
+    "Evaluation",
+    "evaluate",
     "tangential_velocity",
     "height_rhs",
     "psi_rhs",

@@ -20,16 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .energy import EnergyModel, eval_f
-from .flow import (
-    FlowState,
-    ModelVariant,
-    Mobilities,
-    flux_vector,
-    height_rhs,
-    tangential_velocity,
-)
-from .geometry import build_cache, covariant_norm_sq, surface_integral
+import numpy as np
+
+from .energy import EnergyModel
+from .flow import _QUIET, Evaluation, FlowState, ModelVariant, Mobilities, evaluate
+from .geometry import build_cache  # noqa: F401  (perfbench/spans.py traces this name)
+from .geometry import covariant_norm_sq, surface_integral
 from .spectral import ScalarField
 
 __all__ = [
@@ -66,27 +62,32 @@ def record(
     mobilities: Mobilities,
     prev: DiagnosticsRecord | None = None,
     clamp_count: int = 0,
+    ev: Evaluation | None = None,
 ) -> DiagnosticsRecord:
     """Evaluate every observable at the given state.
 
     ``prev`` supplies the backward-difference energy rate and the reference
     mass of the initial record; on the first record ``dissipation_lhs`` is
-    absent and ``mass_error`` is zero by construction.
+    absent and ``mass_error`` is zero by construction.  ``ev``, the
+    :func:`~gradflow.flow.evaluate` result of this state that a step also
+    uses, is built here when absent; the record itself transforms nothing.
     """
-    cache = build_cache(state.h)
-    f0 = eval_f(energy, state.psi, 0)
-    u = surface_integral(f0, cache)
+    if ev is None:
+        ev = evaluate(state, variant, mobilities, energy)
+    elif ev.state is not state:
+        raise ValueError("the evaluation belongs to another state")
+    cache = ev.cache
+    u = surface_integral(ScalarField(state.grid, ev.f[0]), cache)
     mass = surface_integral(state.psi, cache)
 
-    dth = height_rhs(state, variant, mobilities, cache, energy)
-    v = tangential_velocity(state, variant, mobilities, energy)
-    q = flux_vector(state, energy, cache, mobilities)
-    v_sq = covariant_norm_sq(v, cache).values + dth.values**2 / cache.g_det.values
-    q_sq = covariant_norm_sq(q, cache)
-    dissipation_rhs = -(
-        mobilities.m_x * surface_integral(ScalarField(state.grid, v_sq), cache)
-        + mobilities.m_psi * surface_integral(q_sq, cache)
-    )
+    # A state whose rates overflow is recorded as it is; the step from it aborts.
+    with np.errstate(**_QUIET):
+        v_sq = covariant_norm_sq(ev.v, cache).values + ev.dth.values**2 / cache.g_det.values
+        q_sq = covariant_norm_sq(ev.flux(), cache)
+        dissipation_rhs = -(
+            mobilities.m_x * surface_integral(ScalarField(state.grid, v_sq), cache)
+            + mobilities.m_psi * surface_integral(q_sq, cache)
+        )
 
     if prev is None:
         mass_error = 0.0

@@ -66,6 +66,10 @@ class EnergyModel:
     def density(self, psi: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(f, f', f'', f''')`` at in-domain values, as :meth:`density` gives them."""
+        return tuple(self.density(psi, order) for order in range(4))
+
     def clamp(self, psi: np.ndarray) -> tuple[np.ndarray, int]:
         """Return (domain-valid values, number of clamped points)."""
         return psi, 0
@@ -163,15 +167,19 @@ class FloryHuggins(EnergyModel):
 
     def density(self, psi: np.ndarray, order: int) -> np.ndarray:
         _check_order(order, 3)
+        return self.derivatives(psi)[order]
+
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        # Each logarithm is evaluated once for f and f'.
         p = psi
         q = 1.0 - p
-        if order == 0:
-            return self.sigma0 + self.beta * (p * np.log(p) + q * np.log(q)) + self.chi * p * q
-        if order == 1:
-            return self.beta * (np.log(p) - np.log(q)) + self.chi * (1.0 - 2.0 * p)
-        if order == 2:
-            return self.beta / (p * q) - 2.0 * self.chi
-        return self.beta * (2.0 * p - 1.0) / (p * p * q * q)
+        log_p, log_q = np.log(p), np.log(q)
+        return (
+            self.sigma0 + self.beta * (p * log_p + q * log_q) + self.chi * p * q,
+            self.beta * (log_p - log_q) + self.chi * (1.0 - 2.0 * p),
+            self.beta / (p * q) - 2.0 * self.chi,
+            self.beta * (2.0 * p - 1.0) / (p * p * q * q),
+        )
 
 
 def eval_f(

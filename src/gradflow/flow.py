@@ -43,7 +43,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .energy import ClampTally, EnergyModel, Quadratic
 from .geometry import GeometryCache, build_cache
@@ -51,8 +50,8 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField2,
+    dealias_solve,
     derivatives,
-    get_fft_workers,
     gradient,
 )
 
@@ -63,6 +62,8 @@ __all__ = [
     "StepperConfig",
     "FlowState",
     "SolverAbort",
+    "Evaluation",
+    "evaluate",
     "tangential_velocity",
     "height_rhs",
     "psi_rhs",
@@ -155,217 +156,191 @@ def _require_quadratic(variant: ModelVariant, energy: EnergyModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides
+# Evaluation of one state
+
+# Non-finite values are reported by the finite check in :func:`step` (as a
+# SolverAbort), not by numpy floating-point warnings.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def tangential_velocity(
+@dataclass
+class Evaluation:
+    """Everything the flow needs from one state, built by :func:`evaluate`.
+
+    :func:`step` and :func:`gradflow.diagnostics.record` both read it, so a
+    recorded state is evaluated once.  ``dpsi`` holds the raw arrays
+    ``(psi_x, psi_y, psi_xx, psi_xy, psi_yy)``; ``f`` holds
+    ``(f, f', f'', f''')`` at the clamped density, and ``clamp_count`` the
+    number of clamped points.  ``a_h``/``a_psi`` are the damping
+    coefficients the step applies.
+    """
+
+    state: FlowState
+    mobilities: Mobilities
+    cache: GeometryCache
+    dpsi: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    clamp_count: int
+    f: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    dth: ScalarField
+    v: VectorField2
+    rhs_psi: ScalarField
+    a_h: float
+    a_psi: float
+
+    def flux(self) -> VectorField2:
+        """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
+        grid = self.state.grid
+        factor = -self.f[2] / self.mobilities.m_psi
+        return VectorField2(
+            ScalarField(grid, factor * self.dpsi[0]),
+            ScalarField(grid, factor * self.dpsi[1]),
+        )
+
+
+def evaluate(
     state: FlowState,
     variant: ModelVariant,
     mobilities: Mobilities,
     energy: EnergyModel,
-    tally: ClampTally | None = None,
-) -> VectorField2:
-    """Flat components of the tangential material velocity.
+    stepper: StepperConfig | None = None,
+) -> Evaluation:
+    """Evaluate the flow at ``state`` in one pass.
 
-    ``-psi f''(psi) grad psi / m_x`` in the Truesdell gauge (the sign flips
-    for the material-gauge variant); identically zero for NORMAL_ONLY.  The
-    VELOCITY_SUBSTITUTED variant does not evolve this field explicitly but
-    shares the same underlying velocity, which diagnostics rely on.
+    * height rate ``|g| sigma(psi) hfrak / m_x`` (opposite sign for the
+      material-gauge variant);
+    * flat components of the tangential velocity, ``-psi f''(psi) grad psi
+      / m_x`` in the Truesdell gauge (the sign flips for the material-gauge
+      variant), identically zero for NORMAL_ONLY; VELOCITY_SUBSTITUTED does
+      not evolve it but diagnostics read it;
+    * the density rate of the selected variant;
+    * the damping coefficients of ``stepper``.  Automatic mode takes the
+      grid maxima of the linearized diffusion coefficients, ``max
+      |sigma(psi)| / m_x`` and ``max (1 + psi^2 m_psi/m_x) f''(psi) /
+      m_psi`` floored at zero.  Explicit Euler, and ``stepper=None`` as
+      diagnostics pass it, give 0.0 for both.
+
+    The density is clamped into the energy's domain once; the count is
+    ``clamp_count``.
     """
     _require_quadratic(variant, energy)
     grid = state.grid
-    if variant is ModelVariant.NORMAL_ONLY:
-        return VectorField2(grid.zeros(), grid.zeros())
-    psi = state.psi
-    values, n = energy.clamp(psi.values)
-    if tally is not None and n:
-        tally.add(n)
-    fpp = energy.density(values, 2)
-    px, py = gradient(psi)
-    sign = -1.0 if variant is not ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
-    factor = sign * psi.values * fpp / mobilities.m_x
-    return VectorField2(
-        ScalarField(grid, factor * px.values),
-        ScalarField(grid, factor * py.values),
-    )
+    m_x, m_psi = mobilities.m_x, mobilities.m_psi
+    with np.errstate(**_QUIET):
+        cache = build_cache(state.h)
+        dpsi = tuple(f.values for f in derivatives(state.psi))
+        px, py, pxx, pxy, pyy = dpsi
+        psi = state.psi.values
+        clamped, n = energy.clamp(psi)
+        f = energy.derivatives(clamped)
+        f0, f1, fpp, fppp = f
+        hx, hy = cache.dh.x.values, cache.dh.y.values
+        g = cache.g_det.values
+        hfrak = cache.hfrak.values
 
+        sigma = f0 - clamped * f1
+        sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
+        dth = sign * g * sigma * hfrak / m_x
+        if variant is ModelVariant.NORMAL_ONLY:
+            v = VectorField2(grid.zeros(), grid.zeros())
+        else:
+            factor = -sign * psi * fpp / m_x
+            v = VectorField2(ScalarField(grid, factor * px), ScalarField(grid, factor * py))
 
-def height_rhs(
-    state: FlowState,
-    variant: ModelVariant,
-    mobilities: Mobilities,
-    cache: GeometryCache,
-    energy: EnergyModel,
-    tally: ClampTally | None = None,
-) -> ScalarField:
-    """Time derivative of the height field, ``|g| sigma(psi) hfrak / m_x``
-    (opposite sign for the material-gauge variant)."""
-    _require_quadratic(variant, energy)
-    values, n = energy.clamp(state.psi.values)
-    if tally is not None and n:
-        tally.add(n)
-    sigma = energy.density(values, 0) - values * energy.density(values, 1)
-    sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
-    out = sign * cache.g_det.values * sigma * cache.hfrak.values / mobilities.m_x
-    return ScalarField(state.grid, out)
-
-
-def _psi_rhs_values(
-    variant: ModelVariant,
-    mobilities: Mobilities,
-    energy: EnergyModel,
-    cache: GeometryCache,
-    psi: np.ndarray,
-    psi_derivs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    dth: np.ndarray,
-    v: tuple[np.ndarray, np.ndarray] | None,
-    v_derivs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """Shared density-equation assembly on raw arrays.
-
-    ``v_derivs`` is ``(vx_x, vx_y, vy_x, vy_y)`` and may be None exactly
-    when the variant carries no tangential velocity.
-    """
-    px, py, pxx, pxy, pyy = psi_derivs
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    hfrak = cache.hfrak.values
-    m_psi = mobilities.m_psi
-
-    clamped, _ = energy.clamp(psi)
-    fpp = energy.density(clamped, 2)
-    fppp = energy.density(clamped, 3)
-
-    p_dh = px * hx + py * hy
-    grad_sq = px * px + py * py - p_dh * p_dh / g
-    dh_d2p_dh = hx * hx * pxx + 2.0 * hx * hy * pxy + hy * hy * pyy
-
-    if variant is ModelVariant.VELOCITY_SUBSTITUTED:
-        sigma = energy.density(clamped, 0) - clamped * energy.density(clamped, 1)
-        r = m_psi / mobilities.m_x
+        r = m_psi / m_x
         amp = 1.0 + psi * psi * r
-        out = (
-            amp * fpp * (pxx + pyy - dh_d2p_dh / g)
-            + (amp * fppp + 2.0 * psi * r * fpp) * grad_sq
-            + (r * (sigma - psi * psi * fpp) - fpp) * p_dh * hfrak
-            + g * psi * r * sigma * hfrak * hfrak
-        )
-        return out / m_psi
+        p_dh = px * hx + py * hy
+        grad_sq = px * px + py * py - p_dh * p_dh / g
+        dh_d2p_dh = hx * hx * pxx + 2.0 * hx * hy * pxy + hy * hy * pyy
+        if variant is ModelVariant.VELOCITY_SUBSTITUTED:
+            rhs = (
+                amp * fpp * (pxx + pyy - dh_d2p_dh / g)
+                + (amp * fppp + 2.0 * psi * r * fpp) * grad_sq
+                + (r * (sigma - psi * psi * fpp) - fpp) * p_dh * hfrak
+                + g * psi * r * sigma * hfrak * hfrak
+            ) / m_psi
+        else:
+            lap_psi = pxx + pyy - dh_d2p_dh / g - p_dh * hfrak
+            diffusive = (fpp * lap_psi + fppp * grad_sq) / m_psi
+            transport = psi * hfrak + p_dh / g
+            rhs = transport * dth + diffusive
+            if variant is not ModelVariant.NORMAL_ONLY:
+                vx, vy = v.x.values, v.y.values
+                vx_x, vx_y = (s.values for s in gradient(v.x))
+                vy_x, vy_y = (s.values for s in gradient(v.y))
+                dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
+                rhs = rhs - psi * (vx_x + vy_y - dh_dv_dh / g)
+                rhs = rhs - (vx * (px - transport * hx) + vy * (py - transport * hy))
 
-    lap_psi = pxx + pyy - dh_d2p_dh / g - p_dh * hfrak
-    diffusive = (fpp * lap_psi + fppp * grad_sq) / m_psi
-    transport = psi * hfrak + p_dh / g
-    out = transport * dth + diffusive
+        a_h = a_psi = 0.0
+        if stepper is not None and stepper.scheme is Scheme.IMEX1:
+            a_h, a_psi = stepper.stab_h, stepper.stab_psi
+            if a_h == 0.0:
+                a_h = float(np.max(np.abs(sigma))) / m_x
+            if a_psi == 0.0:
+                a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
 
-    if variant is not ModelVariant.NORMAL_ONLY:
-        vx, vy = v
-        vx_x, vx_y, vy_x, vy_y = v_derivs
-        dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
-        out = out - psi * (vx_x + vy_y - dh_dv_dh / g)
-        out = out - (vx * (px - transport * hx) + vy * (py - transport * hy))
-    return out
-
-
-def psi_rhs(
-    state: FlowState,
-    variant: ModelVariant,
-    mobilities: Mobilities,
-    cache: GeometryCache,
-    energy: EnergyModel,
-    dth: ScalarField,
-    vflat: VectorField2,
-    tally: ClampTally | None = None,
-) -> ScalarField:
-    """Time derivative of the density field for the selected variant."""
-    _require_quadratic(variant, energy)
-    if tally is not None:
-        tally.add(energy.count_violations(state.psi.values))
-    psi_derivs = tuple(f.values for f in derivatives(state.psi))
-    if variant in (ModelVariant.NORMAL_ONLY, ModelVariant.VELOCITY_SUBSTITUTED):
-        v = v_derivs = None
-    else:
-        vx_x, vx_y = (f.values for f in gradient(vflat.x))
-        vy_x, vy_y = (f.values for f in gradient(vflat.y))
-        v = (vflat.x.values, vflat.y.values)
-        v_derivs = (vx_x, vx_y, vy_x, vy_y)
-    out = _psi_rhs_values(
-        variant,
-        mobilities,
-        energy,
-        cache,
-        state.psi.values,
-        psi_derivs,
-        dth.values,
-        v,
-        v_derivs,
-    )
-    return ScalarField(state.grid, out)
-
-
-def flux_vector(
-    state: FlowState,
-    energy: EnergyModel,
-    cache: GeometryCache,
-    mobilities: Mobilities,
-    tally: ClampTally | None = None,
-) -> VectorField2:
-    """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
-    values, n = energy.clamp(state.psi.values)
-    if tally is not None and n:
-        tally.add(n)
-    fpp = energy.density(values, 2)
-    px, py = gradient(state.psi)
-    factor = -fpp / mobilities.m_psi
-    return VectorField2(
-        ScalarField(state.grid, factor * px.values),
-        ScalarField(state.grid, factor * py.values),
+    return Evaluation(
+        state=state,
+        mobilities=mobilities,
+        cache=cache,
+        dpsi=dpsi,
+        clamp_count=n,
+        f=f,
+        dth=ScalarField(grid, dth),
+        v=v,
+        rhs_psi=ScalarField(grid, rhs),
+        a_h=a_h,
+        a_psi=a_psi,
     )
 
 
 # ---------------------------------------------------------------------------
-# Time stepping
+# Views of one evaluation
+
+
+def tangential_velocity(
+    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
+) -> VectorField2:
+    """Flat components of the tangential material velocity (see :func:`evaluate`)."""
+    return evaluate(state, variant, mobilities, energy).v
+
+
+def height_rhs(
+    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
+) -> ScalarField:
+    """Time derivative of the height field (see :func:`evaluate`)."""
+    return evaluate(state, variant, mobilities, energy).dth
+
+
+def psi_rhs(
+    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
+) -> ScalarField:
+    """Time derivative of the density field for the selected variant."""
+    return evaluate(state, variant, mobilities, energy).rhs_psi
+
+
+def flux_vector(
+    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
+) -> VectorField2:
+    """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
+    return evaluate(state, variant, mobilities, energy).flux()
 
 
 def stabilization_coefficients(
     state: FlowState,
+    variant: ModelVariant,
     mobilities: Mobilities,
     energy: EnergyModel,
     stepper: StepperConfig,
 ) -> tuple[float, float]:
-    """Damping coefficients (a_h, a_psi) actually used for a step.
-
-    Automatic mode takes the grid maxima of the linearized diffusion
-    coefficients: ``max |sigma(psi)| / m_x`` for the height equation and
-    ``max (1 + psi^2 m_psi/m_x) f''(psi) / m_psi`` for the density
-    equation, floored at zero.
-    """
-    if stepper.scheme is Scheme.EXPLICIT_EULER:
-        return 0.0, 0.0
-    a_h, a_psi = stepper.stab_h, stepper.stab_psi
-    if a_h == 0.0 or a_psi == 0.0:
-        values, _ = energy.clamp(state.psi.values)
-        if a_h == 0.0:
-            sigma = energy.density(values, 0) - values * energy.density(values, 1)
-            a_h = float(np.max(np.abs(sigma))) / mobilities.m_x
-        if a_psi == 0.0:
-            amp = 1.0 + state.psi.values**2 * (mobilities.m_psi / mobilities.m_x)
-            coeff = amp * energy.density(values, 2)
-            a_psi = max(0.0, float(np.max(coeff))) / mobilities.m_psi
-    return a_h, a_psi
+    """Damping coefficients (a_h, a_psi) actually used for a step (see
+    :func:`evaluate`)."""
+    ev = evaluate(state, variant, mobilities, energy, stepper)
+    return ev.a_h, ev.a_psi
 
 
-def _increment(grid: Grid, rhs: np.ndarray, dt: float, a: float) -> np.ndarray:
-    """Dealiased, optionally damped update increment ``dt * rhs``.
-
-    The damped form is the stabilized semi-implicit update: solving
-    ``(I - dt a lap)(u_new - u_old) = dt * rhs`` mode-by-mode.  A zero
-    right-hand side yields an exactly zero increment.
-    """
-    spec = _fft.rfft2(rhs, axes=(-2, -1), workers=get_fft_workers())
-    spec *= grid.dealias_mask
-    if a != 0.0:
-        spec /= 1.0 + (dt * a) * grid.k2
-    return dt * _fft.irfft2(spec, s=(grid.nx, grid.ny), axes=(-2, -1), workers=get_fft_workers())
+# ---------------------------------------------------------------------------
+# Time stepping
 
 
 def step(
@@ -375,12 +350,17 @@ def step(
     energy: EnergyModel,
     stepper: StepperConfig,
     tally: ClampTally | None = None,
+    ev: Evaluation | None = None,
 ) -> FlowState:
     """Advance the state by one time step.
 
-    Evaluation order within the step: geometry cache, height rate,
-    tangential velocity, density rate, all at the old time level; then both
-    fields are updated.  Domain-clamp events are counted once per step.
+    Both fields are updated from the rates of ``ev``, which must be
+    ``evaluate(state, variant, mobilities, energy, stepper)`` and is built
+    here when absent.  Each increment ``dt * rhs`` is dealiased and, for
+    IMEX1, damped mode by mode by ``1/(1 + dt * a * |k|^2)``: the solution
+    of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  A zero right-hand side
+    gives an exactly zero increment.  Domain-clamp events are counted once
+    per step.
 
     Raises
     ------
@@ -388,41 +368,17 @@ def step(
         If the updated fields contain NaN/Inf; the exception carries the
         last valid state.
     """
-    _require_quadratic(variant, energy)
+    if ev is None:
+        ev = evaluate(state, variant, mobilities, energy, stepper)
+    elif ev.state is not state:
+        raise ValueError("the evaluation belongs to another state")
     if tally is not None:
-        tally.add(energy.count_violations(state.psi.values))
+        tally.add(ev.clamp_count)
 
-    grid = state.grid
-    cache = build_cache(state.h)
-    dth = height_rhs(state, variant, mobilities, cache, energy)
-
-    psi_derivs = tuple(f.values for f in derivatives(state.psi))
-    if variant in (ModelVariant.NORMAL_ONLY, ModelVariant.VELOCITY_SUBSTITUTED):
-        v = v_derivs = None
-        vflat = None
-    else:
-        vflat = tangential_velocity(state, variant, mobilities, energy)
-        vx_x, vx_y = (f.values for f in gradient(vflat.x))
-        vy_x, vy_y = (f.values for f in gradient(vflat.y))
-        v = (vflat.x.values, vflat.y.values)
-        v_derivs = (vx_x, vx_y, vy_x, vy_y)
-
-    rhs_psi = _psi_rhs_values(
-        variant,
-        mobilities,
-        energy,
-        cache,
-        state.psi.values,
-        psi_derivs,
-        dth.values,
-        v,
-        v_derivs,
-    )
-
-    a_h, a_psi = stabilization_coefficients(state, mobilities, energy, stepper)
     dt = stepper.dt
-    h_new = state.h.values + _increment(grid, dth.values, dt, a_h)
-    psi_new = state.psi.values + _increment(grid, rhs_psi, dt, a_psi)
+    with np.errstate(**_QUIET):
+        h_new = state.h.values + dt * dealias_solve(ev.dth, dt * ev.a_h).values
+        psi_new = state.psi.values + dt * dealias_solve(ev.rhs_psi, dt * ev.a_psi).values
 
     if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(psi_new))):
         raise SolverAbort(
@@ -430,6 +386,7 @@ def step(
             f"(t = {state.t + dt:.6g}); aborting",
             last_valid=state,
         )
+    grid = state.grid
     return FlowState(
         t=state.t + dt,
         h=ScalarField(grid, h_new),

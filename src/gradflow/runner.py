@@ -35,7 +35,7 @@ from .diagnostics import (
     record,
 )
 from .energy import ClampTally
-from .flow import FlowState, SolverAbort, step
+from .flow import Evaluation, FlowState, SolverAbort, evaluate, step
 from .snapshot import write_snapshot
 
 __all__ = [
@@ -147,9 +147,9 @@ def simulate(
     csv_fh = open(out / "series.csv", "w", newline="") if out is not None else None
     records: list[DiagnosticsRecord] = []
 
-    def take_record(st: FlowState) -> None:
+    def take_record(st: FlowState, ev: Evaluation) -> None:
         prev = records[-1] if records else None
-        rec = record(st, variant, energy, mobilities, prev, tally.count)
+        rec = record(st, variant, energy, mobilities, prev, tally.count, ev=ev)
         records.append(rec)
         if csv_fh is not None:
             csv_fh.write(_csv_row(rec) + "\n")
@@ -165,11 +165,13 @@ def simulate(
     aborted = False
     abort_message = None
     try:
-        take_record(state)
+        # One evaluation per state serves its step and its record.
+        ev = evaluate(state, variant, mobilities, energy, stepper)
+        take_record(state, ev)
         take_snapshots(state, 0)
         for i in range(1, n_steps + 1):
             try:
-                state = step(state, variant, mobilities, energy, stepper, tally)
+                state = step(state, variant, mobilities, energy, stepper, tally, ev=ev)
             except SolverAbort as exc:
                 aborted = True
                 abort_message = str(exc)
@@ -177,8 +179,10 @@ def simulate(
                 if out is not None:
                     write_snapshot(state, out / "last_valid.sgf")
                 break
+            ev = None  # release the old evaluation before the next is built
+            ev = evaluate(state, variant, mobilities, energy, stepper)
             if should_record(i):
-                take_record(state)
+                take_record(state, ev)
             take_snapshots(state, i)
     finally:
         if csv_fh is not None:

@@ -36,6 +36,7 @@ __all__ = [
     "dealias",
     "integrate",
     "solve_helmholtz",
+    "dealias_solve",
     "set_fft_workers",
     "get_fft_workers",
 ]
@@ -349,4 +350,20 @@ def solve_helmholtz(rhs: ScalarField, a: float) -> ScalarField:
     g = rhs.grid
     spec = _rfft2(rhs.values)
     spec /= 1.0 + a * g.k2
+    return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))
+
+
+def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
+    """Solve ``(I - a * laplacian) u = dealias(rhs)`` in one transform pair.
+
+    ``a = 0`` gives the transform round trip of the dealiased ``rhs``, also
+    on a grid whose mask keeps every mode.
+    """
+    if a < 0.0:
+        raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
+    g = rhs.grid
+    spec = _rfft2(rhs.values)
+    spec *= g.dealias_mask
+    if a != 0.0:
+        spec /= 1.0 + a * g.k2
     return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))

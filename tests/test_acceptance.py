@@ -216,8 +216,8 @@ def test_special_case_exactness():
     cache = build_cache(state.h)
     v = tangential_velocity(state, ModelVariant.FULL_COUPLED, mob, model)
     assert np.all(v.x.values == 0.0) and np.all(v.y.values == 0.0)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, mob, cache, model)
-    rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, cache, model, dth, v)
+    dth = height_rhs(state, ModelVariant.FULL_COUPLED, mob, model)
+    rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, model)
     dthx, dthy = gradient(dth)
     hx, hy = cache.dh.x.values, cache.dh.y.values
     mass_rate = integrate(

@@ -1,6 +1,7 @@
 """Configuration grammar, snapshot format, run outputs, and the CLI."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +333,13 @@ def test_aborted_run_leaves_partial_outputs(tmp_path):
     report = (out / "report.txt").read_text()
     assert "status = aborted" in report
     assert "abort_message = " in report
+
+
+def test_aborted_run_emits_no_floating_point_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate(parse_config(ABORTING))
+    assert result.aborted and "non-finite" in result.abort_message
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gradflow import (
     Linear,
     Mobilities,
     ModelVariant,
+    Quadratic,
     ScalarField,
     Scheme,
     StepperConfig,
@@ -21,6 +22,7 @@ from gradflow import (
     compare_variants,
     convergence_sweep,
     covariant_norm_sq,
+    evaluate,
     flux_vector,
     height_rhs,
     parse_config,
@@ -90,9 +92,9 @@ def test_record_dissipation_rhs_is_negative_and_matches_assembly():
     assert rec.dissipation_rhs < 0.0
 
     cache = build_cache(state.h)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, model)
+    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
     v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, model)
-    q = flux_vector(state, model, cache, MOB)
+    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, model)
     v_sq = covariant_norm_sq(v, cache).values + dth.values**2 / cache.g_det.values
     expected = -(
         MOB.m_x * surface_integral(ScalarField(state.grid, v_sq), cache)
@@ -125,6 +127,24 @@ def test_record_chained_mass_error_and_energy_rate():
         s = step(s, ModelVariant.FULL_COUPLED, MOB, model, stepper)
     rec2 = record(s, ModelVariant.FULL_COUPLED, model, MOB, prev=rec1)
     assert rec2.mass_error == pytest.approx(rec2.mass - rec0.mass, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "variant, model",
+    [
+        (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.VELOCITY_SUBSTITUTED, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.NORMAL_ONLY, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.MATERIAL_GAUGE_QUADRATIC, Quadratic(1.5)),
+    ],
+)
+def test_record_from_the_step_evaluation_is_identical(variant, model):
+    state = curved_state(24)
+    stepper = StepperConfig(dt=1e-4)
+    rec0 = record(state, variant, model, MOB)
+    s = step(state, variant, MOB, model, stepper)
+    ev = evaluate(s, variant, MOB, model, stepper)
+    assert record(s, variant, model, MOB, rec0, 3, ev=ev) == record(s, variant, model, MOB, rec0, 3)
 
 
 def test_record_clamp_count_passthrough():

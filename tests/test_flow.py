@@ -1,9 +1,16 @@
 """Right-hand sides, time stepping, and model-variant invariants."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
+import scipy.fft
 
+import gradflow.diagnostics
+import gradflow.flow
 from gradflow import (
+    ClampTally,
     Constant,
     FloryHuggins,
     FlowState,
@@ -16,14 +23,18 @@ from gradflow import (
     Scheme,
     SolverAbort,
     StepperConfig,
-    VectorField2,
     build_cache,
+    evaluate,
     flux_vector,
     height_rhs,
+    parse_config,
     psi_rhs,
+    record,
+    simulate,
     stabilization_coefficients,
     step,
     tangential_velocity,
+    write_snapshot,
 )
 
 import oracles
@@ -41,6 +52,21 @@ def make_state(n=32, h_amp=0.3, psi_amp=0.1):
 
 
 MOB = Mobilities(m_x=2.0, m_psi=1.0)
+
+VARIANT_MODELS = [
+    (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.0)),
+    (ModelVariant.VELOCITY_SUBSTITUTED, FloryHuggins(1.0, 0.75, 0.0)),
+    (ModelVariant.NORMAL_ONLY, FloryHuggins(1.0, 0.75, 0.0)),
+    (ModelVariant.MATERIAL_GAUGE_QUADRATIC, Quadratic(1.5)),
+]
+
+
+def clamping_state(n=32):
+    """A curved state whose density leaves (0, 1) at some grid points."""
+    g = Grid(n, n)
+    h = g.from_function(lambda x, y: 0.3 * np.sin(x) * np.cos(y))
+    psi = g.from_function(lambda x, y: 0.5 + 0.6 * np.sin(x + 0.2) * np.sin(y))
+    return FlowState(t=0.0, h=h, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +93,12 @@ def test_stepper_validation():
 
 def test_material_gauge_requires_quadratic():
     state = make_state(16)
-    cache = build_cache(state.h)
     mgq = ModelVariant.MATERIAL_GAUGE_QUADRATIC
     for model in (Constant(1.0), Linear(1.0), FloryHuggins(1.0, 0.75, 0.0)):
         with pytest.raises(ValueError):
             tangential_velocity(state, mgq, MOB, model)
         with pytest.raises(ValueError):
-            height_rhs(state, mgq, MOB, cache, model)
+            height_rhs(state, mgq, MOB, model)
         with pytest.raises(ValueError):
             step(state, mgq, MOB, model, StepperConfig(dt=1e-6))
     # Quadratic is accepted
@@ -134,16 +159,14 @@ def test_material_gauge_velocity_is_exact_negation():
 
 def test_height_rhs_zero_for_linear_density():
     state = make_state()
-    cache = build_cache(state.h)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, Linear(3.0))
+    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, Linear(3.0))
     assert np.all(dth.values == 0.0)
 
 
 def test_height_rhs_zero_on_flat_surface():
     g = Grid(32, 32)
     state = FlowState(0.0, g.zeros(), g.from_function(lambda x, y: 0.4 + 0.1 * np.sin(x)))
-    cache = build_cache(state.h)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, FloryHuggins(1.0, 0.75, 0.0))
+    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
     assert np.abs(dth.values).max() < 1e-13
 
 
@@ -152,17 +175,16 @@ def test_height_rhs_mean_curvature_form():
     state = make_state()
     cache = build_cache(state.h)
     c = 2.5
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, Constant(c))
+    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, Constant(c))
     expected = c * cache.g_det.values * cache.hfrak.values / MOB.m_x
     assert np.allclose(dth.values, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_material_gauge_height_rhs_is_exact_negation():
     state = make_state()
-    cache = build_cache(state.h)
     model = Quadratic(1.5)
-    a = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, model)
-    b = height_rhs(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, cache, model)
+    a = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
+    b = height_rhs(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model)
     assert np.array_equal(b.values, -a.values)
 
 
@@ -171,9 +193,9 @@ def test_material_gauge_height_rhs_is_exact_negation():
 
 
 def test_psi_rhs_flat_static_matches_fd_oracle():
-    """On a flat, motionless surface the density equation reduces to
-    nonlinear diffusion; the assembled rhs must converge to a 4th-order
-    finite-difference evaluation of that reduction."""
+    """On a flat surface without tangential motion (NORMAL_ONLY) the density
+    equation reduces to nonlinear diffusion; the assembled rhs must converge
+    to a 4th-order finite-difference evaluation of that reduction."""
     model = FloryHuggins(1.0, 0.75, 0.4)
     mob = Mobilities(m_x=1.0, m_psi=2.0)
     errors = []
@@ -181,10 +203,7 @@ def test_psi_rhs_flat_static_matches_fd_oracle():
         g = Grid(n, n)
         psi = g.from_function(oracles.psi_fn)
         state = FlowState(0.0, g.zeros(), psi)
-        cache = build_cache(state.h)
-        dth = g.zeros()
-        v = VectorField2(g.zeros(), g.zeros())
-        rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, cache, model, dth, v)
+        rhs = psi_rhs(state, ModelVariant.NORMAL_ONLY, mob, model)
         vals = psi.values
         fpp = model.density(vals, 2)
         fppp = model.density(vals, 3)
@@ -204,9 +223,7 @@ def test_psi_rhs_uniform_density_pure_transport():
     c, m_x = 2.0, 5.0
     mob = Mobilities(m_x, 1.0)
     model = Constant(c)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, mob, cache, model)
-    v = tangential_velocity(state, ModelVariant.FULL_COUPLED, mob, model)
-    rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, cache, model, dth, v)
+    rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, model)
     expected = (c / m_x) * cache.g_det.values * cache.hfrak.values**2
     assert np.abs(rhs.values - expected).max() < 1e-12
 
@@ -238,13 +255,9 @@ def test_full_and_normal_only_agree_for_uniform_psi_first_step():
 
 def test_velocity_substituted_matches_full_coupled_rhs():
     state = make_state(64)
-    cache = build_cache(state.h)
-    zero_v = VectorField2(state.grid.zeros(), state.grid.zeros())
     for model in (Quadratic(1.5), FloryHuggins(1.0, 0.75, 0.0)):
-        dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, model)
-        v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, model)
-        r_full = psi_rhs(state, ModelVariant.FULL_COUPLED, MOB, cache, model, dth, v)
-        r_sub = psi_rhs(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, cache, model, dth, zero_v)
+        r_full = psi_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
+        r_sub = psi_rhs(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, model)
         scale = np.abs(r_full.values).max()
         assert np.abs(r_full.values - r_sub.values).max() < 1e-12 * scale, model
 
@@ -255,17 +268,15 @@ def test_velocity_substituted_matches_full_coupled_rhs():
 
 def test_flux_vector_zero_for_linear_density():
     state = make_state()
-    cache = build_cache(state.h)
-    q = flux_vector(state, Linear(2.0), cache, MOB)
+    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, Linear(2.0))
     assert np.all(q.x.values == 0.0)
     assert np.all(q.y.values == 0.0)
 
 
 def test_flux_vector_closed_form():
     state = make_state()
-    cache = build_cache(state.h)
     c = 1.5
-    q = flux_vector(state, Quadratic(c), cache, MOB)
+    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c))
     from gradflow import gradient
 
     px, py = gradient(state.psi)
@@ -280,25 +291,25 @@ def test_flux_vector_closed_form():
 def test_stabilization_explicit_euler_is_zero():
     state = make_state()
     stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER, stab_h=3.0, stab_psi=4.0)
-    assert stabilization_coefficients(state, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (0.0, 0.0)
+    assert stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (0.0, 0.0)
 
 
 def test_stabilization_overrides_respected():
     state = make_state()
     stepper = StepperConfig(dt=1e-4, stab_h=3.0, stab_psi=4.0)
-    assert stabilization_coefficients(state, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (3.0, 4.0)
+    assert stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (3.0, 4.0)
 
 
 def test_stabilization_auto_values():
     state = make_state()
     stepper = StepperConfig(dt=1e-4)
     c = 2.0
-    a_h, a_psi = stabilization_coefficients(state, MOB, Constant(c), stepper)
+    a_h, a_psi = stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, Constant(c), stepper)
     assert a_h == pytest.approx(c / MOB.m_x, rel=1e-13)
     assert a_psi == 0.0  # f'' == 0
 
     model = FloryHuggins(1.0, 0.75, 0.0)
-    a_h, a_psi = stabilization_coefficients(state, MOB, model, stepper)
+    a_h, a_psi = stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, model, stepper)
     vals = state.psi.values
     sigma = model.density(vals, 0) - vals * model.density(vals, 1)
     amp = 1.0 + vals**2 * (MOB.m_psi / MOB.m_x)
@@ -384,3 +395,150 @@ def test_blowup_raises_solver_abort_with_last_valid_state():
     assert np.all(np.isfinite(err.last_valid.psi.values))
     assert "non-finite" in str(err)
     assert f"step {err.last_valid.step_index + 1}" in str(err)
+
+
+def test_blowup_aborts_without_floating_point_warnings():
+    g = Grid(16, 16)
+    s = FlowState(0.0, g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y)), g.constant(0.25))
+    stepper = StepperConfig(dt=0.05, scheme=Scheme.EXPLICIT_EULER)
+    mob = Mobilities(5.0, 1.0)
+    model = FloryHuggins(1.0, 0.75, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort) as excinfo:
+            for _ in range(200):
+                s = step(s, ModelVariant.FULL_COUPLED, mob, model, stepper)
+    assert np.all(np.isfinite(excinfo.value.last_valid.h.values))
+
+
+# ---------------------------------------------------------------------------
+# One evaluation shared by step and record
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_step_with_shared_evaluation_is_bit_identical(variant, model, scheme):
+    state = make_state()
+    stepper = StepperConfig(dt=1e-4, scheme=scheme)
+    ev = evaluate(state, variant, MOB, model, stepper)
+    a = step(state, variant, MOB, model, stepper)
+    b = step(state, variant, MOB, model, stepper, ev=ev)
+    assert np.array_equal(a.h.values, b.h.values)
+    assert np.array_equal(a.psi.values, b.psi.values)
+    assert (a.t, a.step_index) == (b.t, b.step_index)
+
+
+def test_evaluation_of_another_state_is_rejected():
+    state = make_state(16)
+    model = FloryHuggins(1.0, 0.75, 0.0)
+    stepper = StepperConfig(dt=1e-4)
+    other = FlowState(state.t, state.h.copy(), state.psi.copy())
+    ev = evaluate(other, ModelVariant.FULL_COUPLED, MOB, model, stepper)
+    with pytest.raises(ValueError, match="another state"):
+        step(state, ModelVariant.FULL_COUPLED, MOB, model, stepper, ev=ev)
+    with pytest.raises(ValueError, match="another state"):
+        record(state, ModelVariant.FULL_COUPLED, model, MOB, ev=ev)
+
+
+def test_clamp_tally_grows_by_the_violations_of_each_stepped_state():
+    model = FloryHuggins(1.0, 0.75, 0.3)
+    stepper = StepperConfig(dt=1e-5)
+    s = clamping_state()
+    tally = ClampTally()
+    expected = 0
+    for _ in range(3):
+        n = model.count_violations(s.psi.values)
+        assert n > 0
+        expected += n
+        s = step(s, ModelVariant.FULL_COUPLED, MOB, model, stepper, tally)
+        assert tally.count == expected
+
+
+def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
+    state = clamping_state(16)
+    write_snapshot(state, tmp_path / "start.sgf")
+    config = parse_config(
+        f"""
+        grid.nx = 16
+        energy.kind = flory_huggins
+        energy.chi = 0.3
+        mobility.m_x = 2.0
+        stepper.dt = 1e-5
+        run.t_end = 4e-5
+        run.record_every = 1
+        initial.h = file:{tmp_path / "start.sgf"}
+        initial.psi = file:{tmp_path / "start.sgf"}
+        """
+    )
+    result = simulate(config)
+    model = config.energy
+    mob = Mobilities(config.m_x, config.m_psi)
+    stepper = StepperConfig(dt=config.dt)
+    s, total, expected = state, 0, [0]
+    for _ in range(4):
+        total += model.count_violations(s.psi.values)
+        s = step(s, ModelVariant.FULL_COUPLED, mob, model, stepper)
+        expected.append(total)
+    assert [r.clamp_count for r in result.records] == expected
+    assert result.clamp_count == total > 0
+
+
+# ---------------------------------------------------------------------------
+# Transform and geometry budget
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of FFT calls and geometry builds, by rebinding the names the
+    solver looks up at call time."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for owner, attr, name in (
+        (scipy.fft, "rfft2", "fft"),
+        (scipy.fft, "irfft2", "fft"),
+        (gradflow.flow, "build_cache", "build_cache"),
+        (gradflow.diagnostics, "build_cache", "build_cache"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    return counts
+
+
+def test_recorded_normal_only_run_builds_each_geometry_once(calls):
+    config = parse_config(
+        """
+        grid.nx = 16
+        energy.kind = flory_huggins
+        model.variant = normal_only
+        stepper.dt = 1e-4
+        stepper.scheme = explicit_euler
+        run.t_end = 5e-4
+        run.record_every = 1
+        initial.psi = 0.25
+        """
+    )
+    result = simulate(config)
+    assert len(result.records) == 6
+    assert calls["build_cache"] == 6  # one per state: the start and five steps
+
+
+def test_record_with_an_evaluation_makes_no_transform(calls):
+    state = make_state(16)
+    for variant, model in VARIANT_MODELS:
+        ev = evaluate(state, variant, MOB, model)
+        calls.clear()
+        record(state, variant, model, MOB, ev=ev)
+        assert calls["fft"] == 0 and calls["build_cache"] == 0, variant
+
+
+def test_full_imex_step_transform_budget(calls):
+    state = make_state(16)
+    step(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), StepperConfig(dt=1e-4))
+    assert calls["build_cache"] == 1
+    assert calls["fft"] <= 12
