@@ -12,8 +12,9 @@ import numpy as np
 
 from gradflow import (
     Grid,
+    VectorField2,
     build_cache,
-    covariant_grad_sq,
+    covariant_norm_sq,
     gradient,
     integrate,
     laplace_beltrami,
@@ -41,7 +42,7 @@ print(f"flat area = {flat_area:.6f}, surface area = {area:.6f} (larger, as it mu
 hx, hy = gradient(h)
 slope_sq = hx.values**2 + hy.values**2
 identity = (cache.g_det.values - 1.0) / cache.g_det.values
-covariant = covariant_grad_sq(h, cache).values
+covariant = covariant_norm_sq(VectorField2(hx, hy), cache).values
 print(f"max |‖grad h‖^2 - (g-1)/g| = {np.abs(covariant - identity).max():.3e}")
 
 # -- surface Laplacian reduces to the plain Laplacian on a flat surface -----

@@ -57,18 +57,13 @@ from .flow import (
     Scheme,
     SolverAbort,
     StepperConfig,
-    flux_vector,
-    height_rhs,
-    psi_rhs,
     stabilization_coefficients,
     evaluate,
     step,
-    tangential_velocity,
 )
 from .geometry import (
     GeometryCache,
     build_cache,
-    covariant_grad_sq,
     covariant_norm_sq,
     div_comp_material,
     laplace_beltrami,
@@ -118,7 +113,6 @@ __all__ = [
     "GeometryCache",
     "build_cache",
     "laplace_beltrami",
-    "covariant_grad_sq",
     "covariant_norm_sq",
     "div_comp_material",
     "material_derivative",
@@ -147,10 +141,6 @@ __all__ = [
     "SolverAbort",
     "Evaluation",
     "evaluate",
-    "tangential_velocity",
-    "height_rhs",
-    "psi_rhs",
-    "flux_vector",
     "stabilization_coefficients",
     "step",
     # diagnostics

@@ -98,7 +98,6 @@ class RunConfig:
     initial_h: InitialHeight
     initial_psi: InitialDensity
     output_dir: str
-    seed: int
 
 
 # -- schema -----------------------------------------------------------------
@@ -130,7 +129,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "run.record_every": ("int", 100),
     "run.snapshot_times": ("floats", ()),
     "run.output_dir": ("str", "out"),
-    "run.seed": ("int", 0),
     "initial.h": ("str", "sin2x_sin2y"),
     "initial.h_amplitude": ("float", 1.0),
     "initial.psi": ("str", _REQUIRED),
@@ -306,7 +304,6 @@ def parse_config(text: str) -> RunConfig:
         initial_h=initial_h,
         initial_psi=initial_psi,
         output_dir=get("run.output_dir"),
-        seed=get("run.seed"),
     )
 
 
@@ -356,7 +353,6 @@ def format_config(config: RunConfig) -> str:
         f"run.record_every = {config.record_every}",
         f"run.snapshot_times = {', '.join(repr(s) for s in config.snapshot_times)}",
         f"run.output_dir = {config.output_dir}",
-        f"run.seed = {config.seed}",
         h_line,
         f"initial.h_amplitude = {config.initial_h.amplitude!r}",
         psi_line,

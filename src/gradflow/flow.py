@@ -45,7 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import ClampTally, EnergyModel, Quadratic
-from .geometry import GeometryCache, build_cache
+from .geometry import (
+    GeometryCache,
+    build_cache,
+    covariant_square,
+    hessian_trace,
+    truesdell_solve,
+)
 from .spectral import (
     Grid,
     ScalarField,
@@ -64,10 +70,6 @@ __all__ = [
     "SolverAbort",
     "Evaluation",
     "evaluate",
-    "tangential_velocity",
-    "height_rhs",
-    "psi_rhs",
-    "flux_vector",
     "stabilization_coefficients",
     "step",
 ]
@@ -220,7 +222,8 @@ def evaluate(
       diagnostics pass it, give 0.0 for both.
 
     The density is clamped into the energy's domain once; the count is
-    ``clamp_count``.
+    ``clamp_count``.  The surface algebra is that of the
+    :mod:`gradflow.geometry` kernels.
     """
     _require_quadratic(variant, energy)
     grid = state.grid
@@ -249,27 +252,22 @@ def evaluate(
         r = m_psi / m_x
         amp = 1.0 + psi * psi * r
         p_dh = px * hx + py * hy
-        grad_sq = px * px + py * py - p_dh * p_dh / g
-        dh_d2p_dh = hx * hx * pxx + 2.0 * hx * hy * pxy + hy * hy * pyy
+        grad_sq = covariant_square(px, py, p_dh, g)
+        trace = hessian_trace(pxx, pxy, pyy, hx, hy, g)
         if variant is ModelVariant.VELOCITY_SUBSTITUTED:
             rhs = (
-                amp * fpp * (pxx + pyy - dh_d2p_dh / g)
+                amp * fpp * trace
                 + (amp * fppp + 2.0 * psi * r * fpp) * grad_sq
                 + (r * (sigma - psi * psi * fpp) - fpp) * p_dh * hfrak
                 + g * psi * r * sigma * hfrak * hfrak
             ) / m_psi
         else:
-            lap_psi = pxx + pyy - dh_d2p_dh / g - p_dh * hfrak
-            diffusive = (fpp * lap_psi + fppp * grad_sq) / m_psi
-            transport = psi * hfrak + p_dh / g
-            rhs = transport * dth + diffusive
+            diffusive = (fpp * (trace - p_dh * hfrak) + fppp * grad_sq) / m_psi
+            v_flat = dv = None
             if variant is not ModelVariant.NORMAL_ONLY:
-                vx, vy = v.x.values, v.y.values
-                vx_x, vx_y = (s.values for s in gradient(v.x))
-                vy_x, vy_y = (s.values for s in gradient(v.y))
-                dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
-                rhs = rhs - psi * (vx_x + vy_y - dh_dv_dh / g)
-                rhs = rhs - (vx * (px - transport * hx) + vy * (py - transport * hy))
+                v_flat = (v.x.values, v.y.values)
+                dv = tuple(s.values for c in (v.x, v.y) for s in gradient(c))
+            rhs = truesdell_solve(diffusive, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v_flat, dv)
 
         a_h = a_psi = 0.0
         if stepper is not None and stepper.scheme is Scheme.IMEX1:
@@ -292,38 +290,6 @@ def evaluate(
         a_h=a_h,
         a_psi=a_psi,
     )
-
-
-# ---------------------------------------------------------------------------
-# Views of one evaluation
-
-
-def tangential_velocity(
-    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
-) -> VectorField2:
-    """Flat components of the tangential material velocity (see :func:`evaluate`)."""
-    return evaluate(state, variant, mobilities, energy).v
-
-
-def height_rhs(
-    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
-) -> ScalarField:
-    """Time derivative of the height field (see :func:`evaluate`)."""
-    return evaluate(state, variant, mobilities, energy).dth
-
-
-def psi_rhs(
-    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
-) -> ScalarField:
-    """Time derivative of the density field for the selected variant."""
-    return evaluate(state, variant, mobilities, energy).rhs_psi
-
-
-def flux_vector(
-    state: FlowState, variant: ModelVariant, mobilities: Mobilities, energy: EnergyModel
-) -> VectorField2:
-    """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
-    return evaluate(state, variant, mobilities, energy).flux()
 
 
 def stabilization_coefficients(

@@ -31,10 +31,13 @@ from .spectral import (
 )
 
 __all__ = [
+    "hessian_trace",
+    "covariant_square",
+    "tangential_divergence",
+    "truesdell_solve",
     "GeometryCache",
     "build_cache",
     "laplace_beltrami",
-    "covariant_grad_sq",
     "covariant_norm_sq",
     "div_comp_material",
     "material_derivative",
@@ -43,6 +46,59 @@ __all__ = [
     "normal_speed",
     "surface_integral",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Pointwise kernels
+#
+# Each surface formula is written once, here, on arrays of one grid: flat
+# derivatives the caller already holds, the height slopes ``hx, hy`` and the
+# metric determinant ``g``.  The operators below and ``flow.evaluate`` call
+# them, so the oracle tests of the operators check the solver's arithmetic.
+# Each expression keeps its operation order: output bytes depend on it.
+
+
+def hessian_trace(fxx, fxy, fyy, hx, hy, g):
+    """Metric trace of a flat Hessian, ``fxx + fyy - dh.D2f.dh / |g|``."""
+    return fxx + fyy - (hx * hx * fxx + 2.0 * hx * hy * fxy + hy * hy * fyy) / g
+
+
+def covariant_square(ax, ay, a_dh, g):
+    """Squared surface norm of flat components ``a`` given ``a_dh = a.dh``:
+    ``a.a - (a.dh)^2 / |g|``."""
+    return ax * ax + ay * ay - a_dh * a_dh / g
+
+
+def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g):
+    """Surface divergence of the tangent field with flat components ``v``,
+    from their flat gradients: ``vx_x + vy_y - dh.Dv.dh / |g|``."""
+    dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
+    return vx_x + vy_y - dh_dv_dh / g
+
+
+def truesdell_solve(rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, dv=None):
+    """Time derivative of a surface density whose Truesdell rate is ``rate``.
+
+    The Truesdell rate is ``dtpsi - T dth + psi div_t v + v.(dpsi - T dh)``
+    with the transport coefficient ``T = psi hfrak + p_dh / |g|`` and the
+    :func:`tangential_divergence` ``div_t``; this solves it for ``dtpsi``.
+    ``px, py`` are the flat gradient of ``psi`` and ``p_dh`` its projection
+    on ``dh``; ``dth`` is the height rate.  ``v = (vx, vy)`` holds the flat
+    tangential velocity and ``dv = (vx_x, vx_y, vy_x, vy_y)`` its flat
+    gradients; without them (no tangential motion) the velocity terms are
+    skipped.
+    """
+    transport = psi * hfrak + p_dh / g
+    out = transport * dth + rate
+    if v is not None:
+        vx, vy = v
+        out = out - psi * tangential_divergence(*dv, hx, hy, g)
+        out = out - (vx * (px - transport * hx) + vy * (py - transport * hy))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Surface cache and ScalarField operators
 
 
 @dataclass
@@ -55,16 +111,24 @@ class GeometryCache:
 
     h: ScalarField
     dh: VectorField2
-    d2h: tuple[ScalarField, ScalarField, ScalarField]
     g_det: ScalarField
     sqrt_g: ScalarField
     hfrak: ScalarField
     mean_curv: ScalarField
-    normal: tuple[ScalarField, ScalarField, ScalarField]
 
     @property
     def grid(self) -> Grid:
         return self.h.grid
+
+    @property
+    def normal(self) -> tuple[ScalarField, ScalarField, ScalarField]:
+        """Upward unit normal ``(-h_x, -h_y, 1) / sqrt(|g|)``."""
+        grid, sqrt_g = self.grid, self.sqrt_g.values
+        return (
+            ScalarField(grid, -self.dh.x.values / sqrt_g),
+            ScalarField(grid, -self.dh.y.values / sqrt_g),
+            ScalarField(grid, 1.0 / sqrt_g),
+        )
 
 
 def build_cache(h: ScalarField) -> GeometryCache:
@@ -81,9 +145,7 @@ def build_cache(h: ScalarField) -> GeometryCache:
 
     g_det = 1.0 + hx * hx + hy * hy
     sqrt_g = np.sqrt(g_det)
-    dh_d2h_dh = hx * hx * hxx + 2.0 * hx * hy * hxy + hy * hy * hyy
-    hfrak = (hxx + hyy - dh_d2h_dh / g_det) / g_det
-    mean_curv = sqrt_g * hfrak
+    hfrak = hessian_trace(hxx, hxy, hyy, hx, hy, g_det) / g_det
     if not np.all(np.isfinite(hfrak)):
         raise FloatingPointError("curvature evaluation produced non-finite values")
 
@@ -91,12 +153,10 @@ def build_cache(h: ScalarField) -> GeometryCache:
     return GeometryCache(
         h=h,
         dh=VectorField2(wrap(hx), wrap(hy)),
-        d2h=(wrap(hxx), wrap(hxy), wrap(hyy)),
         g_det=wrap(g_det),
         sqrt_g=wrap(sqrt_g),
         hfrak=wrap(hfrak),
-        mean_curv=wrap(mean_curv),
-        normal=(wrap(-hx / sqrt_g), wrap(-hy / sqrt_g), wrap(1.0 / sqrt_g)),
+        mean_curv=wrap(sqrt_g * hfrak),
     )
 
 
@@ -104,29 +164,20 @@ def laplace_beltrami(f: ScalarField, cache: GeometryCache) -> ScalarField:
     """Surface Laplacian of a scalar on the cached surface."""
     fx, fy, fxx, fxy, fyy = (s.values for s in derivatives(f))
     hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    dh_d2f_dh = hx * hx * fxx + 2.0 * hx * hy * fxy + hy * hy * fyy
-    df_dh = fx * hx + fy * hy
-    out = fxx + fyy - dh_d2f_dh / g - df_dh * cache.hfrak.values
-    return ScalarField(f.grid, out)
-
-
-def covariant_grad_sq(f: ScalarField, cache: GeometryCache) -> ScalarField:
-    """Squared norm of the covariant surface gradient of a scalar."""
-    fx, fy = (s.values for s in gradient(f))
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    df_dh = fx * hx + fy * hy
-    out = fx * fx + fy * fy - df_dh * df_dh / cache.g_det.values
-    return ScalarField(f.grid, out)
+    trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det.values)
+    return ScalarField(f.grid, trace - (fx * hx + fy * hy) * cache.hfrak.values)
 
 
 def covariant_norm_sq(v: VectorField2, cache: GeometryCache) -> ScalarField:
     """Squared surface norm of a tangent vector given by flat components."""
     vx, vy = v.x.values, v.y.values
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    v_dh = vx * hx + vy * hy
-    out = vx * vx + vy * vy - v_dh * v_dh / cache.g_det.values
-    return ScalarField(v.x.grid, out)
+    v_dh = vx * cache.dh.x.values + vy * cache.dh.y.values
+    return ScalarField(v.x.grid, covariant_square(vx, vy, v_dh, cache.g_det.values))
+
+
+def _velocity_gradients(v: VectorField2) -> tuple[np.ndarray, ...]:
+    """``(vx_x, vx_y, vy_x, vy_y)`` as raw arrays."""
+    return tuple(s.values for c in (v.x, v.y) for s in gradient(c))
 
 
 def div_comp_material(
@@ -134,14 +185,10 @@ def div_comp_material(
 ) -> ScalarField:
     """Surface divergence of the material velocity with flat part ``v`` and
     height rate ``dth``."""
-    vx_x, vx_y = (s.values for s in gradient(v.x))
-    vy_x, vy_y = (s.values for s in gradient(v.y))
     hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
+    div_t = tangential_divergence(*_velocity_gradients(v), hx, hy, cache.g_det.values)
     v_dh = v.x.values * hx + v.y.values * hy
-    out = vx_x + vy_y - dh_dv_dh / g - (dth.values + v_dh) * cache.hfrak.values
-    return ScalarField(dth.grid, out)
+    return ScalarField(dth.grid, div_t - (dth.values + v_dh) * cache.hfrak.values)
 
 
 def material_derivative(
@@ -176,26 +223,17 @@ def truesdell_rate(
 
     Vanishing Truesdell rate (up to a surface-divergence flux) is the
     statement that the integral of the density over the moving surface is
-    conserved.
+    conserved.  It is ``dtpsi`` minus the rate :func:`truesdell_solve`
+    gives for a vanishing Truesdell rate.
     """
     px, py = (s.values for s in gradient(psi))
-    vx_x, vx_y = (s.values for s in gradient(v.x))
-    vy_x, vy_y = (s.values for s in gradient(v.y))
     hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    hfrak = cache.hfrak.values
-    p = psi.values
-
-    transport = p * hfrak + (px * hx + py * hy) / g
-    dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
-    out = (
-        dtpsi.values
-        - transport * dth.values
-        + p * (vx_x + vy_y - dh_dv_dh / g)
-        + v.x.values * (px - transport * hx)
-        + v.y.values * (py - transport * hy)
+    still = truesdell_solve(
+        0.0, psi.values, px, py, px * hx + py * hy, dth.values, hx, hy,
+        cache.g_det.values, cache.hfrak.values,
+        v=(v.x.values, v.y.values), dv=_velocity_gradients(v),
     )
-    return ScalarField(psi.grid, out)
+    return ScalarField(psi.grid, dtpsi.values - still)
 
 
 def reconstruct_velocity(

@@ -245,9 +245,6 @@ class ScalarField:
     def __neg__(self) -> "ScalarField":
         return ScalarField(self.grid, -self.values)
 
-    def __pow__(self, exponent) -> "ScalarField":
-        return ScalarField(self.grid, self.values ** exponent)
-
     def min(self) -> float:
         return float(self.values.min())
 

@@ -81,7 +81,6 @@ def test_defaults_from_minimal_document():
     assert cfg.initial_h == InitialHeight("sin2x_sin2y", 1.0, "")
     assert cfg.initial_psi == InitialDensity("constant", 0.25, "")
     assert cfg.output_dir == "out"
-    assert cfg.seed == 0
 
 
 def test_comments_and_blank_lines_ignored():
@@ -102,7 +101,6 @@ def test_format_parse_roundtrip():
             dealias=False,
             ny=32,
             lx=4 * math.pi,
-            seed=7,
             output_dir="elsewhere",
         ),
         replace(
@@ -126,6 +124,7 @@ def test_snapshot_times_parsed_as_tuple():
         ("grid.nx = 16\n", "missing required keys"),
         ("grid.nx = 16\n", "energy.kind"),
         (MINIMAL + "typo.key = 1\n", "unknown keys: typo.key"),
+        (MINIMAL + "run.seed = 0\n", "unknown keys: run.seed"),
         (MINIMAL + "grid.nx = 32\n", "duplicate key 'grid.nx'"),
         (MINIMAL.replace("16", "sixteen"), "type mismatch for key 'grid.nx'"),
         (MINIMAL + "stepper.dealias = yes\n", "stepper.dealias"),

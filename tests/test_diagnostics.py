@@ -23,13 +23,10 @@ from gradflow import (
     convergence_sweep,
     covariant_norm_sq,
     evaluate,
-    flux_vector,
-    height_rhs,
     parse_config,
     record,
     step,
     surface_integral,
-    tangential_velocity,
     total_energy,
 )
 
@@ -92,9 +89,8 @@ def test_record_dissipation_rhs_is_negative_and_matches_assembly():
     assert rec.dissipation_rhs < 0.0
 
     cache = build_cache(state.h)
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
-    v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, model)
-    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, model)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+    dth, v, q = ev.dth, ev.v, ev.flux()
     v_sq = covariant_norm_sq(v, cache).values + dth.values**2 / cache.g_det.values
     expected = -(
         MOB.m_x * surface_integral(ScalarField(state.grid, v_sq), cache)

@@ -25,15 +25,11 @@ from gradflow import (
     StepperConfig,
     build_cache,
     evaluate,
-    flux_vector,
-    height_rhs,
     parse_config,
-    psi_rhs,
     record,
     simulate,
     stabilization_coefficients,
     step,
-    tangential_velocity,
     write_snapshot,
 )
 
@@ -96,13 +92,11 @@ def test_material_gauge_requires_quadratic():
     mgq = ModelVariant.MATERIAL_GAUGE_QUADRATIC
     for model in (Constant(1.0), Linear(1.0), FloryHuggins(1.0, 0.75, 0.0)):
         with pytest.raises(ValueError):
-            tangential_velocity(state, mgq, MOB, model)
-        with pytest.raises(ValueError):
-            height_rhs(state, mgq, MOB, model)
+            evaluate(state, mgq, MOB, model)
         with pytest.raises(ValueError):
             step(state, mgq, MOB, model, StepperConfig(dt=1e-6))
     # Quadratic is accepted
-    tangential_velocity(state, mgq, MOB, Quadratic(1.0))
+    evaluate(state, mgq, MOB, Quadratic(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +105,14 @@ def test_material_gauge_requires_quadratic():
 
 def test_velocity_zero_for_normal_only():
     state = make_state()
-    v = tangential_velocity(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    v = evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
     assert np.all(v.x.values == 0.0)
     assert np.all(v.y.values == 0.0)
 
 
 def test_velocity_zero_for_constant_density():
     state = make_state()
-    v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, Constant(2.0))
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(2.0)).v
     assert np.all(v.x.values == 0.0)
     assert np.all(v.y.values == 0.0)
 
@@ -126,7 +120,7 @@ def test_velocity_zero_for_constant_density():
 def test_velocity_zero_for_uniform_psi():
     g = Grid(32, 32)
     state = FlowState(0.0, g.from_function(lambda x, y: 0.2 * np.sin(x) * np.sin(y)), g.constant(0.4))
-    v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
     assert np.abs(v.x.values).max() < 1e-14
     assert np.abs(v.y.values).max() < 1e-14
 
@@ -134,7 +128,7 @@ def test_velocity_zero_for_uniform_psi():
 def test_velocity_closed_form_quadratic():
     state = make_state()
     c = 1.5
-    v = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c))
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).v
     from gradflow import gradient
 
     px, py = gradient(state.psi)
@@ -147,8 +141,8 @@ def test_velocity_closed_form_quadratic():
 def test_material_gauge_velocity_is_exact_negation():
     state = make_state()
     model = Quadratic(1.5)
-    v_desc = tangential_velocity(state, ModelVariant.FULL_COUPLED, MOB, model)
-    v_gauge = tangential_velocity(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model)
+    v_desc = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).v
+    v_gauge = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).v
     assert np.array_equal(v_gauge.x.values, -v_desc.x.values)
     assert np.array_equal(v_gauge.y.values, -v_desc.y.values)
 
@@ -159,14 +153,14 @@ def test_material_gauge_velocity_is_exact_negation():
 
 def test_height_rhs_zero_for_linear_density():
     state = make_state()
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, Linear(3.0))
+    dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Linear(3.0)).dth
     assert np.all(dth.values == 0.0)
 
 
 def test_height_rhs_zero_on_flat_surface():
     g = Grid(32, 32)
     state = FlowState(0.0, g.zeros(), g.from_function(lambda x, y: 0.4 + 0.1 * np.sin(x)))
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).dth
     assert np.abs(dth.values).max() < 1e-13
 
 
@@ -175,7 +169,7 @@ def test_height_rhs_mean_curvature_form():
     state = make_state()
     cache = build_cache(state.h)
     c = 2.5
-    dth = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, Constant(c))
+    dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(c)).dth
     expected = c * cache.g_det.values * cache.hfrak.values / MOB.m_x
     assert np.allclose(dth.values, expected, rtol=1e-13, atol=1e-13)
 
@@ -183,8 +177,8 @@ def test_height_rhs_mean_curvature_form():
 def test_material_gauge_height_rhs_is_exact_negation():
     state = make_state()
     model = Quadratic(1.5)
-    a = height_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
-    b = height_rhs(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model)
+    a = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).dth
+    b = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).dth
     assert np.array_equal(b.values, -a.values)
 
 
@@ -203,7 +197,7 @@ def test_psi_rhs_flat_static_matches_fd_oracle():
         g = Grid(n, n)
         psi = g.from_function(oracles.psi_fn)
         state = FlowState(0.0, g.zeros(), psi)
-        rhs = psi_rhs(state, ModelVariant.NORMAL_ONLY, mob, model)
+        rhs = evaluate(state, ModelVariant.NORMAL_ONLY, mob, model).rhs_psi
         vals = psi.values
         fpp = model.density(vals, 2)
         fppp = model.density(vals, 3)
@@ -223,7 +217,7 @@ def test_psi_rhs_uniform_density_pure_transport():
     c, m_x = 2.0, 5.0
     mob = Mobilities(m_x, 1.0)
     model = Constant(c)
-    rhs = psi_rhs(state, ModelVariant.FULL_COUPLED, mob, model)
+    rhs = evaluate(state, ModelVariant.FULL_COUPLED, mob, model).rhs_psi
     expected = (c / m_x) * cache.g_det.values * cache.hfrak.values**2
     assert np.abs(rhs.values - expected).max() < 1e-12
 
@@ -256,8 +250,8 @@ def test_full_and_normal_only_agree_for_uniform_psi_first_step():
 def test_velocity_substituted_matches_full_coupled_rhs():
     state = make_state(64)
     for model in (Quadratic(1.5), FloryHuggins(1.0, 0.75, 0.0)):
-        r_full = psi_rhs(state, ModelVariant.FULL_COUPLED, MOB, model)
-        r_sub = psi_rhs(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, model)
+        r_full = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).rhs_psi
+        r_sub = evaluate(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, model).rhs_psi
         scale = np.abs(r_full.values).max()
         assert np.abs(r_full.values - r_sub.values).max() < 1e-12 * scale, model
 
@@ -268,7 +262,7 @@ def test_velocity_substituted_matches_full_coupled_rhs():
 
 def test_flux_vector_zero_for_linear_density():
     state = make_state()
-    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, Linear(2.0))
+    q = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Linear(2.0)).flux()
     assert np.all(q.x.values == 0.0)
     assert np.all(q.y.values == 0.0)
 
@@ -276,7 +270,7 @@ def test_flux_vector_zero_for_linear_density():
 def test_flux_vector_closed_form():
     state = make_state()
     c = 1.5
-    q = flux_vector(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c))
+    q = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).flux()
     from gradflow import gradient
 
     px, py = gradient(state.psi)
