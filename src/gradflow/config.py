@@ -3,8 +3,8 @@
 The configuration grammar is deliberately minimal so any language can
 parse it: one ``section.key = value`` assignment per line, ``#`` starts a
 full-line comment, blank lines are ignored.  Unknown keys and malformed
-values are hard errors that name the offending key; silent typos are not
-possible.
+values, a non-finite number (``inf``, ``nan``) included, are hard errors
+that name the offending key; silent typos are not possible.
 
 Example (the bundled reference experiment)::
 
@@ -135,12 +135,19 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _convert(key: str, tag: str, raw: str):
     try:
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            return _finite_float(raw)
         if tag == "bool":
             if raw in ("true", "false"):
                 return raw == "true"
@@ -149,7 +156,7 @@ def _convert(key: str, tag: str, raw: str):
             raw = raw.strip()
             if not raw:
                 return ()
-            return tuple(float(part) for part in raw.split(","))
+            return tuple(_finite_float(part) for part in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
@@ -278,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
         initial_psi = InitialDensity("file", 0.0, psi_raw[5:])
     else:
         try:
-            initial_psi = InitialDensity("constant", float(psi_raw), "")
+            initial_psi = InitialDensity("constant", _finite_float(psi_raw), "")
         except ValueError:
             raise ConfigError(
                 f"key 'initial.psi' must be a number or file:<path>; got '{psi_raw}'"

@@ -77,7 +77,7 @@ def record(
     elif ev.state is not state:
         raise ValueError("the evaluation belongs to another state")
     cache = ev.cache
-    u = surface_integral(ScalarField(state.grid, ev.f[0]), cache)
+    u = surface_integral(ScalarField(state.grid, ev.f), cache)
     mass = surface_integral(state.psi, cache)
 
     # A state whose rates overflow is recorded as it is; the step from it aborts.

@@ -29,6 +29,12 @@ Four variants are provided:
     it can raise the energy, which is exactly what the gauge-comparison
     diagnostics exercise.  Requires the Quadratic energy preset.
 
+Spatial derivatives are spectral, except the gradient of the tangential
+velocity: with ``v = phi grad psi`` it is ``phi' grad psi grad psi + phi
+D2 psi``, formed pointwise from the derivatives of ``psi``.  A step
+therefore makes four transform pairs: the derivatives of ``h`` and of
+``psi``, and the two damped increments.
+
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
 ``1/(1 + dt * a * |k|^2)`` mode-by-mode.  The damping coefficients default
@@ -58,7 +64,6 @@ from .spectral import (
     VectorField2,
     dealias_solve,
     derivatives,
-    gradient,
 )
 
 __all__ = [
@@ -170,19 +175,21 @@ class Evaluation:
     """Everything the flow needs from one state, built by :func:`evaluate`.
 
     :func:`step` and :func:`gradflow.diagnostics.record` both read it, so a
-    recorded state is evaluated once.  ``dpsi`` holds the raw arrays
-    ``(psi_x, psi_y, psi_xx, psi_xy, psi_yy)``; ``f`` holds
-    ``(f, f', f'', f''')`` at the clamped density, and ``clamp_count`` the
-    number of clamped points.  ``a_h``/``a_psi`` are the damping
-    coefficients the step applies.
+    recorded state is evaluated once.  Besides the rates it keeps what the
+    record reads: the energy density ``f`` and its second derivative ``fpp``
+    at the clamped density, the raw flat gradient ``psi_x, psi_y`` of the
+    density, and ``clamp_count``, the number of clamped points.
+    ``a_h``/``a_psi`` are the damping coefficients the step applies.
     """
 
     state: FlowState
     mobilities: Mobilities
     cache: GeometryCache
-    dpsi: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    psi_x: np.ndarray
+    psi_y: np.ndarray
     clamp_count: int
-    f: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    f: np.ndarray
+    fpp: np.ndarray
     dth: ScalarField
     v: VectorField2
     rhs_psi: ScalarField
@@ -192,10 +199,10 @@ class Evaluation:
     def flux(self) -> VectorField2:
         """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
         grid = self.state.grid
-        factor = -self.f[2] / self.mobilities.m_psi
+        factor = -self.fpp / self.mobilities.m_psi
         return VectorField2(
-            ScalarField(grid, factor * self.dpsi[0]),
-            ScalarField(grid, factor * self.dpsi[1]),
+            ScalarField(grid, factor * self.psi_x),
+            ScalarField(grid, factor * self.psi_y),
         )
 
 
@@ -223,34 +230,48 @@ def evaluate(
 
     The density is clamped into the energy's domain once; the count is
     ``clamp_count``.  The surface algebra is that of the
-    :mod:`gradflow.geometry` kernels.
+    :mod:`gradflow.geometry` kernels.  The velocity ``v = phi grad psi`` is
+    differentiated analytically, ``d_j v_i = phi' psi_i psi_j + phi
+    psi_ij``, from the derivatives of ``psi`` at hand, so it costs no
+    transform.  Where the clamp acts, ``f''`` of the clamped density does
+    not vary with ``psi``, and ``phi'`` has no ``f'''`` term there.
     """
     _require_quadratic(variant, energy)
     grid = state.grid
     m_x, m_psi = mobilities.m_x, mobilities.m_psi
     with np.errstate(**_QUIET):
         cache = build_cache(state.h)
-        dpsi = tuple(f.values for f in derivatives(state.psi))
-        px, py, pxx, pxy, pyy = dpsi
+        px, py, pxx, pxy, pyy = (f.values for f in derivatives(state.psi))
         psi = state.psi.values
         clamped, n = energy.clamp(psi)
-        f = energy.derivatives(clamped)
-        f0, f1, fpp, fppp = f
+        f0, f1, fpp, fppp = energy.derivatives(clamped)
         hx, hy = cache.dh.x.values, cache.dh.y.values
         g = cache.g_det.values
         hfrak = cache.hfrak.values
 
+        # Each array is released once nothing reads it (``del``): fewer live
+        # full-grid arrays lower the peak RSS and the page faults at 256^2.
         sigma = f0 - clamped * f1
+        del f1
         sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
         dth = sign * g * sigma * hfrak / m_x
+        r = m_psi / m_x
+        amp = 1.0 + psi * psi * r
+
+        a_h = a_psi = 0.0
+        if stepper is not None and stepper.scheme is Scheme.IMEX1:
+            a_h, a_psi = stepper.stab_h, stepper.stab_psi
+            if a_h == 0.0:
+                a_h = float(np.max(np.abs(sigma))) / m_x
+            if a_psi == 0.0:
+                a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
+
         if variant is ModelVariant.NORMAL_ONLY:
             v = VectorField2(grid.zeros(), grid.zeros())
         else:
-            factor = -sign * psi * fpp / m_x
-            v = VectorField2(ScalarField(grid, factor * px), ScalarField(grid, factor * py))
+            phi = -sign * psi * fpp / m_x
+            v = VectorField2(ScalarField(grid, phi * px), ScalarField(grid, phi * py))
 
-        r = m_psi / m_x
-        amp = 1.0 + psi * psi * r
         p_dh = px * hx + py * hy
         grad_sq = covariant_square(px, py, p_dh, g)
         trace = hessian_trace(pxx, pxy, pyy, hx, hy, g)
@@ -262,28 +283,30 @@ def evaluate(
                 + g * psi * r * sigma * hfrak * hfrak
             ) / m_psi
         else:
+            del sigma, amp
             diffusive = (fpp * (trace - p_dh * hfrak) + fppp * grad_sq) / m_psi
+            del trace, grad_sq
             v_flat = dv = None
             if variant is not ModelVariant.NORMAL_ONLY:
+                if n:
+                    fppp = np.where(clamped == psi, fppp, 0.0)
+                dphi = -sign * (fpp + psi * fppp) / m_x
+                del fppp
+                v_xy = dphi * px * py + phi * pxy
+                dv = (dphi * px * px + phi * pxx, v_xy, v_xy, dphi * py * py + phi * pyy)
+                del dphi, phi
                 v_flat = (v.x.values, v.y.values)
-                dv = tuple(s.values for c in (v.x, v.y) for s in gradient(c))
             rhs = truesdell_solve(diffusive, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v_flat, dv)
-
-        a_h = a_psi = 0.0
-        if stepper is not None and stepper.scheme is Scheme.IMEX1:
-            a_h, a_psi = stepper.stab_h, stepper.stab_psi
-            if a_h == 0.0:
-                a_h = float(np.max(np.abs(sigma))) / m_x
-            if a_psi == 0.0:
-                a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
 
     return Evaluation(
         state=state,
         mobilities=mobilities,
         cache=cache,
-        dpsi=dpsi,
+        psi_x=px,
+        psi_y=py,
         clamp_count=n,
-        f=f,
+        f=f0,
+        fpp=fpp,
         dth=ScalarField(grid, dth),
         v=v,
         rhs_psi=ScalarField(grid, rhs),

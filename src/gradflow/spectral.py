@@ -65,7 +65,24 @@ def _rfft2(values: np.ndarray) -> np.ndarray:
 
 
 def _irfft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    return _fft.irfft2(spec, s=shape, axes=(-2, -1), workers=_fft_workers)
+    # Every caller passes a spectrum it built itself, so the backend may
+    # overwrite it.
+    return _fft.irfft2(
+        spec, s=shape, axes=(-2, -1), overwrite_x=True, workers=_fft_workers
+    )
+
+
+def _derivative_stack(f: "ScalarField", multipliers: np.ndarray) -> np.ndarray:
+    """Inverse transforms of ``multipliers * rfft2(f)``, one per multiplier.
+
+    The products are written into the grid's work buffer instead of a new
+    spectral stack per call.  The returned stack is a new array; the buffer
+    is scratch.
+    """
+    g = f.grid
+    work = g._spectral_work()[: len(multipliers)]
+    np.multiply(multipliers, _rfft2(f.values), out=work)
+    return _irfft2(work, (g.nx, g.ny))
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,10 @@ class Grid:
     dealias : bool
         Whether the 2/3-rule mask is active.  When False the mask keeps
         every mode and :func:`dealias` is the identity.
+
+    The grid also owns a complex work buffer for the derivative helpers,
+    allocated on first use; a grid is therefore not for concurrent use from
+    several threads.
     """
 
     nx: int
@@ -128,14 +149,9 @@ class Grid:
             mask = np.ones((self.nx, self.ny // 2 + 1), dtype=bool)
         set_attr(self, "dealias_mask", mask)
 
-        # Precomputed multiplier stacks for the batched derivative helpers:
-        # (d/dx, d/dy) and (d/dx, d/dy, dxx, dxy, dyy).
+        # Precomputed multiplier stack for the batched derivative helpers,
+        # (d/dx, d/dy, dxx, dxy, dyy); the gradient uses its first two.
         one = np.ones((self.nx, self.ny // 2 + 1))
-        set_attr(
-            self,
-            "grad_multipliers",
-            np.stack((1j * kx_d * one, 1j * ky_d * one)),
-        )
         set_attr(
             self,
             "deriv_multipliers",
@@ -149,6 +165,14 @@ class Grid:
                 )
             ),
         )
+
+    def _spectral_work(self) -> np.ndarray:
+        """Complex scratch of the shape of ``deriv_multipliers``."""
+        work = self.__dict__.get("_work")
+        if work is None:
+            work = np.empty_like(self.deriv_multipliers)
+            object.__setattr__(self, "_work", work)
+        return work
 
     # -- field constructors -------------------------------------------------
 
@@ -292,8 +316,7 @@ def partial(f: ScalarField, axis: str) -> ScalarField:
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
     g = f.grid
-    spec = _rfft2(f.values)
-    out = _irfft2(g.grad_multipliers * spec, (g.nx, g.ny))
+    out = _derivative_stack(f, g.deriv_multipliers[:2])
     return ScalarField(g, out[0]), ScalarField(g, out[1])
 
 
@@ -301,8 +324,7 @@ def partial2(f: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Second derivatives ``(f_xx, f_xy, f_yy)``; ``f_xy`` is symmetric by
     construction (a single spectral multiplier)."""
     g = f.grid
-    spec = _rfft2(f.values)
-    out = _irfft2(g.deriv_multipliers[2:] * spec, (g.nx, g.ny))
+    out = _derivative_stack(f, g.deriv_multipliers[2:])
     return ScalarField(g, out[0]), ScalarField(g, out[1]), ScalarField(g, out[2])
 
 
@@ -315,8 +337,7 @@ def derivatives(
     combining :func:`partial` and :func:`partial2`.
     """
     g = f.grid
-    spec = _rfft2(f.values)
-    out = _irfft2(g.deriv_multipliers * spec, (g.nx, g.ny))
+    out = _derivative_stack(f, g.deriv_multipliers)
     return tuple(ScalarField(g, out[i]) for i in range(5))
 
 

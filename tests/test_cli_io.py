@@ -151,6 +151,13 @@ def test_snapshot_times_parsed_as_tuple():
         (MINIMAL + "initial.h = bumps\n", "initial.h"),
         (MINIMAL.replace("initial.psi = 0.25", "initial.psi = lots"),
          "initial.psi"),
+        # Non-finite numbers are rejected where they are read.
+        (MINIMAL.replace("run.t_end = 1e-2", "run.t_end = inf"), "key 'run.t_end'"),
+        (MINIMAL + "mobility.m_x = inf\n", "key 'mobility.m_x'"),
+        (MINIMAL + "stepper.stab_h = nan\n", "key 'stepper.stab_h'"),
+        (MINIMAL.replace("initial.psi = 0.25", "initial.psi = nan"), "key 'initial.psi'"),
+        (MINIMAL + "grid.lx = inf\n", "key 'grid.lx'"),
+        (MINIMAL + "initial.h_amplitude = inf\n", "key 'initial.h_amplitude'"),
     ],
 )
 def test_rejections_name_the_offending_key(doc, fragment):

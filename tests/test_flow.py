@@ -23,8 +23,13 @@ from gradflow import (
     Scheme,
     SolverAbort,
     StepperConfig,
+    VectorField2,
     build_cache,
+    covariant_norm_sq,
+    derivatives,
     evaluate,
+    gradient,
+    laplace_beltrami,
     parse_config,
     record,
     simulate,
@@ -34,6 +39,7 @@ from gradflow import (
 )
 
 import oracles
+from gradflow.geometry import truesdell_solve
 
 
 def make_state(n=32, h_amp=0.3, psi_amp=0.1):
@@ -478,6 +484,69 @@ def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Analytic velocity gradients
+
+
+def _rhs_with_velocity_gradients(ev, model, dv):
+    """``rhs_psi`` of the full/material-gauge density equation, rebuilt from
+    the geometry operators and the Truesdell solve with the flat velocity
+    gradients ``dv = (vx_x, vx_y, vy_x, vy_y)``."""
+    psi, cache = ev.state.psi, ev.cache
+    _, _, fpp, fppp = model.derivatives(model.clamp(psi.values)[0])
+    grad = VectorField2(*gradient(psi))
+    lap = laplace_beltrami(psi, cache).values
+    diffusive = (fpp * lap + fppp * covariant_norm_sq(grad, cache).values) / MOB.m_psi
+    px, py = grad.x.values, grad.y.values
+    hx, hy = cache.dh.x.values, cache.dh.y.values
+    return truesdell_solve(
+        diffusive, psi.values, px, py, px * hx + py * hy, ev.dth.values, hx, hy,
+        cache.g_det.values, cache.hfrak.values,
+        v=(ev.v.x.values, ev.v.y.values), dv=dv,
+    )
+
+
+@pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[3]])
+def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
+    ev = evaluate(make_state(64), variant, MOB, model)
+    dv = tuple(s.values for c in ev.v for s in gradient(c))
+    expected = _rhs_with_velocity_gradients(ev, model, dv)
+    scale = np.abs(expected).max()
+    assert np.abs(ev.rhs_psi.values - expected).max() <= 1e-9 * scale
+    # The velocity terms are not negligible on this state.
+    assert np.abs(ev.v.x.values).max() > 1e-2
+
+
+def test_clamped_points_drop_the_third_derivative_term():
+    model = FloryHuggins(1.0, 0.75, 0.3)
+    state = clamping_state()
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+    assert ev.clamp_count > 0
+    assert np.all(np.isfinite(ev.rhs_psi.values))
+
+    psi = state.psi.values
+    clamped, _ = model.clamp(psi)
+    _, _, fpp, fppp = model.derivatives(clamped)
+    free = clamped == psi
+    px, py, pxx, pxy, pyy = (s.values for s in derivatives(state.psi))
+    phi = -psi * fpp / MOB.m_x
+
+    def rhs(third):
+        # v = phi grad psi, so d_j v_i = phi' psi_i psi_j + phi psi_ij.
+        dphi = -(fpp + psi * third) / MOB.m_x
+        v_xy = dphi * px * py + phi * pxy
+        dv = (dphi * px * px + phi * pxx, v_xy, v_xy, dphi * py * py + phi * pyy)
+        return _rhs_with_velocity_gradients(ev, model, dv)
+
+    without = rhs(np.where(free, fppp, 0.0))
+    scale = np.abs(without).max()
+    assert np.abs(ev.rhs_psi.values - without).max() <= 1e-12 * scale
+    # Keeping f''' at the clamped points would change the rate there only.
+    kept = rhs(fppp)
+    assert np.abs(kept - without)[~free].max() > 1e-2 * scale
+    assert np.array_equal(kept[free], without[free])
+
+
+# ---------------------------------------------------------------------------
 # Transform and geometry budget
 
 
@@ -532,7 +601,17 @@ def test_record_with_an_evaluation_makes_no_transform(calls):
 
 
 def test_full_imex_step_transform_budget(calls):
+    # One transform pair each for the derivatives of h and of psi and for the
+    # two damped increments; the velocity gradients are analytic.
     state = make_state(16)
     step(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), StepperConfig(dt=1e-4))
     assert calls["build_cache"] == 1
-    assert calls["fft"] <= 12
+    assert calls["fft"] == 8
+
+
+def test_normal_only_explicit_step_transform_budget(calls):
+    state = make_state(16)
+    stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
+    step(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper)
+    assert calls["build_cache"] == 1
+    assert calls["fft"] == 8

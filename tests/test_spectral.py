@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from gradflow import (
     Grid,
@@ -161,6 +162,44 @@ def test_derivatives_bundle_matches_individual_ops():
     assert np.allclose(fxx.values, pxx.values, atol=1e-13)
     assert np.allclose(fxy.values, pxy.values, atol=1e-13)
     assert np.allclose(fyy.values, pyy.values, atol=1e-13)
+
+
+def test_derivative_helpers_equal_the_plain_transforms(rng):
+    # The helpers write the spectral products into the grid's work buffer;
+    # the bytes must be those of irfft2(M * rfft2(f)).
+    g = Grid(32, 24, lx=3.0)
+    f = g.field(rng.standard_normal((g.nx, g.ny)))
+    spec = scipy.fft.rfft2(f.values)
+    m = g.deriv_multipliers
+
+    def plain(multipliers):
+        return scipy.fft.irfft2(multipliers * spec, s=(g.nx, g.ny), axes=(-2, -1))
+
+    for got, expected in (
+        (derivatives(f), plain(m)),
+        (gradient(f), plain(m[:2])),
+        (partial2(f), plain(m[2:])),
+    ):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.values, b)
+
+
+def test_derivative_outputs_survive_later_calls(rng):
+    g = Grid(16, 16)
+    f = g.field(rng.standard_normal((g.nx, g.ny)))
+    f_before = f.values.copy()
+    first = derivatives(f)
+    first_grad = gradient(f)
+    kept = [s.values.copy() for s in first + first_grad]
+    assert np.array_equal(f.values, f_before)
+
+    other = g.field(rng.standard_normal((g.nx, g.ny)))
+    derivatives(other)
+    gradient(other)
+    partial2(other)
+    assert all(np.array_equal(s.values, k) for s, k in zip(first + first_grad, kept))
+    assert np.array_equal(f.values, f_before)
 
 
 def test_resolved_mode_relative_accuracy():
