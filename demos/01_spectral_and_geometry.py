@@ -18,7 +18,6 @@ from gradflow import (
     gradient,
     integrate,
     laplace_beltrami,
-    partial,
     surface_integral,
 )
 
@@ -27,7 +26,7 @@ print(f"grid: {grid.nx} x {grid.ny}, domain {grid.lx:.4f} x {grid.ly:.4f}")
 
 # -- spectral derivatives are exact for resolved modes ----------------------
 f = grid.from_function(lambda x, y: np.sin(3 * x) * np.cos(2 * y))
-fx = partial(f, "x")
+fx, _ = gradient(f)
 exact = grid.from_function(lambda x, y: 3 * np.cos(3 * x) * np.cos(2 * y))
 print(f"max |d/dx sin(3x)cos(2y) - exact| = {np.abs(fx.values - exact.values).max():.3e}")
 

@@ -22,8 +22,6 @@ from .config import (
     InitialHeight,
     RunConfig,
     build_grid,
-    build_mobilities,
-    build_stepper,
     format_config,
     initial_state,
     parse_config,
@@ -38,15 +36,11 @@ from .diagnostics import (
 )
 from .energy import (
     CLAMP_EPS,
-    ClampTally,
     Constant,
     EnergyModel,
     FloryHuggins,
     Linear,
     Quadratic,
-    eval_f,
-    eval_sigma,
-    functional_derivatives,
     total_energy,
 )
 from .flow import (
@@ -67,8 +61,6 @@ from .geometry import (
     covariant_norm_sq,
     div_comp_material,
     laplace_beltrami,
-    material_derivative,
-    normal_speed,
     reconstruct_velocity,
     surface_integral,
     truesdell_rate,
@@ -79,16 +71,12 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField2,
-    dealias,
     derivatives,
     get_fft_workers,
     gradient,
     integrate,
-    partial,
-    partial2,
     set_fft_workers,
     dealias_solve,
-    solve_helmholtz,
 )
 
 __version__ = "0.1.0"
@@ -99,13 +87,9 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField2",
-    "partial",
     "gradient",
-    "partial2",
     "derivatives",
-    "dealias",
     "integrate",
-    "solve_helmholtz",
     "dealias_solve",
     "set_fft_workers",
     "get_fft_workers",
@@ -115,23 +99,17 @@ __all__ = [
     "laplace_beltrami",
     "covariant_norm_sq",
     "div_comp_material",
-    "material_derivative",
     "truesdell_rate",
     "reconstruct_velocity",
-    "normal_speed",
     "surface_integral",
     # energy
     "CLAMP_EPS",
-    "ClampTally",
     "EnergyModel",
     "Constant",
     "Linear",
     "Quadratic",
     "FloryHuggins",
-    "eval_f",
-    "eval_sigma",
     "total_energy",
-    "functional_derivatives",
     # flow
     "ModelVariant",
     "Scheme",
@@ -158,8 +136,6 @@ __all__ = [
     "parse_config",
     "format_config",
     "build_grid",
-    "build_mobilities",
-    "build_stepper",
     "initial_state",
     # snapshot
     "SnapshotError",

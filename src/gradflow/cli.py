@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .runner import compare, run, sweep
 from .spectral import set_fft_workers
 
@@ -94,11 +94,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config '{args.config}': {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text)
+        return _dispatch(args, parse_config(text))
     except ConfigError as exc:
+        # Raised by parsing and by reading the initial state, in any command.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
+def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     out = args.out if args.out is not None else config.output_dir
 
     if args.command == "run":

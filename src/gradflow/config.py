@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import Constant, EnergyModel, FloryHuggins, Linear, Quadratic
-from .flow import FlowState, Mobilities, ModelVariant, Scheme, StepperConfig
+from .flow import FlowState, ModelVariant, Scheme
 from .spectral import Grid, ScalarField
 
 __all__ = [
@@ -42,9 +42,8 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "format_config",
+    "check_dt",
     "build_grid",
-    "build_mobilities",
-    "build_stepper",
     "initial_state",
 ]
 
@@ -162,6 +161,15 @@ def _convert(key: str, tag: str, raw: str):
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
 
 
+def check_dt(dt: float, t_end: float, name: str) -> None:
+    """The time-step rule: ``dt`` is finite, > 0 and <= ``t_end``.  ``name``
+    says in the error where ``dt`` came from."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"{name} must be > 0 and finite, got {dt}")
+    if dt > t_end:
+        raise ConfigError(f"{name} must be <= run.t_end ({dt} > {t_end})")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a configuration document into a validated :class:`RunConfig`."""
     values: dict[str, object] = {}
@@ -244,7 +252,6 @@ def parse_config(text: str) -> RunConfig:
         )
 
     dt = get("stepper.dt")
-    require_positive("stepper.dt", dt)
     try:
         scheme = Scheme(get("stepper.scheme"))
     except ValueError:
@@ -259,8 +266,7 @@ def parse_config(text: str) -> RunConfig:
 
     t_end = get("run.t_end")
     require_positive("run.t_end", t_end)
-    if dt > t_end:
-        raise ConfigError(f"key 'stepper.dt' must be <= run.t_end ({dt} > {t_end})")
+    check_dt(dt, t_end, "key 'stepper.dt'")
     record_every = get("run.record_every")
     require_positive("run.record_every", record_every)
     snapshot_times = get("run.snapshot_times")
@@ -374,20 +380,12 @@ def build_grid(config: RunConfig) -> Grid:
     return Grid(config.nx, config.ny, config.lx, config.ly, dealias=config.dealias)
 
 
-def build_mobilities(config: RunConfig) -> Mobilities:
-    return Mobilities(config.m_x, config.m_psi)
-
-
-def build_stepper(config: RunConfig) -> StepperConfig:
-    return StepperConfig(config.dt, config.scheme, config.stab_h, config.stab_psi)
-
-
 def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarField:
-    from .snapshot import read_snapshot
+    from .snapshot import SnapshotError, read_snapshot
 
     try:
         loaded = read_snapshot(path, dealias=grid.dealias)
-    except OSError as exc:
+    except (OSError, SnapshotError) as exc:
         raise ConfigError(f"key '{key}': cannot read snapshot '{path}': {exc}") from None
     if not loaded.grid.compatible(grid):
         raise ConfigError(
@@ -395,6 +393,9 @@ def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarF
             f"does not match configured grid {grid.nx}x{grid.ny}"
         )
     source = loaded.h if which == "h" else loaded.psi
+    bad = source.values.size - np.count_nonzero(np.isfinite(source.values))
+    if bad:
+        raise ConfigError(f"key '{key}': snapshot '{path}' holds {bad} non-finite values")
     return ScalarField(grid, source.values)
 
 

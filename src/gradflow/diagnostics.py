@@ -11,8 +11,8 @@ energies (first order in the record spacing) and the right side is
 evaluated from the instantaneous velocity and flux fields.
 
 The module also provides two harnesses used by the verification suite and
-the command-line tool: a convergence sweep over a time-step (or grid)
-ladder, and a paired full-vs-normal-only comparison run.
+the command-line tool: a convergence sweep over a dt ladder, and a paired
+full-vs-normal-only comparison run.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def convergence_sweep(configs: list, quantity: str = "mass_error") -> list[Conve
     Parameters
     ----------
     configs : list of RunConfig
-        At least three configurations of the same physical problem to the
-        same final time, differing in ``dt`` (or grid size).
+        At least three configurations of the same physical problem on the
+        same grid to the same final time, differing in ``dt``.
     quantity : {"mass_error", "trajectory_error"}
         The error measure driving the observed order.  ``trajectory_error``
         measures the final (h, psi) fields against a reference run at a

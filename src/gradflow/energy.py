@@ -16,8 +16,8 @@ The surface tension is the Legendre-type combination
 ``psi * f'' * grad psi`` drives the tangential motion.
 
 Out-of-domain FloryHuggins arguments are clamped to ``[eps, 1-eps]`` with
-``eps = 1e-10``; clamping is never silent -- each affected grid point can be
-counted through a :class:`ClampTally` passed by the caller.
+``eps = 1e-10``; clamping is never silent -- :meth:`EnergyModel.clamp`
+returns the number of affected grid points with the clamped values.
 """
 
 from __future__ import annotations
@@ -27,48 +27,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryCache, surface_integral
-from .spectral import ScalarField, VectorField2, gradient
+from .spectral import ScalarField
 
 __all__ = [
     "CLAMP_EPS",
-    "ClampTally",
     "EnergyModel",
     "Constant",
     "Linear",
     "Quadratic",
     "FloryHuggins",
-    "eval_f",
-    "eval_sigma",
     "total_energy",
-    "functional_derivatives",
 ]
 
 CLAMP_EPS = 1e-10
 
 
-@dataclass
-class ClampTally:
-    """Mutable counter of domain-clamp events (grid points, cumulative)."""
-
-    count: int = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
-
-
 class EnergyModel:
     """Base class for energy-density presets.
 
-    Subclasses implement :meth:`density` for orders 0..3 on arrays that are
-    already inside the model's domain.  Models are immutable values.
+    Subclasses implement :meth:`derivatives` in closed form on arrays that
+    are already inside the model's domain.  Models are immutable values.
     """
 
-    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(f, f', f'', f''')`` at in-domain values."""
         raise NotImplementedError
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(f, f', f'', f''')`` at in-domain values, as :meth:`density` gives them."""
-        return tuple(self.density(psi, order) for order in range(4))
+    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
+        """``f`` (order 0) or its derivative of order 1..3 at in-domain values."""
+        if not (0 <= order <= 3):
+            raise ValueError(f"derivative order must be in 0..3, got {order}")
+        return self.derivatives(psi)[order]
 
     def clamp(self, psi: np.ndarray) -> tuple[np.ndarray, int]:
         """Return (domain-valid values, number of clamped points)."""
@@ -76,11 +65,6 @@ class EnergyModel:
 
     def count_violations(self, psi: np.ndarray) -> int:
         return 0
-
-
-def _check_order(order: int, top: int) -> None:
-    if not (0 <= order <= top):
-        raise ValueError(f"derivative order must be in 0..{top}, got {order}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +77,13 @@ class Constant(EnergyModel):
         if not (self.c > 0.0):
             raise ValueError(f"Constant energy requires c > 0, got {self.c}")
 
-    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
-        _check_order(order, 3)
-        if order == 0:
-            return np.full_like(psi, self.c)
-        return np.zeros_like(psi)
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (
+            np.full_like(psi, self.c),
+            np.zeros_like(psi),
+            np.zeros_like(psi),
+            np.zeros_like(psi),
+        )
 
 
 @dataclass(frozen=True)
@@ -106,13 +92,13 @@ class Linear(EnergyModel):
 
     c: float = 1.0
 
-    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
-        _check_order(order, 3)
-        if order == 0:
-            return self.c * psi
-        if order == 1:
-            return np.full_like(psi, self.c)
-        return np.zeros_like(psi)
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (
+            self.c * psi,
+            np.full_like(psi, self.c),
+            np.zeros_like(psi),
+            np.zeros_like(psi),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,15 +111,13 @@ class Quadratic(EnergyModel):
         if not (self.c > 0.0):
             raise ValueError(f"Quadratic energy requires c > 0, got {self.c}")
 
-    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
-        _check_order(order, 3)
-        if order == 0:
-            return 0.5 * self.c * psi * psi
-        if order == 1:
-            return self.c * psi
-        if order == 2:
-            return np.full_like(psi, self.c)
-        return np.zeros_like(psi)
+    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (
+            0.5 * self.c * psi * psi,
+            self.c * psi,
+            np.full_like(psi, self.c),
+            np.zeros_like(psi),
+        )
 
 
 @dataclass(frozen=True)
@@ -165,9 +149,7 @@ class FloryHuggins(EnergyModel):
     def count_violations(self, psi: np.ndarray) -> int:
         return int(np.count_nonzero((psi < CLAMP_EPS) | (psi > 1.0 - CLAMP_EPS)))
 
-    def density(self, psi: np.ndarray, order: int) -> np.ndarray:
-        _check_order(order, 3)
-        return self.derivatives(psi)[order]
+    density = EnergyModel.density  # own entry: perfbench/spans.py traces this name
 
     def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
         # Each logarithm is evaluated once for f and f'.
@@ -182,70 +164,8 @@ class FloryHuggins(EnergyModel):
         )
 
 
-def eval_f(
-    model: EnergyModel, psi: ScalarField, order: int, tally: ClampTally | None = None
-) -> ScalarField:
-    """Pointwise f, f', f'' or f''' of the preset at the field's values.
-
-    Out-of-domain values are clamped first; if ``tally`` is given the number
-    of clamped points is added to it.
-    """
-    values, n = model.clamp(psi.values)
-    if tally is not None and n:
-        tally.add(n)
-    return ScalarField(psi.grid, model.density(values, order))
-
-
-def eval_sigma(
-    model: EnergyModel, psi: ScalarField, order: int, tally: ClampTally | None = None
-) -> ScalarField:
-    """Surface tension sigma = f - psi f' and its first two derivatives."""
-    _check_order(order, 2)
-    values, n = model.clamp(psi.values)
-    if tally is not None and n:
-        tally.add(n)
-    if order == 0:
-        out = model.density(values, 0) - values * model.density(values, 1)
-    elif order == 1:
-        out = -values * model.density(values, 2)
-    else:
-        out = -(model.density(values, 2) + values * model.density(values, 3))
-    return ScalarField(psi.grid, out)
-
-
-def total_energy(
-    model: EnergyModel,
-    psi: ScalarField,
-    cache: GeometryCache,
-    tally: ClampTally | None = None,
-) -> float:
-    """Total surface energy: integral of f(psi) with the area weight."""
-    return surface_integral(eval_f(model, psi, 0, tally), cache)
-
-
-def functional_derivatives(
-    model: EnergyModel,
-    psi: ScalarField,
-    cache: GeometryCache,
-    tally: ClampTally | None = None,
-) -> tuple[ScalarField, VectorField2, ScalarField]:
-    """Variations of the energy in (psi, surface) directions.
-
-    Returns
-    -------
-    dpsi : ScalarField
-        Variation against psi on fixed geometry, ``f'(psi)``.
-    tangential : VectorField2
-        Covariant proxy of the tangential surface variation,
-        ``psi f''(psi) grad psi``.
-    normal : ScalarField
-        Normal surface variation, ``-sigma(psi) * H``.
-    """
-    fp = eval_f(model, psi, 1, tally)
-    fpp = eval_f(model, psi, 2)
-    sigma = eval_sigma(model, psi, 0)
-    px, py = gradient(psi)
-    factor = psi * fpp
-    tangential = VectorField2(factor * px, factor * py)
-    normal = ScalarField(psi.grid, -sigma.values * cache.mean_curv.values)
-    return fp, tangential, normal
+def total_energy(model: EnergyModel, psi: ScalarField, cache: GeometryCache) -> float:
+    """Total surface energy: integral of f(psi) with the area weight, taken
+    at the clamped density."""
+    values, _ = model.clamp(psi.values)
+    return surface_integral(ScalarField(psi.grid, model.derivatives(values)[0]), cache)

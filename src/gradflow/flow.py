@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ClampTally, EnergyModel, Quadratic
+from .energy import EnergyModel, Quadratic
 from .geometry import (
     GeometryCache,
     build_cache,
@@ -338,7 +338,6 @@ def step(
     mobilities: Mobilities,
     energy: EnergyModel,
     stepper: StepperConfig,
-    tally: ClampTally | None = None,
     ev: Evaluation | None = None,
 ) -> FlowState:
     """Advance the state by one time step.
@@ -348,8 +347,7 @@ def step(
     here when absent.  Each increment ``dt * rhs`` is dealiased and, for
     IMEX1, damped mode by mode by ``1/(1 + dt * a * |k|^2)``: the solution
     of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  A zero right-hand side
-    gives an exactly zero increment.  Domain-clamp events are counted once
-    per step.
+    gives an exactly zero increment.
 
     Raises
     ------
@@ -361,8 +359,6 @@ def step(
         ev = evaluate(state, variant, mobilities, energy, stepper)
     elif ev.state is not state:
         raise ValueError("the evaluation belongs to another state")
-    if tally is not None:
-        tally.add(ev.clamp_count)
 
     dt = stepper.dt
     with np.errstate(**_QUIET):

@@ -40,10 +40,8 @@ __all__ = [
     "laplace_beltrami",
     "covariant_norm_sq",
     "div_comp_material",
-    "material_derivative",
     "truesdell_rate",
     "reconstruct_velocity",
-    "normal_speed",
     "surface_integral",
 ]
 
@@ -191,27 +189,6 @@ def div_comp_material(
     return ScalarField(dth.grid, div_t - (dth.values + v_dh) * cache.hfrak.values)
 
 
-def material_derivative(
-    psi: ScalarField,
-    dtpsi: ScalarField,
-    v: VectorField2,
-    dth: ScalarField,
-    cache: GeometryCache,
-) -> ScalarField:
-    """Rate of change of a surface scalar following the material motion."""
-    px, py = (s.values for s in gradient(psi))
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    v_dh = v.x.values * hx + v.y.values * hy
-    out = (
-        dtpsi.values
-        + v.x.values * px
-        + v.y.values * py
-        - ((px * hx + py * hy) / g) * (dth.values + v_dh)
-    )
-    return ScalarField(psi.grid, out)
-
-
 def truesdell_rate(
     psi: ScalarField,
     dtpsi: ScalarField,
@@ -253,11 +230,6 @@ def reconstruct_velocity(
         ScalarField(grid, v.y.values - s * hy),
         ScalarField(grid, s),
     )
-
-
-def normal_speed(dth: ScalarField, cache: GeometryCache) -> ScalarField:
-    """Normal velocity of the surface, ``dth / sqrt(|g|)``."""
-    return ScalarField(dth.grid, dth.values / cache.sqrt_g.values)
 
 
 def surface_integral(f: ScalarField, cache: GeometryCache) -> float:

@@ -19,14 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import (
-    RunConfig,
-    build_grid,
-    build_mobilities,
-    build_stepper,
-    format_config,
-    initial_state,
-)
+from .config import RunConfig, build_grid, check_dt, format_config, initial_state
 from .diagnostics import (
     CompareResult,
     DiagnosticsRecord,
@@ -34,8 +27,15 @@ from .diagnostics import (
     convergence_sweep,
     record,
 )
-from .energy import ClampTally
-from .flow import Evaluation, FlowState, SolverAbort, evaluate, step
+from .flow import (
+    Evaluation,
+    FlowState,
+    Mobilities,
+    SolverAbort,
+    StepperConfig,
+    evaluate,
+    step,
+)
 from .snapshot import write_snapshot
 
 __all__ = [
@@ -127,12 +127,12 @@ def simulate(
         (out / "config.cfg").write_text(format_config(config))
 
     grid = build_grid(config)
-    mobilities = build_mobilities(config)
-    stepper = build_stepper(config)
+    mobilities = Mobilities(config.m_x, config.m_psi)
+    stepper = StepperConfig(config.dt, config.scheme, config.stab_h, config.stab_psi)
     energy = config.energy
     variant = config.variant
     state = initial_state(config, grid)
-    tally = ClampTally()
+    clamp_count = 0  # cumulative over the stepped states
 
     n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
     snapshot_at = _snapshot_steps(config, n_steps)
@@ -149,7 +149,7 @@ def simulate(
 
     def take_record(st: FlowState, ev: Evaluation) -> None:
         prev = records[-1] if records else None
-        rec = record(st, variant, energy, mobilities, prev, tally.count, ev=ev)
+        rec = record(st, variant, energy, mobilities, prev, clamp_count, ev=ev)
         records.append(rec)
         if csv_fh is not None:
             csv_fh.write(_csv_row(rec) + "\n")
@@ -170,8 +170,9 @@ def simulate(
         take_record(state, ev)
         take_snapshots(state, 0)
         for i in range(1, n_steps + 1):
+            clamp_count += ev.clamp_count
             try:
-                state = step(state, variant, mobilities, energy, stepper, tally, ev=ev)
+                state = step(state, variant, mobilities, energy, stepper, ev=ev)
             except SolverAbort as exc:
                 aborted = True
                 abort_message = str(exc)
@@ -193,7 +194,7 @@ def simulate(
         config=config,
         records=records,
         state=state,
-        clamp_count=tally.count,
+        clamp_count=clamp_count,
         aborted=aborted,
         abort_message=abort_message,
         wall_time=wall,
@@ -257,6 +258,8 @@ def sweep(
 ):
     """Run a dt ladder and write ``sweep.csv`` with errors and orders."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    for dt in dt_ladder:
+        check_dt(dt, config.t_end, "--dt-ladder entry")
     out.mkdir(parents=True, exist_ok=True)
     configs = [replace(config, dt=dt) for dt in dt_ladder]
     rows = convergence_sweep(configs, quantity)

@@ -13,8 +13,8 @@ Conventions
 * The Nyquist mode is zeroed in first-derivative multipliers, which keeps
   odd-order derivatives of real fields real and unambiguous.  Even grid
   sizes are required for the same reason.
-* ``dealias`` masks per axis: mode ``m`` survives iff
-  ``|m| <= (2/3) * (n/2)``, equality included.
+* The 2/3-rule mask of :func:`dealias_solve` acts per axis: mode ``m``
+  survives iff ``|m| <= (2/3) * (n/2)``, equality included.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField2",
-    "partial",
     "gradient",
-    "partial2",
     "derivatives",
-    "dealias",
     "integrate",
-    "solve_helmholtz",
     "dealias_solve",
     "set_fft_workers",
     "get_fft_workers",
@@ -97,7 +93,7 @@ class Grid:
         Domain extents; default ``2 * pi`` each.
     dealias : bool
         Whether the 2/3-rule mask is active.  When False the mask keeps
-        every mode and :func:`dealias` is the identity.
+        every mode.
 
     The grid also owns a complex work buffer for the derivative helpers,
     allocated on first use; a grid is therefore not for concurrent use from
@@ -300,19 +296,6 @@ class VectorField2:
 # -- spectral operators -----------------------------------------------------
 
 
-def partial(f: ScalarField, axis: str) -> ScalarField:
-    """First derivative along ``axis`` ('x' or 'y'), exact for resolved modes."""
-    g = f.grid
-    spec = _rfft2(f.values)
-    if axis == "x":
-        spec = spec * (1j * g.kx)
-    elif axis == "y":
-        spec = spec * (1j * g.ky)
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))
-
-
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
     g = f.grid
@@ -320,36 +303,17 @@ def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     return ScalarField(g, out[0]), ScalarField(g, out[1])
 
 
-def partial2(f: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Second derivatives ``(f_xx, f_xy, f_yy)``; ``f_xy`` is symmetric by
-    construction (a single spectral multiplier)."""
-    g = f.grid
-    out = _derivative_stack(f, g.deriv_multipliers[2:])
-    return ScalarField(g, out[0]), ScalarField(g, out[1]), ScalarField(g, out[2])
-
-
 def derivatives(
     f: ScalarField,
 ) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField, ScalarField]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
-    One forward transform and one batched inverse transform; equivalent to
-    combining :func:`partial` and :func:`partial2`.
+    One forward transform and one batched inverse transform; ``f_xy`` is
+    symmetric by construction (a single spectral multiplier).
     """
     g = f.grid
     out = _derivative_stack(f, g.deriv_multipliers)
     return tuple(ScalarField(g, out[i]) for i in range(5))
-
-
-def dealias(f: ScalarField) -> ScalarField:
-    """Spectral truncation by the grid's 2/3-rule mask; identity when the
-    grid was built with ``dealias=False``."""
-    g = f.grid
-    if not g.dealias:
-        return f
-    spec = _rfft2(f.values)
-    spec *= g.dealias_mask
-    return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))
 
 
 def integrate(f: ScalarField) -> float:
@@ -357,25 +321,13 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.cell_area)
 
 
-def solve_helmholtz(rhs: ScalarField, a: float) -> ScalarField:
-    """Solve ``(I - a * laplacian) u = rhs`` mode-by-mode.
+def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
+    """Solve ``(I - a * laplacian) u = rhs`` mode by mode on the modes the
+    grid's 2/3-rule mask keeps, in one transform pair.
 
     ``a`` must be nonnegative so the operator is positive definite; the mean
-    mode passes through unchanged.
-    """
-    if a < 0.0:
-        raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    g = rhs.grid
-    spec = _rfft2(rhs.values)
-    spec /= 1.0 + a * g.k2
-    return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))
-
-
-def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
-    """Solve ``(I - a * laplacian) u = dealias(rhs)`` in one transform pair.
-
-    ``a = 0`` gives the transform round trip of the dealiased ``rhs``, also
-    on a grid whose mask keeps every mode.
+    mode passes through unchanged.  ``a = 0`` gives the dealiased ``rhs``;
+    on a grid built with ``dealias=False`` the mask keeps every mode.
     """
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")

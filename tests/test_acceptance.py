@@ -52,13 +52,12 @@ from gradflow import (
     compare_variants,
     convergence_sweep,
     covariant_norm_sq,
+    derivatives,
     div_comp_material,
     evaluate,
-    functional_derivatives,
     gradient,
     integrate,
     laplace_beltrami,
-    material_derivative,
     parse_config,
     simulate,
     step,
@@ -330,10 +329,6 @@ def test_geometry_operators_converge_against_fd_oracle():
                 div_comp_material(vf, dthf, cache).values,
                 oracles.fd_div_comp_material(vx, vy, dth, geo),
             ),
-            "material_derivative": (
-                material_derivative(pf, dtpf, vf, dthf, cache).values,
-                oracles.fd_material_derivative(psi, dtpsi, vx, vy, dth, geo),
-            ),
             "truesdell_rate": (
                 truesdell_rate(pf, dtpf, vf, dthf, cache).values,
                 oracles.fd_truesdell_rate(psi, dtpsi, vx, vy, dth, geo),
@@ -360,9 +355,7 @@ def test_geometry_operators_converge_against_fd_oracle():
     cache = build_cache(g.zeros())
     f = g.from_function(oracles.f_fn)
     v = VectorField2(g.from_function(oracles.vx_fn), g.from_function(oracles.vy_fn))
-    from gradflow import partial, partial2
-
-    fxx, _, fyy = partial2(f)
+    _, _, fxx, _, fyy = derivatives(f)
     flat_lap = fxx.values + fyy.values
     assert np.abs(laplace_beltrami(f, cache).values - flat_lap).max() < 1e-12
     fx, fy = gradient(f)
@@ -373,7 +366,7 @@ def test_geometry_operators_converge_against_fd_oracle():
         ).max()
         < 1e-12
     )
-    flat_div = partial(v.x, "x").values + partial(v.y, "y").values
+    flat_div = gradient(v.x)[0].values + gradient(v.y)[1].values
     assert (
         np.abs(div_comp_material(v, g.zeros(), cache).values - flat_div).max() < 1e-12
     )
@@ -443,8 +436,8 @@ def test_density_variation_and_trajectory_equivalence():
         return (up - dn) / (2 * eps)
 
     def pairing(model):
-        dpsi, _, _ = functional_derivatives(model, psi, cache)
-        return surface_integral(ScalarField(g, dpsi.values * phi.values), cache)
+        dpsi = model.derivatives(psi.values)[1]
+        return surface_integral(ScalarField(g, dpsi * phi.values), cache)
 
     # constant: both sides vanish identically
     model = Constant(2.0)

@@ -384,6 +384,44 @@ def test_cli_invalid_config(tmp_path, capsys):
     assert "missing required keys" in capsys.readouterr().err
 
 
+def _bad_snapshot(path, fault):
+    g = Grid(16, 16)
+    h, psi = g.zeros(), g.constant(0.25)
+    if fault == "nan_h":
+        h.values[3, 4] = np.nan
+    if fault == "inf_psi":
+        psi.values[5, 6] = np.inf
+    write_snapshot(FlowState(0.0, h, psi), path)
+    if fault == "bad_magic":
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"NOPE"
+        path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "fault, key",
+    [
+        ("missing", "initial.h"),
+        ("bad_magic", "initial.h"),
+        ("nan_h", "initial.h"),
+        ("inf_psi", "initial.psi"),
+    ],
+)
+def test_cli_bad_initial_snapshot_names_the_key(tmp_path, capsys, fault, key):
+    snap = tmp_path / "start.sgf"
+    if fault != "missing":
+        _bad_snapshot(snap, fault)
+    line = f"{key} = file:{snap}\n"
+    doc = MINIMAL + line if key == "initial.h" else MINIMAL.replace("initial.psi = 0.25\n", line)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err
+    assert "Traceback" not in err
+    assert not (out / "last_valid.sgf").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_aborted_run_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ABORTING)
@@ -423,6 +461,11 @@ def test_cli_sweep_bad_ladder(tmp_path, capsys):
     assert "comma-separated numbers" in capsys.readouterr().err
     assert main(["sweep", cfg, "--out", str(tmp_path / "x"), "--dt-ladder", "1e-3,5e-4"]) == 2
     assert ">= 3" in capsys.readouterr().err
+    # Each entry obeys the stepper.dt rule: finite, > 0 and <= run.t_end.
+    for ladder in ("0.5,0.25,0.125", "inf,1e-3,5e-4", "1e-3,nan,2.5e-4", "1e-3,0,-1e-3"):
+        assert main(["sweep", cfg, "--out", str(tmp_path / "y"), "--dt-ladder", ladder]) == 2
+        assert "--dt-ladder" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_cli_threads_flag_and_env(tmp_path, monkeypatch):

@@ -1,21 +1,29 @@
-"""The demos import only names the package has.
+"""The demos and the README's examples import only names the package has.
 
-The demos are not run by the suite, so a removed or renamed public name
-would break them silently.  Each script is parsed, not executed.
+The demos and the ``python`` blocks of README.md are not run by the suite,
+so a removed or renamed public name would break them silently.  Each one is
+parsed, not executed.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
+
+SOURCES = [(p.name, p.read_text()) for p in sorted(DEMO_DIR.glob("*.py"))]
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+assert README_BLOCKS, "README.md has no python examples"
+SOURCES += [(f"README.md:{i}", block) for i, block in enumerate(README_BLOCKS, start=1)]
 
 
-def gradflow_imports(path):
+def gradflow_imports(source, filename):
     """``(module, name)`` for every ``from gradflow[...] import name``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(source, filename=filename)
     return [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -26,13 +34,13 @@ def gradflow_imports(path):
     ]
 
 
-@pytest.mark.parametrize("path", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name)
-def test_demo_imports_exist(path):
-    imports = gradflow_imports(path)
-    assert imports, f"{path.name} imports nothing from gradflow"
+@pytest.mark.parametrize("name, source", SOURCES, ids=[name for name, _ in SOURCES])
+def test_demo_imports_exist(name, source):
+    imports = gradflow_imports(source, name)
+    assert imports, f"{name} imports nothing from gradflow"
     missing = [
-        f"{module}.{name}"
-        for module, name in imports
-        if not hasattr(importlib.import_module(module), name)
+        f"{module}.{attr}"
+        for module, attr in imports
+        if not hasattr(importlib.import_module(module), attr)
     ]
-    assert not missing, f"{path.name} imports missing names: {missing}"
+    assert not missing, f"{name} imports missing names: {missing}"

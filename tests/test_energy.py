@@ -1,4 +1,4 @@
-"""Energy-density presets, surface tension, totals, and functional derivatives."""
+"""Energy-density presets, surface tension, totals, and the density variation."""
 
 import math
 
@@ -7,17 +7,17 @@ import pytest
 
 from gradflow import (
     CLAMP_EPS,
-    ClampTally,
     Constant,
     FloryHuggins,
+    FlowState,
     Grid,
     Linear,
+    Mobilities,
+    ModelVariant,
     Quadratic,
     ScalarField,
     build_cache,
-    eval_f,
-    eval_sigma,
-    functional_derivatives,
+    evaluate,
     surface_integral,
     total_energy,
 )
@@ -118,46 +118,48 @@ def test_derivative_orders_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# Surface tension
+# Surface tension, checked through the height rate |g| sigma hfrak / m_x
+# that evaluate() gives the stepper
+
+
+MOB = Mobilities(m_x=2.0, m_psi=1.0)
+
+
+def height_rate(model):
+    """``(psi, ev.dth, w)`` on a curved state, with ``w = |g| hfrak / m_x``,
+    so that ``ev.dth = w * sigma(psi)``.  A bound on sigma becomes a bound
+    on ``ev.dth`` times ``max |w|``."""
+    g = Grid(16, 16)
+    h = g.from_function(lambda x, y: 0.3 * np.sin(x) * np.cos(2 * y))
+    state = FlowState(0.0, h, psi_field(g))
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+    w = ev.cache.g_det.values * ev.cache.hfrak.values / MOB.m_x
+    return state.psi.values, ev.dth.values, w
 
 
 def test_sigma_identity_all_presets():
-    g = Grid(16, 16)
-    psi = psi_field(g)
     for model in ALL_PRESETS:
-        sigma = eval_sigma(model, psi, 0).values
-        expected = eval_f(model, psi, 0).values - psi.values * eval_f(model, psi, 1).values
-        assert np.abs(sigma - expected).max() < 1e-12, model
+        psi, dth, w = height_rate(model)
+        f, fp, _, _ = model.derivatives(psi)
+        assert np.abs(dth - w * (f - psi * fp)).max() < 1e-12 * np.abs(w).max(), model
 
 
 def test_sigma_special_cases():
-    g = Grid(16, 16)
-    psi = psi_field(g)
-    assert np.allclose(eval_sigma(Constant(2.0), psi, 0).values, 2.0, atol=1e-14)
-    assert np.abs(eval_sigma(Linear(1.7), psi, 0).values).max() < 1e-14
-    quad = eval_sigma(Quadratic(3.0), psi, 0).values
-    assert np.allclose(quad, -1.5 * psi.values**2, atol=1e-14)
+    psi, dth, w = height_rate(Constant(2.0))
+    assert np.abs(dth - w * 2.0).max() < 1e-14 * np.abs(w).max()
+    psi, dth, w = height_rate(Linear(1.7))
+    assert np.abs(dth).max() < 1e-14 * np.abs(w).max()
+    psi, dth, w = height_rate(Quadratic(3.0))
+    assert np.abs(dth - w * (-1.5 * psi**2)).max() < 1e-14 * np.abs(w).max()
 
 
-def test_flory_huggins_sigma_closed_form():
-    sigma0, beta, chi = 1.2, 0.75, 0.4
-    g = Grid(16, 16)
-    psi = psi_field(g)
-    sigma = eval_sigma(FloryHuggins(sigma0, beta, chi), psi, 0).values
-    expected = sigma0 + beta * np.log(1.0 - psi.values) + chi * psi.values**2
-    assert np.allclose(sigma, expected, rtol=1e-13)
-
-
-def test_sigma_derivative_identities():
-    g = Grid(16, 16)
-    psi = psi_field(g)
-    for model in ALL_PRESETS:
-        s1 = eval_sigma(model, psi, 1).values
-        expected1 = -psi.values * eval_f(model, psi, 2).values
-        assert np.allclose(s1, expected1, atol=1e-12), model
-        s2 = eval_sigma(model, psi, 2).values
-        expected2 = -(eval_f(model, psi, 2).values + psi.values * eval_f(model, psi, 3).values)
-        assert np.allclose(s2, expected2, atol=1e-12), model
+@pytest.mark.parametrize("chi", [0.0, 0.4], ids=["langmuir", "chi0.4"])
+def test_flory_huggins_sigma_closed_form(chi):
+    # chi = 0 is the Langmuir equation of state sigma0 + beta ln(1 - psi)
+    sigma0, beta = 1.2, 0.75
+    psi, dth, w = height_rate(FloryHuggins(sigma0, beta, chi))
+    expected = w * (sigma0 + beta * np.log(1.0 - psi) + chi * psi**2)
+    assert np.allclose(dth, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_double_well_onset():
@@ -198,19 +200,22 @@ def test_clamp_noop_for_polynomial_presets():
         assert model.count_violations(values) == 0
 
 
-def test_eval_f_increments_tally():
+def test_total_energy_clamps_out_of_domain_points():
     g = Grid(16, 16)
     values = np.full((16, 16), 0.5)
     values[0, :3] = -1.0
     psi = ScalarField(g, values)
-    tally = ClampTally()
-    out = eval_f(FloryHuggins(1.0, 0.75, 0.0), psi, 0, tally)
-    assert tally.count == 3
-    assert np.all(np.isfinite(out.values))
+    model = FloryHuggins(1.0, 0.75, 0.0)
+    clamped, n = model.clamp(values)
+    assert n == 3
+    cache = build_cache(g.zeros())
+    u = total_energy(model, psi, cache)
+    assert math.isfinite(u)
+    assert u == total_energy(model, ScalarField(g, clamped), cache)
 
 
 # ---------------------------------------------------------------------------
-# Totals and functional derivatives
+# Totals and the density variation
 
 
 def test_total_energy_constant_flat():
@@ -239,21 +244,17 @@ def test_total_energy_uniform_density_is_f_times_area():
     assert math.isclose(u, f025 * area, rel_tol=1e-12)
 
 
-def test_functional_derivatives_special_cases():
+def test_tangential_variation_vanishes_for_constant_and_linear():
+    # psi f''(psi) grad psi = 0 when f'' = 0: evaluate() gives no tangential
+    # velocity, and the density variation f' is the constant slope.
     g = Grid(32, 32)
-    cache = build_cache(g.from_function(lambda x, y: 0.3 * np.sin(x) * np.cos(y)))
-    psi = psi_field(g)
-
-    dpsi, tang, normal = functional_derivatives(Constant(2.0), psi, cache)
-    assert np.abs(dpsi.values).max() < 1e-14
-    assert np.abs(tang.x.values).max() < 1e-14
-    assert np.abs(tang.y.values).max() < 1e-14
-    assert np.allclose(normal.values, -2.0 * cache.mean_curv.values, atol=1e-13)
-
-    dpsi, tang, normal = functional_derivatives(Linear(1.5), psi, cache)
-    assert np.allclose(dpsi.values, 1.5, atol=1e-14)
-    assert np.abs(tang.x.values).max() < 1e-14
-    assert np.abs(normal.values).max() < 1e-13
+    h = g.from_function(lambda x, y: 0.3 * np.sin(x) * np.cos(y))
+    state = FlowState(0.0, h, psi_field(g))
+    for model, slope in ((Constant(2.0), 0.0), (Linear(1.5), 1.5)):
+        ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+        assert np.abs(ev.v.x.values).max() < 1e-14
+        assert np.abs(ev.v.y.values).max() < 1e-14
+        assert np.allclose(model.derivatives(state.psi.values)[1], slope, atol=1e-14)
 
 
 def test_density_variation_matches_central_difference():
@@ -266,8 +267,8 @@ def test_density_variation_matches_central_difference():
     )
     model = FloryHuggins(1.0, 0.75, 0.5)
 
-    dpsi, _, _ = functional_derivatives(model, psi, cache)
-    pairing = surface_integral(ScalarField(g, dpsi.values * phi.values), cache)
+    dpsi = model.derivatives(psi.values)[1]
+    pairing = surface_integral(ScalarField(g, dpsi * phi.values), cache)
     assert abs(pairing) > 0.1
 
     def u_at(eps):

@@ -10,13 +10,10 @@ from gradflow import (
     Grid,
     ScalarField,
     VectorField2,
-    dealias,
+    dealias_solve,
     derivatives,
     gradient,
     integrate,
-    partial,
-    partial2,
-    solve_helmholtz,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -55,23 +52,23 @@ def test_dealias_mask_keeps_two_thirds():
     g = grid16()
     # cut at (2/3)*(16/2) = 5.33: modes up to 5 survive, 6 and 7 are removed
     x = g.x + 0.0 * g.y
-    kept = partial(dealias(g.field(np.sin(5.0 * x))), "x")
+    kept = gradient(dealias_solve(g.field(np.sin(5.0 * x)), 0.0))[0]
     assert np.allclose(kept.values, 5.0 * np.cos(5.0 * x + 0.0 * g.y), atol=1e-12)
     for m in (6, 7):
-        killed = dealias(g.field(np.sin(m * x) + 0.0 * g.y))
+        killed = dealias_solve(g.field(np.sin(m * x) + 0.0 * g.y), 0.0)
         assert np.abs(killed.values).max() < 1e-13
 
 
 def test_dealias_identity_when_disabled():
     g = Grid(16, 16, dealias=False)
     f = g.from_function(lambda x, y: np.sin(7.0 * x) * np.cos(6.0 * y))
-    assert np.allclose(dealias(f).values, f.values, atol=1e-13)
+    assert np.allclose(dealias_solve(f, 0.0).values, f.values, atol=1e-13)
 
 
 def test_dealias_leaves_low_mode_unchanged():
     g = grid16()
     f = g.from_function(lambda x, y: np.sin(x) + 0.0 * y)
-    assert np.allclose(dealias(f).values, f.values, atol=1e-14)
+    assert np.allclose(dealias_solve(f, 0.0).values, f.values, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -119,49 +116,51 @@ def test_vector_field_dot():
 def test_partial_of_single_mode():
     g = grid16()
     f = g.from_function(lambda x, y: np.sin(x) + 0.0 * y)
-    df = partial(f, "x")
+    df = gradient(f)[0]
     expected = g.from_function(lambda x, y: np.cos(x) + 0.0 * y)
     assert np.allclose(df.values, expected.values, atol=1e-13)
-    assert np.abs(partial(f, "y").values).max() < 1e-13
+    assert np.abs(gradient(f)[1].values).max() < 1e-13
 
 
 def test_partial_of_constant_is_zero():
     g = grid16()
-    assert np.abs(partial(g.constant(4.2), "x").values).max() < 1e-13
+    assert np.abs(gradient(g.constant(4.2))[0].values).max() < 1e-13
 
 
 def test_partial_value_at_extremum():
     # d/dx [sin 2x sin 2y] = 2 cos 2x sin 2y vanishes at (pi/4, pi/4)
     g = grid16()
     f = g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y))
-    df = partial(f, "x")
+    df = gradient(f)[0]
     assert abs(df.values[2, 2]) < 1e-13  # x = y = 2*(2pi/16) = pi/4
 
 
 def test_second_derivatives():
     g = grid16()
     f = g.from_function(lambda x, y: np.sin(x) + 0.0 * y)
-    fxx, fxy, fyy = partial2(f)
+    _, _, fxx, fxy, fyy = derivatives(f)
     assert np.allclose(fxx.values, -f.values, atol=1e-12)
     assert np.abs(fxy.values).max() < 1e-12
     assert np.abs(fyy.values).max() < 1e-12
 
     f2 = g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y))
-    _, fxy2, _ = partial2(f2)
+    fxy2 = derivatives(f2)[3]
     expected = g.from_function(lambda x, y: 4.0 * np.cos(2 * x) * np.cos(2 * y))
     assert np.allclose(fxy2.values, expected.values, atol=1e-12)
 
 
-def test_derivatives_bundle_matches_individual_ops():
+def test_derivatives_bundle_of_a_trig_product():
     g = grid64()
     f = g.from_function(lambda x, y: np.sin(3 * x + 0.4) * np.cos(2 * y))
-    fx, fy, fxx, fxy, fyy = derivatives(f)
-    assert np.allclose(fx.values, partial(f, "x").values, atol=1e-13)
-    assert np.allclose(fy.values, partial(f, "y").values, atol=1e-13)
-    pxx, pxy, pyy = partial2(f)
-    assert np.allclose(fxx.values, pxx.values, atol=1e-13)
-    assert np.allclose(fxy.values, pxy.values, atol=1e-13)
-    assert np.allclose(fyy.values, pyy.values, atol=1e-13)
+    expected = (
+        lambda x, y: 3 * np.cos(3 * x + 0.4) * np.cos(2 * y),
+        lambda x, y: -2 * np.sin(3 * x + 0.4) * np.sin(2 * y),
+        lambda x, y: -9 * np.sin(3 * x + 0.4) * np.cos(2 * y),
+        lambda x, y: -6 * np.cos(3 * x + 0.4) * np.sin(2 * y),
+        lambda x, y: -4 * np.sin(3 * x + 0.4) * np.cos(2 * y),
+    )
+    for got, fn in zip(derivatives(f), expected):
+        assert np.allclose(got.values, g.from_function(fn).values, atol=1e-12)
 
 
 def test_derivative_helpers_equal_the_plain_transforms(rng):
@@ -178,7 +177,6 @@ def test_derivative_helpers_equal_the_plain_transforms(rng):
     for got, expected in (
         (derivatives(f), plain(m)),
         (gradient(f), plain(m[:2])),
-        (partial2(f), plain(m[2:])),
     ):
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
@@ -197,7 +195,6 @@ def test_derivative_outputs_survive_later_calls(rng):
     other = g.field(rng.standard_normal((g.nx, g.ny)))
     derivatives(other)
     gradient(other)
-    partial2(other)
     assert all(np.array_equal(s.values, k) for s, k in zip(first + first_grad, kept))
     assert np.array_equal(f.values, f_before)
 
@@ -205,7 +202,7 @@ def test_derivative_outputs_survive_later_calls(rng):
 def test_resolved_mode_relative_accuracy():
     g = grid64()
     f = g.from_function(lambda x, y: np.sin(5 * x) * np.cos(7 * y))
-    fx = partial(f, "x")
+    fx = gradient(f)[0]
     exact = g.from_function(lambda x, y: 5 * np.cos(5 * x) * np.cos(7 * y))
     denom = np.abs(exact.values).max()
     assert np.abs(fx.values - exact.values).max() / denom < 1e-12
@@ -215,22 +212,23 @@ def test_gradient_matches_partials(smooth_field):
     g = grid64()
     f = smooth_field(g)
     fx, fy = gradient(f)
-    assert np.allclose(fx.values, partial(f, "x").values, atol=1e-12)
-    assert np.allclose(fy.values, partial(f, "y").values, atol=1e-12)
+    bundle = derivatives(f)
+    assert np.allclose(fx.values, bundle[0].values, atol=1e-12)
+    assert np.allclose(fy.values, bundle[1].values, atol=1e-12)
 
 
 def test_partial_commutes_with_dealias(smooth_field):
     g = grid64()
-    f = dealias(smooth_field(g))
-    a = partial(dealias(f), "x")
-    b = dealias(partial(f, "x"))
+    f = dealias_solve(smooth_field(g), 0.0)
+    a = gradient(dealias_solve(f, 0.0))[0]
+    b = dealias_solve(gradient(f)[0], 0.0)
     assert np.allclose(a.values, b.values, atol=1e-12)
 
 
 def test_nonuniform_domain_lengths():
     g = Grid(32, 32, lx=4.0 * math.pi, ly=math.pi)
     f = g.from_function(lambda x, y: np.sin(0.5 * x) * np.cos(2.0 * y))
-    fx = partial(f, "x")
+    fx = gradient(f)[0]
     exact = g.from_function(lambda x, y: 0.5 * np.cos(0.5 * x) * np.cos(2.0 * y))
     assert np.allclose(fx.values, exact.values, atol=1e-12)
 
@@ -259,8 +257,8 @@ def test_integrate_of_derivative_vanishes(smooth_field):
     g = grid64()
     f = smooth_field(g)
     bound = 1e-10 * np.abs(f.values).max() * g.lx * g.ly
-    assert abs(integrate(partial(f, "x"))) < bound
-    assert abs(integrate(partial(f, "y"))) < bound
+    assert abs(integrate(gradient(f)[0])) < bound
+    assert abs(integrate(gradient(f)[1])) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -269,38 +267,38 @@ def test_integrate_of_derivative_vanishes(smooth_field):
 
 def test_helmholtz_rejects_negative_coefficient():
     with pytest.raises(ValueError):
-        solve_helmholtz(grid16().constant(1.0), -0.1)
+        dealias_solve(grid16().constant(1.0), -0.1)
 
 
 def test_helmholtz_zero_coefficient_is_identity(smooth_field):
     g = grid64()
     f = smooth_field(g)
-    assert np.allclose(solve_helmholtz(f, 0.0).values, f.values, atol=1e-13)
+    assert np.allclose(dealias_solve(f, 0.0).values, f.values, atol=1e-13)
 
 
 def test_helmholtz_single_modes():
     g = grid16()
     f = g.from_function(lambda x, y: np.sin(x) + 0.0 * y)
-    u = solve_helmholtz(f, 1.0)
+    u = dealias_solve(f, 1.0)
     assert np.allclose(u.values, f.values / 2.0, atol=1e-13)
 
     f2 = g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y))
-    u2 = solve_helmholtz(f2, 0.5)
+    u2 = dealias_solve(f2, 0.5)
     assert np.allclose(u2.values, f2.values / 5.0, atol=1e-13)
 
 
 def test_helmholtz_mean_mode_passthrough():
     g = grid16()
-    u = solve_helmholtz(g.constant(3.0), 7.0)
+    u = dealias_solve(g.constant(3.0), 7.0)
     assert np.allclose(u.values, 3.0, atol=1e-13)
 
 
 def test_helmholtz_inverts_operator(smooth_field):
     g = grid64()
-    u = dealias(smooth_field(g))
+    u = dealias_solve(smooth_field(g), 0.0)
     a = 0.7
-    uxx, _, uyy = partial2(u)
+    _, _, uxx, _, uyy = derivatives(u)
     rhs = ScalarField(g, u.values - a * (uxx.values + uyy.values))
-    back = solve_helmholtz(rhs, a)
+    back = dealias_solve(rhs, a)
     denom = np.abs(u.values).max()
     assert np.abs(back.values - u.values).max() / denom < 1e-12
