@@ -75,7 +75,6 @@ from .spectral import (
     get_fft_workers,
     gradient,
     integrate,
-    set_fft_workers,
     dealias_solve,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "derivatives",
     "integrate",
     "dealias_solve",
-    "set_fft_workers",
     "get_fft_workers",
     # geometry
     "GeometryCache",

@@ -6,20 +6,16 @@ Subcommands::
     gradflow compare <config>                  full vs normal-only pair
     gradflow sweep <config> --dt-ladder a,b,c  dt convergence ladder
 
-Common options: ``--out DIR`` overrides the configured output directory;
-``--threads N`` (or the ``GRADFLOW_THREADS`` environment variable) sets
-the FFT worker count.
+Common option: ``--out DIR`` overrides the configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .runner import compare, run, sweep
-from .spectral import set_fft_workers
 
 __all__ = ["main"]
 
@@ -30,12 +26,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--out",
         default=None,
         help="output directory (default: run.output_dir from the config)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="FFT worker threads (default: GRADFLOW_THREADS or 1)",
     )
 
 
@@ -69,24 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads(arg_value: int | None) -> None:
-    if arg_value is None:
-        env = os.environ.get("GRADFLOW_THREADS", "").strip()
-        if not env:
-            return
-        try:
-            arg_value = int(env)
-        except ValueError:
-            raise SystemExit(f"GRADFLOW_THREADS must be an integer, got {env!r}")
-    try:
-        set_fft_workers(arg_value)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_threads(args.threads)
 
     try:
         text = open(args.config).read()

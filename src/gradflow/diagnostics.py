@@ -164,6 +164,12 @@ def convergence_sweep(configs: list, quantity: str = "mass_error") -> list[Conve
     t_ends = {c.t_end for c in configs}
     if len(t_ends) > 1:
         raise ValueError(f"ladder configurations disagree on t_end: {sorted(t_ends)}")
+    grids = {(c.nx, c.ny, c.lx, c.ly, c.dealias) for c in configs}
+    if len(grids) > 1:
+        raise ValueError(
+            "ladder configurations disagree on the grid (nx, ny, lx, ly, dealias): "
+            f"{sorted(grids)}"
+        )
 
     results = [simulate(c, record_final_pair=True) for c in configs]
 

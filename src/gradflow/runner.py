@@ -121,18 +121,19 @@ def simulate(
     series behind.
     """
     t_start = time.perf_counter()
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.cfg").write_text(format_config(config))
-
     grid = build_grid(config)
     mobilities = Mobilities(config.m_x, config.m_psi)
     stepper = StepperConfig(config.dt, config.scheme, config.stab_h, config.stab_psi)
     energy = config.energy
     variant = config.variant
+    # Read before anything is written: bad initial data leaves no output.
     state = initial_state(config, grid)
     clamp_count = 0  # cumulative over the stepped states
+
+    out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.cfg").write_text(format_config(config))
 
     n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
     snapshot_at = _snapshot_steps(config, n_steps)
@@ -237,8 +238,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
 def compare(config: RunConfig, out_dir: str | Path | None = None) -> CompareResult:
     """Run the full-vs-normal-only pair and write paired outputs."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = compare_variants(config)
+    out.mkdir(parents=True, exist_ok=True)
     write_series_csv(result.records_full, out / "series_full.csv")
     write_series_csv(result.records_normal, out / "series_normal.csv")
     text = [
@@ -260,9 +261,9 @@ def sweep(
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     for dt in dt_ladder:
         check_dt(dt, config.t_end, "--dt-ladder entry")
-    out.mkdir(parents=True, exist_ok=True)
     configs = [replace(config, dt=dt) for dt in dt_ladder]
     rows = convergence_sweep(configs, quantity)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:
         fh.write(f"dt,{quantity},observed_order,dissipation_mismatch\n")
         for row in rows:

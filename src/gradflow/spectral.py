@@ -9,7 +9,7 @@ with the 2/3 rule afterwards.
 Conventions
 -----------
 * Forward transforms are unnormalized; inverse transforms divide by
-  ``nx * ny`` (the numpy/scipy default).
+  ``nx * ny`` (the numpy default).
 * The Nyquist mode is zeroed in first-derivative multipliers, which keeps
   odd-order derivatives of real fields real and unambiguous.  Even grid
   sizes are required for the same reason.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-import scipy.fft as _fft
 
 __all__ = [
     "Grid",
@@ -33,39 +32,34 @@ __all__ = [
     "derivatives",
     "integrate",
     "dealias_solve",
-    "set_fft_workers",
     "get_fft_workers",
 ]
 
-_fft_workers = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the number of worker threads used by the FFT backend.
-
-    Results for ``n > 1`` agree with the single-threaded reference to
-    rounding accuracy but are not guaranteed to be bit-identical.
-    """
-    if n < 1:
-        raise ValueError(f"fft workers must be >= 1, got {n}")
-    global _fft_workers
-    _fft_workers = int(n)
-
 
 def get_fft_workers() -> int:
-    return _fft_workers
+    """The number of FFT threads: always 1, numpy's FFT is single-threaded.
+
+    Kept because ``perfbench/worker.py`` imports it to record the setting.
+    """
+    return 1
+
+
+# Both transforms run as two one-dimensional passes of ``numpy.fft``, the
+# complex one in place.  The forward pair gives the bytes of a 2-D real FFT
+# (``scipy.fft.rfft2``); the inverse pair does too when ``nx`` is a power of
+# two, and otherwise differs by rounding (each pass scales by its own 1/n).
 
 
 def _rfft2(values: np.ndarray) -> np.ndarray:
-    return _fft.rfft2(values, axes=(-2, -1), workers=_fft_workers)
+    spec = np.fft.rfft(values, axis=-1)
+    return np.fft.fft(spec, axis=-2, out=spec)
 
 
-def _irfft2(spec: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # Every caller passes a spectrum it built itself, so the backend may
-    # overwrite it.
-    return _fft.irfft2(
-        spec, s=shape, axes=(-2, -1), overwrite_x=True, workers=_fft_workers
-    )
+def _irfft2(spec: np.ndarray, ny: int) -> np.ndarray:
+    """Inverse of :func:`_rfft2`; overwrites ``spec``, which every caller
+    builds itself."""
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.irfft(spec, n=ny, axis=-1)
 
 
 def _derivative_stack(f: "ScalarField", multipliers: np.ndarray) -> np.ndarray:
@@ -78,7 +72,7 @@ def _derivative_stack(f: "ScalarField", multipliers: np.ndarray) -> np.ndarray:
     g = f.grid
     work = g._spectral_work()[: len(multipliers)]
     np.multiply(multipliers, _rfft2(f.values), out=work)
-    return _irfft2(work, (g.nx, g.ny))
+    return _irfft2(work, g.ny)
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,10 @@ def derivatives(
     """
     g = f.grid
     out = _derivative_stack(f, g.deriv_multipliers)
-    return tuple(ScalarField(g, out[i]) for i in range(5))
+    # The slopes are copied out of the stack: callers keep them (the height
+    # slopes in the geometry cache, the density's in an evaluation) and drop
+    # the second derivatives, which then free the stack.
+    return tuple(ScalarField(g, a) for a in (*out[:2].copy(), *out[2:]))
 
 
 def integrate(f: ScalarField) -> float:
@@ -336,4 +333,4 @@ def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
     spec *= g.dealias_mask
     if a != 0.0:
         spec /= 1.0 + a * g.k2
-    return ScalarField(g, _irfft2(spec, (g.nx, g.ny)))
+    return ScalarField(g, _irfft2(spec, g.ny))

@@ -21,11 +21,9 @@ from gradflow import (
     SnapshotError,
     build_grid,
     format_config,
-    get_fft_workers,
     initial_state,
     parse_config,
     read_snapshot,
-    set_fft_workers,
     simulate,
     write_snapshot,
 )
@@ -419,7 +417,7 @@ def test_cli_bad_initial_snapshot_names_the_key(tmp_path, capsys, fault, key):
     err = capsys.readouterr().err
     assert f"key '{key}'" in err
     assert "Traceback" not in err
-    assert not (out / "last_valid.sgf").exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -466,21 +464,3 @@ def test_cli_sweep_bad_ladder(tmp_path, capsys):
         assert main(["sweep", cfg, "--out", str(tmp_path / "y"), "--dt-ladder", ladder]) == 2
         assert "--dt-ladder" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
-
-
-def test_cli_threads_flag_and_env(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, CHEAP)
-    try:
-        assert main(["run", cfg, "--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
-        assert get_fft_workers() == 2
-        monkeypatch.setenv("GRADFLOW_THREADS", "3")
-        assert main(["run", cfg, "--out", str(tmp_path / "t3")]) == 0
-        assert get_fft_workers() == 3
-        monkeypatch.setenv("GRADFLOW_THREADS", "many")
-        with pytest.raises(SystemExit):
-            main(["run", cfg, "--out", str(tmp_path / "t4")])
-        monkeypatch.setenv("GRADFLOW_THREADS", "0")
-        with pytest.raises(SystemExit):
-            main(["run", cfg, "--out", str(tmp_path / "t5")])
-    finally:
-        set_fft_workers(1)

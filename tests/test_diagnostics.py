@@ -165,6 +165,16 @@ def test_sweep_rejects_mismatched_t_end():
         convergence_sweep(cfgs)
 
 
+def test_sweep_rejects_mismatched_grids():
+    cfgs = [
+        make_config(nx=8, ny=8, dt=1e-3),
+        make_config(nx=16, ny=16, dt=5e-4),
+        make_config(nx=8, ny=8, dt=2.5e-4),
+    ]
+    with pytest.raises(ValueError, match=r"grid.*\(8, 8, .*\(16, 16, "):
+        convergence_sweep(cfgs, "trajectory_error")
+
+
 def test_sweep_rejects_unknown_quantity():
     cfgs = [make_config(dt=1e-3), make_config(dt=5e-4), make_config(dt=2.5e-4)]
     with pytest.raises(ValueError, match="quantity"):

@@ -1,11 +1,16 @@
 """Spectral grid: differentiation, dealiasing, quadrature, Helmholtz solves."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import gradflow
 from gradflow import (
     Grid,
     ScalarField,
@@ -163,24 +168,63 @@ def test_derivatives_bundle_of_a_trig_product():
         assert np.allclose(got.values, g.from_function(fn).values, atol=1e-12)
 
 
-def test_derivative_helpers_equal_the_plain_transforms(rng):
-    # The helpers write the spectral products into the grid's work buffer;
-    # the bytes must be those of irfft2(M * rfft2(f)).
-    g = Grid(32, 24, lx=3.0)
-    f = g.field(rng.standard_normal((g.nx, g.ny)))
+def _plain_transforms(f, a):
+    """``irfft2(M * rfft2(f))`` for the derivative multipliers ``M``, and the
+    masked Helmholtz solve of ``dealias_solve(f, a)``, with ``scipy.fft`` as
+    the independent reference."""
+    g = f.grid
     spec = scipy.fft.rfft2(f.values)
     m = g.deriv_multipliers
 
-    def plain(multipliers):
-        return scipy.fft.irfft2(multipliers * spec, s=(g.nx, g.ny), axes=(-2, -1))
+    def inverse(s):
+        return scipy.fft.irfft2(s, s=(g.nx, g.ny), axes=(-2, -1))
 
-    for got, expected in (
-        (derivatives(f), plain(m)),
-        (gradient(f), plain(m[:2])),
-    ):
+    solved = spec * g.dealias_mask
+    solved /= 1.0 + a * g.k2
+    return (
+        (derivatives(f), inverse(m * spec)),
+        (gradient(f), inverse(m[:2] * spec)),
+        ((dealias_solve(f, a),), inverse(solved)[None]),
+    )
+
+
+def test_derivative_helpers_equal_the_plain_transforms(rng):
+    # The helpers write the spectral products into the grid's work buffer and
+    # run each 2-D transform as two 1-D passes; for a power-of-two nx the
+    # bytes must be those of scipy's 2-D transforms.
+    g = Grid(32, 24, lx=3.0)
+    f = g.field(rng.standard_normal((g.nx, g.ny)))
+    for got, expected in _plain_transforms(f, 0.37):
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert np.array_equal(a.values, b)
+
+
+def test_transforms_of_other_even_sizes_agree_to_rounding(rng):
+    # For nx not a power of two the inverse passes round their 1/nx scaling
+    # in another place than a 2-D transform does.
+    g = Grid(24, 32, ly=3.0)
+    f = g.field(rng.standard_normal((g.nx, g.ny)))
+    for got, expected in _plain_transforms(f, 0.37):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            scale = np.abs(b).max()
+            assert np.abs(a.values - b).max() <= 8 * np.finfo(float).eps * scale
+
+
+def test_import_leaves_scipy_unloaded():
+    # A fresh process, since this one has imported scipy for the references.
+    src = str(Path(gradflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, gradflow; print(gradflow.get_fft_workers(), 'scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["1", "False"]
 
 
 def test_derivative_outputs_survive_later_calls(rng):
