@@ -51,7 +51,6 @@ from .flow import (
     Scheme,
     SolverAbort,
     StepperConfig,
-    stabilization_coefficients,
     evaluate,
     step,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "SolverAbort",
     "Evaluation",
     "evaluate",
-    "stabilization_coefficients",
     "step",
     # diagnostics
     "DiagnosticsRecord",

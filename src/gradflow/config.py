@@ -88,9 +88,6 @@ class RunConfig:
     variant: ModelVariant
     dt: float
     scheme: Scheme
-    stab_h: float
-    stab_psi: float
-    dealias: bool
     t_end: float
     record_every: int
     snapshot_times: tuple[float, ...]
@@ -121,9 +118,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "model.variant": ("str", "full"),
     "stepper.dt": ("float", _REQUIRED),
     "stepper.scheme": ("str", "imex1"),
-    "stepper.stab_h": ("float", 0.0),
-    "stepper.stab_psi": ("float", 0.0),
-    "stepper.dealias": ("bool", True),
     "run.t_end": ("float", _REQUIRED),
     "run.record_every": ("int", 100),
     "run.snapshot_times": ("floats", ()),
@@ -147,10 +141,6 @@ def _convert(key: str, tag: str, raw: str):
             return int(raw)
         if tag == "float":
             return _finite_float(raw)
-        if tag == "bool":
-            if raw in ("true", "false"):
-                return raw == "true"
-            raise ValueError("expected 'true' or 'false'")
         if tag == "floats":
             raw = raw.strip()
             if not raw:
@@ -260,9 +250,6 @@ def parse_config(text: str) -> RunConfig:
             + ", ".join(s.value for s in Scheme)
             + f"; got '{get('stepper.scheme')}'"
         ) from None
-    stab_h, stab_psi = get("stepper.stab_h"), get("stepper.stab_psi")
-    if stab_h < 0 or stab_psi < 0:
-        raise ConfigError("keys 'stepper.stab_h'/'stepper.stab_psi' must be >= 0")
 
     t_end = get("run.t_end")
     require_positive("run.t_end", t_end)
@@ -308,9 +295,6 @@ def parse_config(text: str) -> RunConfig:
         variant=variant,
         dt=dt,
         scheme=scheme,
-        stab_h=stab_h,
-        stab_psi=stab_psi,
-        dealias=get("stepper.dealias"),
         t_end=t_end,
         record_every=record_every,
         snapshot_times=tuple(snapshot_times),
@@ -359,9 +343,6 @@ def format_config(config: RunConfig) -> str:
         f"model.variant = {config.variant.value}",
         f"stepper.dt = {config.dt!r}",
         f"stepper.scheme = {config.scheme.value}",
-        f"stepper.stab_h = {config.stab_h!r}",
-        f"stepper.stab_psi = {config.stab_psi!r}",
-        f"stepper.dealias = {'true' if config.dealias else 'false'}",
         f"run.t_end = {config.t_end!r}",
         f"run.record_every = {config.record_every}",
         f"run.snapshot_times = {', '.join(repr(s) for s in config.snapshot_times)}",
@@ -377,20 +358,24 @@ def format_config(config: RunConfig) -> str:
 
 
 def build_grid(config: RunConfig) -> Grid:
-    return Grid(config.nx, config.ny, config.lx, config.ly, dealias=config.dealias)
+    return Grid(config.nx, config.ny, config.lx, config.ly)
+
+
+def _describe(grid: Grid) -> str:
+    return f"{grid.nx}x{grid.ny} on {grid.lx!r} x {grid.ly!r}"
 
 
 def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarField:
     from .snapshot import SnapshotError, read_snapshot
 
     try:
-        loaded = read_snapshot(path, dealias=grid.dealias)
+        loaded = read_snapshot(path)
     except (OSError, SnapshotError) as exc:
         raise ConfigError(f"key '{key}': cannot read snapshot '{path}': {exc}") from None
     if not loaded.grid.compatible(grid):
         raise ConfigError(
-            f"key '{key}': snapshot grid {loaded.grid.nx}x{loaded.grid.ny} "
-            f"does not match configured grid {grid.nx}x{grid.ny}"
+            f"key '{key}': snapshot grid {_describe(loaded.grid)} "
+            f"does not match configured grid {_describe(grid)}"
         )
     source = loaded.h if which == "h" else loaded.psi
     bad = source.values.size - np.count_nonzero(np.isfinite(source.values))

@@ -37,10 +37,10 @@ therefore makes four transform pairs: the derivatives of ``h`` and of
 
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
-``1/(1 + dt * a * |k|^2)`` mode-by-mode.  The damping coefficients default
-to the per-step grid maxima of the linearized diffusion coefficients and
-leave any zero right-hand side exactly zero, so static states stay frozen
-to the bit.
+``1/(1 + dt * a * |k|^2)`` mode-by-mode.  The damping coefficients are
+the per-step grid maxima of the linearized diffusion coefficients; the
+damping leaves any zero right-hand side exactly zero, so static states stay
+frozen to the bit.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "SolverAbort",
     "Evaluation",
     "evaluate",
-    "stabilization_coefficients",
     "step",
 ]
 
@@ -108,23 +107,15 @@ class Mobilities:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-step size, scheme selection, and stabilization coefficients.
-
-    ``stab_h``/``stab_psi`` equal to 0 select the automatic per-step
-    coefficients; positive values override them.  Explicit Euler ignores
-    both.
-    """
+    """Time-step size and scheme.  IMEX1 takes its damping coefficients
+    from the state at each step (see :func:`evaluate`)."""
 
     dt: float
     scheme: Scheme = Scheme.IMEX1
-    stab_h: float = 0.0
-    stab_psi: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.stab_h < 0.0 or self.stab_psi < 0.0:
-            raise ValueError("stabilization coefficients must be >= 0")
 
 
 @dataclass
@@ -222,11 +213,10 @@ def evaluate(
       variant), identically zero for NORMAL_ONLY; VELOCITY_SUBSTITUTED does
       not evolve it but diagnostics read it;
     * the density rate of the selected variant;
-    * the damping coefficients of ``stepper``.  Automatic mode takes the
-      grid maxima of the linearized diffusion coefficients, ``max
-      |sigma(psi)| / m_x`` and ``max (1 + psi^2 m_psi/m_x) f''(psi) /
-      m_psi`` floored at zero.  Explicit Euler, and ``stepper=None`` as
-      diagnostics pass it, give 0.0 for both.
+    * the IMEX1 damping coefficients: the grid maxima of the linearized
+      diffusion coefficients, ``max |sigma(psi)| / m_x`` and ``max (1 +
+      psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero.  Explicit Euler,
+      and ``stepper=None`` as diagnostics pass it, give 0.0 for both.
 
     The density is clamped into the energy's domain once; the count is
     ``clamp_count``.  The surface algebra is that of the
@@ -260,11 +250,8 @@ def evaluate(
 
         a_h = a_psi = 0.0
         if stepper is not None and stepper.scheme is Scheme.IMEX1:
-            a_h, a_psi = stepper.stab_h, stepper.stab_psi
-            if a_h == 0.0:
-                a_h = float(np.max(np.abs(sigma))) / m_x
-            if a_psi == 0.0:
-                a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
+            a_h = float(np.max(np.abs(sigma))) / m_x
+            a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
 
         if variant is ModelVariant.NORMAL_ONLY:
             v = VectorField2(grid.zeros(), grid.zeros())
@@ -315,6 +302,8 @@ def evaluate(
     )
 
 
+# Not exported; kept because perfbench/spans.py binds this name (as it does
+# FloryHuggins.density) to time the stabilization.
 def stabilization_coefficients(
     state: FlowState,
     variant: ModelVariant,

@@ -112,11 +112,15 @@ class GeometryCache:
     g_det: ScalarField
     sqrt_g: ScalarField
     hfrak: ScalarField
-    mean_curv: ScalarField
 
     @property
     def grid(self) -> Grid:
         return self.h.grid
+
+    @property
+    def mean_curv(self) -> ScalarField:
+        """Mean curvature ``H = sqrt(|g|) * hfrak``."""
+        return ScalarField(self.grid, self.sqrt_g.values * self.hfrak.values)
 
     @property
     def normal(self) -> tuple[ScalarField, ScalarField, ScalarField]:
@@ -154,7 +158,6 @@ def build_cache(h: ScalarField) -> GeometryCache:
         g_det=wrap(g_det),
         sqrt_g=wrap(sqrt_g),
         hfrak=wrap(hfrak),
-        mean_curv=wrap(sqrt_g * hfrak),
     )
 
 

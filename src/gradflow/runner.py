@@ -123,7 +123,7 @@ def simulate(
     t_start = time.perf_counter()
     grid = build_grid(config)
     mobilities = Mobilities(config.m_x, config.m_psi)
-    stepper = StepperConfig(config.dt, config.scheme, config.stab_h, config.stab_psi)
+    stepper = StepperConfig(config.dt, config.scheme)
     energy = config.energy
     variant = config.variant
     # Read before anything is written: bad initial data leaves no output.

@@ -31,7 +31,8 @@ _HEADER = struct.Struct("<4sIIddd")
 
 
 class SnapshotError(ValueError):
-    """Snapshot file malformed: bad magic, bad sizes, or truncation."""
+    """Snapshot file malformed: bad magic, bad sizes, a bad grid, or
+    truncation."""
 
 
 def write_snapshot(state: FlowState, path: str | PathLike) -> None:
@@ -45,7 +46,7 @@ def write_snapshot(state: FlowState, path: str | PathLike) -> None:
         fh.write(psi.tobytes())
 
 
-def read_snapshot(path: str | PathLike, dealias: bool = True) -> FlowState:
+def read_snapshot(path: str | PathLike) -> FlowState:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -58,7 +59,10 @@ def read_snapshot(path: str | PathLike, dealias: bool = True) -> FlowState:
         raise SnapshotError(
             f"snapshot '{path}' has {len(raw)} bytes, expected {expected} for {nx}x{ny}"
         )
-    grid = Grid(nx, ny, lx, ly, dealias=dealias)
+    try:
+        grid = Grid(nx, ny, lx, ly)
+    except ValueError as exc:
+        raise SnapshotError(f"bad grid in '{path}': {exc}") from None
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     n = nx * ny
     h = body[:n].reshape(nx, ny).astype(float)

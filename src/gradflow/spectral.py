@@ -3,8 +3,8 @@
 Fields live on a uniform ``nx x ny`` grid covering ``[0, lx) x [0, ly)``,
 stored row-major with axis 0 along x and axis 1 along y.  All derivative
 operators act in spectral space through real FFTs; nonlinear terms are
-expected to be formed pointwise by the caller and (optionally) dealiased
-with the 2/3 rule afterwards.
+expected to be formed pointwise by the caller and dealiased with the 2/3
+rule afterwards.
 
 Conventions
 -----------
@@ -19,7 +19,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -84,29 +84,26 @@ class Grid:
     nx, ny : int
         Number of points per axis; must be even and at least 8.
     lx, ly : float
-        Domain extents; default ``2 * pi`` each.
-    dealias : bool
-        Whether the 2/3-rule mask is active.  When False the mask keeps
-        every mode.
+        Domain extents, finite and positive; default ``2 * pi`` each.
 
-    The grid also owns a complex work buffer for the derivative helpers,
-    allocated on first use; a grid is therefore not for concurrent use from
-    several threads.
+    ``dealias_mask`` is the 2/3-rule mask of :func:`dealias_solve`; it is
+    always on.  The grid also owns a complex work buffer for the derivative
+    helpers, allocated on first use; a grid is therefore not for concurrent
+    use from several threads.
     """
 
     nx: int
     ny: int
     lx: float = 2.0 * np.pi
     ly: float = 2.0 * np.pi
-    dealias: bool = True
 
     def __post_init__(self) -> None:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n % 2 != 0 or n < 8:
                 raise ValueError(f"{name} must be even and >= 8, got {n}")
         for name, l in (("lx", self.lx), ("ly", self.ly)):
-            if not (l > 0.0):
-                raise ValueError(f"{name} must be positive, got {l}")
+            if not (0.0 < l < np.inf):
+                raise ValueError(f"{name} must be finite and positive, got {l}")
 
         set_attr = object.__setattr__
         # Collocation coordinates, broadcastable to (nx, ny).
@@ -133,11 +130,7 @@ class Grid:
 
         cut_x = (2.0 / 3.0) * (self.nx / 2.0) * (1.0 + 1e-12)
         cut_y = (2.0 / 3.0) * (self.ny / 2.0) * (1.0 + 1e-12)
-        if self.dealias:
-            mask = (np.abs(mx) <= cut_x) & (np.abs(my) <= cut_y)
-        else:
-            mask = np.ones((self.nx, self.ny // 2 + 1), dtype=bool)
-        set_attr(self, "dealias_mask", mask)
+        set_attr(self, "dealias_mask", (np.abs(mx) <= cut_x) & (np.abs(my) <= cut_y))
 
         # Precomputed multiplier stack for the batched derivative helpers,
         # (d/dx, d/dy, dxx, dxy, dyy); the gradient uses its first two.
@@ -166,9 +159,6 @@ class Grid:
 
     # -- field constructors -------------------------------------------------
 
-    def field(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self, np.asarray(values, dtype=float))
-
     def constant(self, value: float) -> "ScalarField":
         return ScalarField(self, np.full((self.nx, self.ny), float(value)))
 
@@ -193,18 +183,10 @@ class Grid:
         )
 
 
-def _check_same_grid(a: "ScalarField", b: "ScalarField") -> None:
-    if a.grid is not b.grid and not a.grid.compatible(b.grid):
-        raise ValueError("fields live on incompatible grids")
-
-
 @dataclass
 class ScalarField:
-    """Real scalar samples on a :class:`Grid`.
-
-    Supports elementwise arithmetic with other fields and with Python
-    scalars; all operations return new fields on the same grid.
-    """
+    """Real scalar samples on a :class:`Grid`; arithmetic goes through
+    ``values``."""
 
     grid: Grid
     values: np.ndarray
@@ -223,42 +205,6 @@ class ScalarField:
             raise FloatingPointError(f"{label} contains {bad} non-finite values")
         return self
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self.values - self._coerce(other))
-
-    def __rsub__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self._coerce(other) - self.values)
-
-    def __mul__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self.values / self._coerce(other))
-
-    def __rtruediv__(self, other) -> "ScalarField":
-        return ScalarField(self.grid, self._coerce(other) / self.values)
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
     def min(self) -> float:
         return float(self.values.min())
 
@@ -274,7 +220,8 @@ class VectorField2:
     y: ScalarField
 
     def __post_init__(self) -> None:
-        _check_same_grid(self.x, self.y)
+        if self.x.grid is not self.y.grid and not self.x.grid.compatible(self.y.grid):
+            raise ValueError("fields live on incompatible grids")
 
     @property
     def grid(self) -> Grid:
@@ -282,9 +229,6 @@ class VectorField2:
 
     def __iter__(self) -> Iterator[ScalarField]:
         return iter((self.x, self.y))
-
-    def dot(self, other: "VectorField2") -> ScalarField:
-        return self.x * other.x + self.y * other.y
 
 
 # -- spectral operators -----------------------------------------------------
@@ -323,8 +267,7 @@ def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
     grid's 2/3-rule mask keeps, in one transform pair.
 
     ``a`` must be nonnegative so the operator is positive definite; the mean
-    mode passes through unchanged.  ``a = 0`` gives the dealiased ``rhs``;
-    on a grid built with ``dealias=False`` the mask keeps every mode.
+    mode passes through unchanged.  ``a = 0`` gives the dealiased ``rhs``.
     """
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")

@@ -1,6 +1,7 @@
 """Configuration grammar, snapshot format, run outputs, and the CLI."""
 
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -72,8 +73,6 @@ def test_defaults_from_minimal_document():
     assert cfg.m_x == 1.0 and cfg.m_psi == 1.0
     assert cfg.variant is ModelVariant.FULL_COUPLED
     assert cfg.scheme is Scheme.IMEX1
-    assert cfg.stab_h == 0.0 and cfg.stab_psi == 0.0
-    assert cfg.dealias is True
     assert cfg.record_every == 100
     assert cfg.snapshot_times == ()
     assert cfg.initial_h == InitialHeight("sin2x_sin2y", 1.0, "")
@@ -96,7 +95,6 @@ def test_format_parse_roundtrip():
             variant=ModelVariant.MATERIAL_GAUGE_QUADRATIC,
             snapshot_times=(0.0, 0.005, 0.01),
             scheme=Scheme.EXPLICIT_EULER,
-            dealias=False,
             ny=32,
             lx=4 * math.pi,
             output_dir="elsewhere",
@@ -125,7 +123,7 @@ def test_snapshot_times_parsed_as_tuple():
         (MINIMAL + "run.seed = 0\n", "unknown keys: run.seed"),
         (MINIMAL + "grid.nx = 32\n", "duplicate key 'grid.nx'"),
         (MINIMAL.replace("16", "sixteen"), "type mismatch for key 'grid.nx'"),
-        (MINIMAL + "stepper.dealias = yes\n", "stepper.dealias"),
+        (MINIMAL + "stepper.dealias = true\n", "unknown keys: stepper.dealias"),
         (MINIMAL + "just a line\n", "section.key = value"),
         (MINIMAL.replace("grid.nx = 16", "grid.nx = 15"), "'grid.nx' must be even"),
         (MINIMAL.replace("grid.nx = 16", "grid.nx = 4"), "'grid.nx'"),
@@ -143,7 +141,8 @@ def test_snapshot_times_parsed_as_tuple():
          "'stepper.dt' must be > 0"),
         (MINIMAL.replace("stepper.dt = 1e-3", "stepper.dt = 0.5"),
          "must be <= run.t_end"),
-        (MINIMAL + "stepper.stab_h = -1\n", "stepper.stab_h"),
+        (MINIMAL + "stepper.stab_h = 0.0\n", "unknown keys: stepper.stab_h"),
+        (MINIMAL + "stepper.stab_psi = 0.0\n", "unknown keys: stepper.stab_psi"),
         (MINIMAL + "run.record_every = 0\n", "'run.record_every' must be > 0"),
         (MINIMAL + "run.snapshot_times = 0.5\n", "outside [0, t_end"),
         (MINIMAL + "initial.h = bumps\n", "initial.h"),
@@ -152,7 +151,7 @@ def test_snapshot_times_parsed_as_tuple():
         # Non-finite numbers are rejected where they are read.
         (MINIMAL.replace("run.t_end = 1e-2", "run.t_end = inf"), "key 'run.t_end'"),
         (MINIMAL + "mobility.m_x = inf\n", "key 'mobility.m_x'"),
-        (MINIMAL + "stepper.stab_h = nan\n", "key 'stepper.stab_h'"),
+        (MINIMAL + "energy.chi = nan\n", "key 'energy.chi'"),
         (MINIMAL.replace("initial.psi = 0.25", "initial.psi = nan"), "key 'initial.psi'"),
         (MINIMAL + "grid.lx = inf\n", "key 'grid.lx'"),
         (MINIMAL + "initial.h_amplitude = inf\n", "key 'initial.h_amplitude'"),
@@ -205,6 +204,11 @@ def test_initial_state_from_snapshot_file(tmp_path):
     wrong = replace(cfg, nx=32, ny=32)
     with pytest.raises(ConfigError, match="initial.h"):
         initial_state(wrong)
+    # Same point counts, other domain: the message tells the grids apart.
+    with pytest.raises(ConfigError) as excinfo:
+        initial_state(replace(cfg, lx=3.0))
+    assert f"16x16 on {2 * math.pi!r} x {2 * math.pi!r} does not match" in str(excinfo.value)
+    assert f"grid 16x16 on 3.0 x {2 * math.pi!r}" in str(excinfo.value)
     missing = replace(cfg, initial_h=InitialHeight("file", 1.0, str(tmp_path / "no.sgf")))
     with pytest.raises(ConfigError, match="cannot read snapshot"):
         initial_state(missing)
@@ -266,6 +270,24 @@ def test_snapshot_rejects_truncation(tmp_path):
         read_snapshot(path)
     path.write_bytes(raw[:10])
     with pytest.raises(SnapshotError, match="truncated"):
+        read_snapshot(path)
+
+
+def _write_raw_snapshot(path, nx, ny, lx):
+    """A snapshot file with any header grid, built without :class:`Grid`."""
+    header = struct.pack("<4sIIddd", b"SGF1", nx, ny, lx, 2 * math.pi, 0.0)
+    path.write_bytes(header + np.full(2 * nx * ny, 0.25, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "nx, ny, lx",
+    [(7, 8, 1.0), (4, 8, 1.0), (8, 8, -1.0), (8, 8, math.nan), (8, 8, math.inf)],
+)
+def test_snapshot_rejects_bad_grid_in_header(tmp_path, nx, ny, lx):
+    # The body has the size the header implies; only the grid is at fault.
+    path = tmp_path / "grid.sgf"
+    _write_raw_snapshot(path, nx, ny, lx)
+    with pytest.raises(SnapshotError, match="bad grid"):
         read_snapshot(path)
 
 
@@ -383,6 +405,9 @@ def test_cli_invalid_config(tmp_path, capsys):
 
 
 def _bad_snapshot(path, fault):
+    if fault == "bad_grid":
+        _write_raw_snapshot(path, 16, 16, -1.0)
+        return
     g = Grid(16, 16)
     h, psi = g.zeros(), g.constant(0.25)
     if fault == "nan_h":
@@ -401,6 +426,7 @@ def _bad_snapshot(path, fault):
     [
         ("missing", "initial.h"),
         ("bad_magic", "initial.h"),
+        ("bad_grid", "initial.h"),
         ("nan_h", "initial.h"),
         ("inf_psi", "initial.psi"),
     ],

@@ -1,4 +1,5 @@
-"""The demos and the README's examples import only names the package has.
+"""The demos and the README's examples import only names the package has,
+and the README documents exactly the config keys the parser accepts.
 
 The demos and the ``python`` blocks of README.md are not run by the suite,
 so a removed or renamed public name would break them silently.  Each one is
@@ -44,3 +45,13 @@ def test_demo_imports_exist(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"{name} imports missing names: {missing}"
+
+
+def test_readme_configuration_table_lists_the_schema():
+    from gradflow.config import _SCHEMA
+
+    section = (ROOT / "README.md").read_text().split("## Configuration", 1)[1]
+    table = section.split("\n\n| Key |", 1)[1].split("\n\n", 1)[0]
+    first_cells = re.findall(r"^\| (.*?) \|", table, re.M)
+    documented = [k for cell in first_cells for k in re.findall(r"`([a-z_]+\.[a-z_0-9]+)`", cell)]
+    assert sorted(documented) == sorted(_SCHEMA)

@@ -32,7 +32,6 @@ from gradflow import (
     parse_config,
     record,
     simulate,
-    stabilization_coefficients,
     step,
     write_snapshot,
 )
@@ -87,8 +86,6 @@ def test_stepper_validation():
         StepperConfig(dt=0.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=-1e-3)
-    with pytest.raises(ValueError):
-        StepperConfig(dt=1e-3, stab_h=-1.0)
     StepperConfig(dt=1e-3, scheme=Scheme.EXPLICIT_EULER)
 
 
@@ -289,26 +286,22 @@ def test_flux_vector_closed_form():
 
 def test_stabilization_explicit_euler_is_zero():
     state = make_state()
-    stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER, stab_h=3.0, stab_psi=4.0)
-    assert stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (0.0, 0.0)
-
-
-def test_stabilization_overrides_respected():
-    state = make_state()
-    stepper = StepperConfig(dt=1e-4, stab_h=3.0, stab_psi=4.0)
-    assert stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper) == (3.0, 4.0)
+    stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper)
+    assert (ev.a_h, ev.a_psi) == (0.0, 0.0)
 
 
 def test_stabilization_auto_values():
     state = make_state()
     stepper = StepperConfig(dt=1e-4)
     c = 2.0
-    a_h, a_psi = stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, Constant(c), stepper)
-    assert a_h == pytest.approx(c / MOB.m_x, rel=1e-13)
-    assert a_psi == 0.0  # f'' == 0
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(c), stepper)
+    assert ev.a_h == pytest.approx(c / MOB.m_x, rel=1e-13)
+    assert ev.a_psi == 0.0  # f'' == 0
 
     model = FloryHuggins(1.0, 0.75, 0.0)
-    a_h, a_psi = stabilization_coefficients(state, ModelVariant.FULL_COUPLED, MOB, model, stepper)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model, stepper)
+    a_h, a_psi = ev.a_h, ev.a_psi
     vals = state.psi.values
     sigma = model.density(vals, 0) - vals * model.density(vals, 1)
     amp = 1.0 + vals**2 * (MOB.m_psi / MOB.m_x)
@@ -346,18 +339,6 @@ def test_single_mode_height_decays_monotonically():
     # linearized rate for mode 1 is exp(-c t / m_x)
     expected = amps[0] * np.exp(-0.05)
     assert amps[-1] == pytest.approx(expected, rel=5e-3)
-
-
-def test_imex_with_negligible_damping_equals_explicit_euler():
-    state = make_state()
-    model = FloryHuggins(1.0, 0.75, 0.0)
-    explicit = step(state, ModelVariant.FULL_COUPLED, MOB, model,
-                    StepperConfig(dt=1e-5, scheme=Scheme.EXPLICIT_EULER))
-    # damping 1e-300 leaves every denominator exactly 1.0
-    damped = step(state, ModelVariant.FULL_COUPLED, MOB, model,
-                  StepperConfig(dt=1e-5, scheme=Scheme.IMEX1, stab_h=1e-300, stab_psi=1e-300))
-    assert np.array_equal(explicit.h.values, damped.h.values)
-    assert np.array_equal(explicit.psi.values, damped.psi.values)
 
 
 def test_imex_auto_damping_changes_the_update():
@@ -431,7 +412,7 @@ def test_evaluation_of_another_state_is_rejected():
     state = make_state(16)
     model = FloryHuggins(1.0, 0.75, 0.0)
     stepper = StepperConfig(dt=1e-4)
-    other = FlowState(state.t, state.h.copy(), state.psi.copy())
+    other = FlowState(state.t, state.h, state.psi)
     ev = evaluate(other, ModelVariant.FULL_COUPLED, MOB, model, stepper)
     with pytest.raises(ValueError, match="another state"):
         step(state, ModelVariant.FULL_COUPLED, MOB, model, stepper, ev=ev)
