@@ -19,6 +19,7 @@ from gradflow import (
     Mobilities,
     ModelVariant,
     StepperConfig,
+    evaluate,
     step,
 )
 
@@ -36,7 +37,7 @@ model = Constant(c)
 print(f"{'t':>6} {'amplitude':>12} {'exact':>12} {'rel err':>10}")
 for k in range(5):
     for _ in range(200):
-        state = step(state, ModelVariant.FULL_COUPLED, mobilities, model, stepper)
+        state = step(evaluate(state, ModelVariant.FULL_COUPLED, mobilities, model), stepper)
     amp = np.abs(state.h.values).max()
     exact = 0.01 * math.exp(-4.0 * c * state.t / m_x)
     print(f"{state.t:6.2f} {amp:12.6e} {exact:12.6e} {abs(amp - exact) / exact:10.2e}")

@@ -20,6 +20,7 @@ from gradflow import (
     Quadratic,
     StepperConfig,
     build_cache,
+    evaluate,
     step,
     total_energy,
 )
@@ -36,7 +37,7 @@ def trajectory(variant):
     state = FlowState(0.0, h0, psi0)
     energies = [total_energy(model, state.psi, build_cache(state.h))]
     for i in range(1, 201):
-        state = step(state, variant, mobilities, model, stepper)
+        state = step(evaluate(state, variant, mobilities, model), stepper)
         if i % 20 == 0:
             energies.append(total_energy(model, state.psi, build_cache(state.h)))
     return energies

@@ -9,9 +9,11 @@ stabilized semi-implicit).
 
 Quick start::
 
+    from pathlib import Path
+
     from gradflow import parse_config, simulate
 
-    config = parse_config(open("configs/relaxation_128.cfg").read())
+    config = parse_config(Path("configs/relaxation_128.cfg").read_text())
     result = simulate(config)
     print(result.records[-1].energy)
 """
@@ -64,7 +66,7 @@ from .geometry import (
     surface_integral,
     truesdell_rate,
 )
-from .runner import RunResult, compare, run, simulate, sweep
+from .runner import RunResult, compare, simulate, sweep
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .spectral import (
     Grid,
@@ -140,7 +142,6 @@ __all__ = [
     # runner
     "RunResult",
     "simulate",
-    "run",
     "compare",
     "sweep",
 ]

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
-from .runner import compare, run, sweep
+from .runner import compare, simulate, sweep
 
 __all__ = ["main"]
 
@@ -63,9 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        text = open(args.config).read()
+        text = Path(args.config).read_text()
     except OSError as exc:
-        print(f"error: cannot read config '{args.config}': {exc}", file=sys.stderr)
+        print(f"error: cannot read config '{args.config}': {exc.strerror}", file=sys.stderr)
         return 2
     try:
         return _dispatch(args, parse_config(text))
@@ -79,10 +80,10 @@ def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     out = args.out if args.out is not None else config.output_dir
 
     if args.command == "run":
-        code = run(config, out)
-        if code != 0:
+        if simulate(config, out_dir=out).aborted:
             print("run aborted; see report.txt and last_valid.sgf", file=sys.stderr)
-        return code
+            return 1
+        return 0
 
     if args.command == "compare":
         result = compare(config, out)

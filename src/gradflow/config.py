@@ -371,7 +371,10 @@ def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarF
     try:
         loaded = read_snapshot(path)
     except (OSError, SnapshotError) as exc:
-        raise ConfigError(f"key '{key}': cannot read snapshot '{path}': {exc}") from None
+        # The path is named once, here: ``strerror`` leaves it out of an
+        # OSError, and a SnapshotError names only the fault.
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"key '{key}': cannot read snapshot '{path}': {reason}") from None
     if not loaded.grid.compatible(grid):
         raise ConfigError(
             f"key '{key}': snapshot grid {_describe(loaded.grid)} "

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyModel
-from .flow import _QUIET, Evaluation, FlowState, ModelVariant, Mobilities, evaluate
+from .flow import _QUIET, Evaluation, ModelVariant
 from .geometry import build_cache  # noqa: F401  (perfbench/spans.py traces this name)
 from .geometry import covariant_norm_sq, surface_integral
 from .spectral import ScalarField
@@ -56,26 +55,21 @@ class DiagnosticsRecord:
 
 
 def record(
-    state: FlowState,
-    variant: ModelVariant,
-    energy: EnergyModel,
-    mobilities: Mobilities,
+    ev: Evaluation,
     prev: DiagnosticsRecord | None = None,
     clamp_count: int = 0,
-    ev: Evaluation | None = None,
 ) -> DiagnosticsRecord:
-    """Evaluate every observable at the given state.
+    """Evaluate every observable at ``ev.state`` from its evaluation.
 
-    ``prev`` supplies the backward-difference energy rate and the reference
-    mass of the initial record; on the first record ``dissipation_lhs`` is
-    absent and ``mass_error`` is zero by construction.  ``ev``, the
-    :func:`~gradflow.flow.evaluate` result of this state that a step also
-    uses, is built here when absent; the record itself transforms nothing.
+    ``ev`` is the :func:`~gradflow.flow.evaluate` result that the step from
+    this state also uses; the record reads its state, mobilities, geometry,
+    energy density and rates, and transforms nothing.  ``prev`` supplies the
+    backward-difference energy rate and the reference mass of the initial
+    record; on the first record ``dissipation_lhs`` is absent and
+    ``mass_error`` is zero by construction.  ``clamp_count`` is the
+    cumulative clamp tally the caller reports.
     """
-    if ev is None:
-        ev = evaluate(state, variant, mobilities, energy)
-    elif ev.state is not state:
-        raise ValueError("the evaluation belongs to another state")
+    state, mobilities = ev.state, ev.mobilities
     cache = ev.cache
     u = surface_integral(ScalarField(state.grid, ev.f), cache)
     mass = surface_integral(state.psi, cache)

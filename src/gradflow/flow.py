@@ -35,12 +35,15 @@ D2 psi``, formed pointwise from the derivatives of ``psi``.  A step
 therefore makes four transform pairs: the derivatives of ``h`` and of
 ``psi``, and the two damped increments.
 
-Time stepping is first-order: plain explicit Euler, or a stabilized
-semi-implicit variant (IMEX1) in which the update increment is damped by
-``1/(1 + dt * a * |k|^2)`` mode-by-mode.  The damping coefficients are
-the per-step grid maxima of the linearized diffusion coefficients; the
-damping leaves any zero right-hand side exactly zero, so static states stay
-frozen to the bit.
+A state has one evaluation path: :func:`evaluate` forms every rate of the
+state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
+read the resulting :class:`Evaluation`.  Time stepping is first-order:
+plain explicit Euler, or a stabilized semi-implicit variant (IMEX1) in which
+the update increment is damped by ``1/(1 + dt * a * |k|^2)`` mode-by-mode.
+The damping coefficients are the grid maxima of the linearized diffusion
+coefficients of the state, which every evaluation carries; the damping
+leaves any zero right-hand side exactly zero, so static states stay frozen
+to the bit.
 """
 
 from __future__ import annotations
@@ -170,7 +173,8 @@ class Evaluation:
     record reads: the energy density ``f`` and its second derivative ``fpp``
     at the clamped density, the raw flat gradient ``psi_x, psi_y`` of the
     density, and ``clamp_count``, the number of clamped points.
-    ``a_h``/``a_psi`` are the damping coefficients the step applies.
+    ``a_h``/``a_psi`` are the IMEX1 damping coefficients of the state,
+    whatever the scheme; :func:`step` applies them only for IMEX1.
     """
 
     state: FlowState
@@ -202,7 +206,6 @@ def evaluate(
     variant: ModelVariant,
     mobilities: Mobilities,
     energy: EnergyModel,
-    stepper: StepperConfig | None = None,
 ) -> Evaluation:
     """Evaluate the flow at ``state`` in one pass.
 
@@ -213,10 +216,9 @@ def evaluate(
       variant), identically zero for NORMAL_ONLY; VELOCITY_SUBSTITUTED does
       not evolve it but diagnostics read it;
     * the density rate of the selected variant;
-    * the IMEX1 damping coefficients: the grid maxima of the linearized
-      diffusion coefficients, ``max |sigma(psi)| / m_x`` and ``max (1 +
-      psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero.  Explicit Euler,
-      and ``stepper=None`` as diagnostics pass it, give 0.0 for both.
+    * the IMEX1 damping coefficients of the state: the grid maxima of the
+      linearized diffusion coefficients, ``max |sigma(psi)| / m_x`` and
+      ``max (1 + psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero.
 
     The density is clamped into the energy's domain once; the count is
     ``clamp_count``.  The surface algebra is that of the
@@ -248,10 +250,8 @@ def evaluate(
         r = m_psi / m_x
         amp = 1.0 + psi * psi * r
 
-        a_h = a_psi = 0.0
-        if stepper is not None and stepper.scheme is Scheme.IMEX1:
-            a_h = float(np.max(np.abs(sigma))) / m_x
-            a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
+        a_h = float(np.max(np.abs(sigma))) / m_x
+        a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
 
         if variant is ModelVariant.NORMAL_ONLY:
             v = VectorField2(grid.zeros(), grid.zeros())
@@ -302,6 +302,14 @@ def evaluate(
     )
 
 
+def _damping(ev: Evaluation, stepper: StepperConfig) -> tuple[float, float]:
+    # Selected rather than multiplied by 0, since 0 * inf is NaN where the
+    # rates overflow.
+    if stepper.scheme is Scheme.IMEX1:
+        return ev.a_h, ev.a_psi
+    return 0.0, 0.0
+
+
 # Not exported; kept because perfbench/spans.py binds this name (as it does
 # FloryHuggins.density) to time the stabilization.
 def stabilization_coefficients(
@@ -311,32 +319,23 @@ def stabilization_coefficients(
     energy: EnergyModel,
     stepper: StepperConfig,
 ) -> tuple[float, float]:
-    """Damping coefficients (a_h, a_psi) actually used for a step (see
-    :func:`evaluate`)."""
-    ev = evaluate(state, variant, mobilities, energy, stepper)
-    return ev.a_h, ev.a_psi
+    """Damping coefficients (a_h, a_psi) that :func:`step` applies from
+    ``state``: those of its evaluation for IMEX1, zero for explicit Euler."""
+    return _damping(evaluate(state, variant, mobilities, energy), stepper)
 
 
 # ---------------------------------------------------------------------------
 # Time stepping
 
 
-def step(
-    state: FlowState,
-    variant: ModelVariant,
-    mobilities: Mobilities,
-    energy: EnergyModel,
-    stepper: StepperConfig,
-    ev: Evaluation | None = None,
-) -> FlowState:
-    """Advance the state by one time step.
+def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
+    """Advance ``ev.state`` by one time step of ``stepper``.
 
-    Both fields are updated from the rates of ``ev``, which must be
-    ``evaluate(state, variant, mobilities, energy, stepper)`` and is built
-    here when absent.  Each increment ``dt * rhs`` is dealiased and, for
-    IMEX1, damped mode by mode by ``1/(1 + dt * a * |k|^2)``: the solution
-    of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  A zero right-hand side
-    gives an exactly zero increment.
+    Both fields are updated from the rates of ``ev``.  Each increment ``dt *
+    rhs`` is dealiased and, for IMEX1, damped mode by mode by ``1/(1 + dt *
+    a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``: the solution of
+    ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit Euler applies no
+    damping.  A zero right-hand side gives an exactly zero increment.
 
     Raises
     ------
@@ -344,15 +343,12 @@ def step(
         If the updated fields contain NaN/Inf; the exception carries the
         last valid state.
     """
-    if ev is None:
-        ev = evaluate(state, variant, mobilities, energy, stepper)
-    elif ev.state is not state:
-        raise ValueError("the evaluation belongs to another state")
-
+    state = ev.state
     dt = stepper.dt
+    a_h, a_psi = _damping(ev, stepper)
     with np.errstate(**_QUIET):
-        h_new = state.h.values + dt * dealias_solve(ev.dth, dt * ev.a_h).values
-        psi_new = state.psi.values + dt * dealias_solve(ev.rhs_psi, dt * ev.a_psi).values
+        h_new = state.h.values + dt * dealias_solve(ev.dth, dt * a_h).values
+        psi_new = state.psi.values + dt * dealias_solve(ev.rhs_psi, dt * a_psi).values
 
     if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(psi_new))):
         raise SolverAbort(

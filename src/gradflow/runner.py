@@ -1,8 +1,8 @@
 """Run orchestration and deterministic text outputs.
 
 :func:`simulate` advances a configured problem to its final time and
-returns the in-memory result; the file-writing entry points (:func:`run`,
-:func:`compare`, :func:`sweep`) wrap it and produce:
+returns the in-memory result, and writes these files when given an output
+directory (:func:`compare` and :func:`sweep` write their own tables):
 
 * ``series.csv`` -- one row per record, fixed column schema, values with
   17 significant digits; byte-identical across repeated single-threaded
@@ -41,7 +41,6 @@ from .snapshot import write_snapshot
 __all__ = [
     "RunResult",
     "simulate",
-    "run",
     "compare",
     "sweep",
     "CSV_HEADER",
@@ -148,9 +147,9 @@ def simulate(
     csv_fh = open(out / "series.csv", "w", newline="") if out is not None else None
     records: list[DiagnosticsRecord] = []
 
-    def take_record(st: FlowState, ev: Evaluation) -> None:
+    def take_record(ev: Evaluation) -> None:
         prev = records[-1] if records else None
-        rec = record(st, variant, energy, mobilities, prev, clamp_count, ev=ev)
+        rec = record(ev, prev, clamp_count)
         records.append(rec)
         if csv_fh is not None:
             csv_fh.write(_csv_row(rec) + "\n")
@@ -167,13 +166,13 @@ def simulate(
     abort_message = None
     try:
         # One evaluation per state serves its step and its record.
-        ev = evaluate(state, variant, mobilities, energy, stepper)
-        take_record(state, ev)
+        ev = evaluate(state, variant, mobilities, energy)
+        take_record(ev)
         take_snapshots(state, 0)
         for i in range(1, n_steps + 1):
             clamp_count += ev.clamp_count
             try:
-                state = step(state, variant, mobilities, energy, stepper, ev=ev)
+                state = step(ev, stepper)
             except SolverAbort as exc:
                 aborted = True
                 abort_message = str(exc)
@@ -182,9 +181,9 @@ def simulate(
                     write_snapshot(state, out / "last_valid.sgf")
                 break
             ev = None  # release the old evaluation before the next is built
-            ev = evaluate(state, variant, mobilities, energy, stepper)
+            ev = evaluate(state, variant, mobilities, energy)
             if should_record(i):
-                take_record(state, ev)
+                take_record(ev)
             take_snapshots(state, i)
     finally:
         if csv_fh is not None:
@@ -228,16 +227,9 @@ def _write_report(result: RunResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run(config: RunConfig, out_dir: str | Path | None = None) -> int:
-    """Execute a single simulation with file outputs; returns an exit code."""
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    result = simulate(config, out_dir=out)
-    return 1 if result.aborted else 0
-
-
-def compare(config: RunConfig, out_dir: str | Path | None = None) -> CompareResult:
+def compare(config: RunConfig, out_dir: str | Path) -> CompareResult:
     """Run the full-vs-normal-only pair and write paired outputs."""
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    out = Path(out_dir)
     result = compare_variants(config)
     out.mkdir(parents=True, exist_ok=True)
     write_series_csv(result.records_full, out / "series_full.csv")
@@ -254,11 +246,11 @@ def compare(config: RunConfig, out_dir: str | Path | None = None) -> CompareResu
 def sweep(
     config: RunConfig,
     dt_ladder: list[float],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     quantity: str = "mass_error",
 ):
     """Run a dt ladder and write ``sweep.csv`` with errors and orders."""
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    out = Path(out_dir)
     for dt in dt_ladder:
         check_dt(dt, config.t_end, "--dt-ladder entry")
     configs = [replace(config, dt=dt) for dt in dt_ladder]

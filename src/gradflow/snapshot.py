@@ -32,7 +32,7 @@ _HEADER = struct.Struct("<4sIIddd")
 
 class SnapshotError(ValueError):
     """Snapshot file malformed: bad magic, bad sizes, a bad grid, or
-    truncation."""
+    truncation.  The message names the fault; the caller knows the file."""
 
 
 def write_snapshot(state: FlowState, path: str | PathLike) -> None:
@@ -50,19 +50,17 @@ def read_snapshot(path: str | PathLike) -> FlowState:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
-        raise SnapshotError(f"truncated snapshot '{path}': {len(raw)} bytes")
+        raise SnapshotError(f"truncated header: {len(raw)} bytes")
     magic, nx, ny, lx, ly, t = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise SnapshotError(f"bad magic in '{path}': {magic!r}")
+        raise SnapshotError(f"bad magic {magic!r}")
     expected = _HEADER.size + 2 * 8 * nx * ny
     if len(raw) != expected:
-        raise SnapshotError(
-            f"snapshot '{path}' has {len(raw)} bytes, expected {expected} for {nx}x{ny}"
-        )
+        raise SnapshotError(f"{len(raw)} bytes, expected {expected} for {nx}x{ny}")
     try:
         grid = Grid(nx, ny, lx, ly)
     except ValueError as exc:
-        raise SnapshotError(f"bad grid in '{path}': {exc}") from None
+        raise SnapshotError(f"bad grid: {exc}") from None
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     n = nx * ny
     h = body[:n].reshape(nx, ny).astype(float)

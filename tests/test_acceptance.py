@@ -196,7 +196,7 @@ def test_special_case_exactness():
     mob = Mobilities(1.0, 1.0)
     stepper = StepperConfig(dt=1e-3)
     for _ in range(1000):
-        s = step(s, ModelVariant.FULL_COUPLED, mob, Linear(2.0), stepper)
+        s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, Linear(2.0)), stepper)
     assert np.abs(s.h.values - h0.values).max() <= 1e-14
     assert np.abs(s.psi.values - psi0.values).max() <= 1e-14
 
@@ -233,7 +233,7 @@ def test_special_case_exactness():
     stepper = StepperConfig(dt=dt)
     mob = Mobilities(m_x, 1.0)
     for _ in range(round(t_end / dt)):
-        s = step(s, ModelVariant.FULL_COUPLED, mob, Constant(c), stepper)
+        s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, Constant(c)), stepper)
     amp = np.abs(s.h.values).max()
     expected = amp0 * math.exp(-4.0 * c * t_end / m_x)
     rel_err = abs(amp - expected) / expected
@@ -262,7 +262,7 @@ def test_material_gauge_can_raise_energy_while_twin_dissipates():
         s = FlowState(0.0, h0, psi0)
         out = [total_energy(model, s.psi, build_cache(s.h))]
         for i in range(1, 201):
-            s = step(s, variant, mob, model, stepper)
+            s = step(evaluate(s, variant, mob, model), stepper)
             if i % 20 == 0:
                 out.append(total_energy(model, s.psi, build_cache(s.h)))
         return out

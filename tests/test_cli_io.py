@@ -394,8 +394,11 @@ def test_cli_run_uses_configured_output_dir(tmp_path, monkeypatch):
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "absent.cfg")]) == 2
-    assert "cannot read config" in capsys.readouterr().err
+    path = str(tmp_path / "absent.cfg")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err
+    assert err.count(path) == 1, err
 
 
 def test_cli_invalid_config(tmp_path, capsys):
@@ -442,6 +445,7 @@ def test_cli_bad_initial_snapshot_names_the_key(tmp_path, capsys, fault, key):
     assert main(["run", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"key '{key}'" in err
+    assert err.count(str(snap)) == 1, err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,13 +1,15 @@
 """The demos and the README's examples import only names the package has,
-and the README documents exactly the config keys the parser accepts.
+the README's examples run, and the README documents exactly the config keys
+the parser accepts.
 
-The demos and the ``python`` blocks of README.md are not run by the suite,
-so a removed or renamed public name would break them silently.  Each one is
-parsed, not executed.
+The demos are not run by the suite, so a removed or renamed public name
+would break them silently; each one is parsed, not executed.  The
+``python`` blocks of README.md are short, and they are also run.
 """
 
 import ast
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -45,6 +47,16 @@ def test_demo_imports_exist(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"{name} imports missing names: {missing}"
+
+
+def test_readme_python_blocks_run(capsys):
+    # The blocks continue one another, so they share one namespace.
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(README_BLOCKS, start=1):
+        exec(compile(block, f"README.md:{i}", "exec"), namespace)
+    printed = capsys.readouterr().out.split()
+    assert printed and all(math.isfinite(float(x)) for x in printed)
+    assert namespace["state"].step_index == 101
 
 
 def test_readme_configuration_table_lists_the_schema():

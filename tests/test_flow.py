@@ -25,6 +25,7 @@ from gradflow import (
     VectorField2,
     build_cache,
     covariant_norm_sq,
+    dealias_solve,
     derivatives,
     evaluate,
     gradient,
@@ -95,8 +96,6 @@ def test_material_gauge_requires_quadratic():
     for model in (Constant(1.0), Linear(1.0), FloryHuggins(1.0, 0.75, 0.0)):
         with pytest.raises(ValueError):
             evaluate(state, mgq, MOB, model)
-        with pytest.raises(ValueError):
-            step(state, mgq, MOB, model, StepperConfig(dt=1e-6))
     # Quadratic is accepted
     evaluate(state, mgq, MOB, Quadratic(1.0))
 
@@ -232,8 +231,8 @@ def test_full_and_normal_only_agree_without_tangential_velocity():
     stepper = StepperConfig(dt=1e-4)
     a, b = state, state
     for _ in range(20):
-        a = step(a, ModelVariant.FULL_COUPLED, MOB, model, stepper)
-        b = step(b, ModelVariant.NORMAL_ONLY, MOB, model, stepper)
+        a = step(evaluate(a, ModelVariant.FULL_COUPLED, MOB, model), stepper)
+        b = step(evaluate(b, ModelVariant.NORMAL_ONLY, MOB, model), stepper)
     assert np.array_equal(a.h.values, b.h.values)
     assert np.array_equal(a.psi.values, b.psi.values)
 
@@ -243,8 +242,8 @@ def test_full_and_normal_only_agree_for_uniform_psi_first_step():
     s0 = FlowState(0.0, g.from_function(lambda x, y: 0.2 * np.sin(x) * np.cos(y)), g.constant(0.25))
     model = FloryHuggins(1.0, 0.75, 0.0)
     stepper = StepperConfig(dt=1e-5, scheme=Scheme.EXPLICIT_EULER)
-    a = step(s0, ModelVariant.FULL_COUPLED, MOB, model, stepper)
-    b = step(s0, ModelVariant.NORMAL_ONLY, MOB, model, stepper)
+    a = step(evaluate(s0, ModelVariant.FULL_COUPLED, MOB, model), stepper)
+    b = step(evaluate(s0, ModelVariant.NORMAL_ONLY, MOB, model), stepper)
     assert np.abs(a.h.values - b.h.values).max() < 1e-14
     assert np.abs(a.psi.values - b.psi.values).max() < 1e-14
 
@@ -285,22 +284,34 @@ def test_flux_vector_closed_form():
 
 
 def test_stabilization_explicit_euler_is_zero():
+    # The evaluation carries the IMEX1 coefficients of the state whatever the
+    # scheme; an explicit-Euler step applies none of them.
     state = make_state()
-    stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
-    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper)
-    assert (ev.a_h, ev.a_psi) == (0.0, 0.0)
+    dt = 1e-4
+    model = FloryHuggins(1.0, 0.75, 0.0)
+    explicit = StepperConfig(dt=dt, scheme=Scheme.EXPLICIT_EULER)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+    assert ev.a_h > 0.0 and ev.a_psi > 0.0
+    s = step(ev, explicit)
+    assert np.array_equal(s.h.values, state.h.values + dt * dealias_solve(ev.dth, 0.0).values)
+    assert np.array_equal(
+        s.psi.values, state.psi.values + dt * dealias_solve(ev.rhs_psi, 0.0).values
+    )
+    applied = gradflow.flow.stabilization_coefficients
+    assert applied(state, ModelVariant.FULL_COUPLED, MOB, model, explicit) == (0.0, 0.0)
+    imex = StepperConfig(dt=dt)
+    assert applied(state, ModelVariant.FULL_COUPLED, MOB, model, imex) == (ev.a_h, ev.a_psi)
 
 
 def test_stabilization_auto_values():
     state = make_state()
-    stepper = StepperConfig(dt=1e-4)
     c = 2.0
-    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(c), stepper)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(c))
     assert ev.a_h == pytest.approx(c / MOB.m_x, rel=1e-13)
     assert ev.a_psi == 0.0  # f'' == 0
 
     model = FloryHuggins(1.0, 0.75, 0.0)
-    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model, stepper)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
     a_h, a_psi = ev.a_h, ev.a_psi
     vals = state.psi.values
     sigma = model.density(vals, 0) - vals * model.density(vals, 1)
@@ -318,7 +329,7 @@ def test_linear_density_state_is_frozen_bitwise():
     stepper = StepperConfig(dt=1e-3)
     s = state
     for _ in range(200):
-        s = step(s, ModelVariant.FULL_COUPLED, MOB, Linear(2.0), stepper)
+        s = step(evaluate(s, ModelVariant.FULL_COUPLED, MOB, Linear(2.0)), stepper)
     assert np.array_equal(s.h.values, state.h.values)
     assert np.array_equal(s.psi.values, state.psi.values)
     assert s.step_index == 200
@@ -332,7 +343,7 @@ def test_single_mode_height_decays_monotonically():
     mob = Mobilities(1.0, 1.0)
     amps = [np.abs(s.h.values).max()]
     for _ in range(50):
-        s = step(s, ModelVariant.FULL_COUPLED, mob, Constant(1.0), stepper)
+        s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, Constant(1.0)), stepper)
         amps.append(np.abs(s.h.values).max())
     diffs = np.diff(amps)
     assert np.all(diffs < 0.0)
@@ -344,16 +355,15 @@ def test_single_mode_height_decays_monotonically():
 def test_imex_auto_damping_changes_the_update():
     state = make_state()
     model = FloryHuggins(1.0, 0.75, 0.0)
-    explicit = step(state, ModelVariant.FULL_COUPLED, MOB, model,
-                    StepperConfig(dt=1e-3, scheme=Scheme.EXPLICIT_EULER))
-    damped = step(state, ModelVariant.FULL_COUPLED, MOB, model,
-                  StepperConfig(dt=1e-3, scheme=Scheme.IMEX1))
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
+    explicit = step(ev, StepperConfig(dt=1e-3, scheme=Scheme.EXPLICIT_EULER))
+    damped = step(ev, StepperConfig(dt=1e-3, scheme=Scheme.IMEX1))
     assert not np.array_equal(explicit.h.values, damped.h.values)
 
 
 def test_step_metadata_advances():
     state = make_state(16)
-    s1 = step(state, ModelVariant.FULL_COUPLED, MOB, Constant(1.0), StepperConfig(dt=1e-4))
+    s1 = step(evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(1.0)), StepperConfig(dt=1e-4))
     assert s1.step_index == 1
     assert s1.t == pytest.approx(1e-4)
     assert state.step_index == 0  # input untouched
@@ -368,7 +378,7 @@ def test_blowup_raises_solver_abort_with_last_valid_state():
     model = FloryHuggins(1.0, 0.75, 0.0)
     with pytest.raises(SolverAbort) as excinfo:
         for _ in range(200):
-            s = step(s, ModelVariant.FULL_COUPLED, mob, model, stepper)
+            s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
     err = excinfo.value
     assert isinstance(err.last_valid, FlowState)
     assert np.all(np.isfinite(err.last_valid.h.values))
@@ -387,37 +397,12 @@ def test_blowup_aborts_without_floating_point_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverAbort) as excinfo:
             for _ in range(200):
-                s = step(s, ModelVariant.FULL_COUPLED, mob, model, stepper)
+                s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
     assert np.all(np.isfinite(excinfo.value.last_valid.h.values))
 
 
 # ---------------------------------------------------------------------------
-# One evaluation shared by step and record
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
-def test_step_with_shared_evaluation_is_bit_identical(variant, model, scheme):
-    state = make_state()
-    stepper = StepperConfig(dt=1e-4, scheme=scheme)
-    ev = evaluate(state, variant, MOB, model, stepper)
-    a = step(state, variant, MOB, model, stepper)
-    b = step(state, variant, MOB, model, stepper, ev=ev)
-    assert np.array_equal(a.h.values, b.h.values)
-    assert np.array_equal(a.psi.values, b.psi.values)
-    assert (a.t, a.step_index) == (b.t, b.step_index)
-
-
-def test_evaluation_of_another_state_is_rejected():
-    state = make_state(16)
-    model = FloryHuggins(1.0, 0.75, 0.0)
-    stepper = StepperConfig(dt=1e-4)
-    other = FlowState(state.t, state.h, state.psi)
-    ev = evaluate(other, ModelVariant.FULL_COUPLED, MOB, model, stepper)
-    with pytest.raises(ValueError, match="another state"):
-        step(state, ModelVariant.FULL_COUPLED, MOB, model, stepper, ev=ev)
-    with pytest.raises(ValueError, match="another state"):
-        record(state, ModelVariant.FULL_COUPLED, model, MOB, ev=ev)
+# Clamp tally
 
 
 def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
@@ -445,7 +430,7 @@ def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
         n = model.count_violations(s.psi.values)
         assert n > 0
         total += n
-        s = step(s, ModelVariant.FULL_COUPLED, mob, model, stepper)
+        s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
         expected.append(total)
     assert [r.clamp_count for r in result.records] == expected
     assert result.clamp_count == total > 0
@@ -564,7 +549,7 @@ def test_record_with_an_evaluation_makes_no_transform(calls):
     for variant, model in VARIANT_MODELS:
         ev = evaluate(state, variant, MOB, model)
         calls.clear()
-        record(state, variant, model, MOB, ev=ev)
+        record(ev)
         assert calls["fft"] == 0 and calls["build_cache"] == 0, variant
 
 
@@ -582,7 +567,8 @@ def test_full_imex_step_transform_budget(calls):
     # One transform pair each for the derivatives of h and of psi and for the
     # two damped increments; the velocity gradients are analytic.
     state = make_state(16)
-    step(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0), StepperConfig(dt=1e-4))
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    step(ev, StepperConfig(dt=1e-4))
     assert calls["build_cache"] == 1
     assert calls["fft"] == 8
 
@@ -590,6 +576,6 @@ def test_full_imex_step_transform_budget(calls):
 def test_normal_only_explicit_step_transform_budget(calls):
     state = make_state(16)
     stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
-    step(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0), stepper)
+    step(evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)), stepper)
     assert calls["build_cache"] == 1
     assert calls["fft"] == 8
