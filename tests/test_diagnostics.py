@@ -14,6 +14,7 @@ from gradflow import (
     Linear,
     Mobilities,
     ModelVariant,
+    Quadratic,
     ScalarField,
     Scheme,
     StepperConfig,
@@ -122,6 +123,27 @@ def test_record_chained_mass_error_and_energy_rate():
         s = step(evaluate(s, ModelVariant.FULL_COUPLED, MOB, model), stepper)
     rec2 = record(evaluate(s, ModelVariant.FULL_COUPLED, MOB, model), prev=rec1)
     assert rec2.mass_error == pytest.approx(rec2.mass - rec0.mass, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "variant, model",
+    [
+        (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.VELOCITY_SUBSTITUTED, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.NORMAL_ONLY, FloryHuggins(1.0, 0.75, 0.0)),
+        (ModelVariant.MATERIAL_GAUGE_QUADRATIC, Quadratic(1.5)),
+    ],
+)
+def test_record_from_the_step_evaluation_is_identical(variant, model):
+    # A record read from the evaluation a step has already consumed equals
+    # the record of a fresh evaluation: the step leaves it untouched.
+    state = curved_state(24)
+    stepper = StepperConfig(dt=1e-4)
+    rec0 = record(evaluate(state, variant, MOB, model))
+    s = step(evaluate(state, variant, MOB, model), stepper)
+    ev = evaluate(s, variant, MOB, model)
+    step(ev, stepper)
+    assert record(ev, rec0, 3) == record(evaluate(s, variant, MOB, model), rec0, 3)
 
 
 def test_record_clamp_count_passthrough():

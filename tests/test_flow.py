@@ -1,6 +1,7 @@
 """Right-hand sides, time stepping, and model-variant invariants."""
 
 import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -399,6 +400,37 @@ def test_blowup_aborts_without_floating_point_warnings():
             for _ in range(200):
                 s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
     assert np.all(np.isfinite(excinfo.value.last_valid.h.values))
+
+
+def test_explicit_euler_ignores_an_infinite_damping_coefficient():
+    # Explicit Euler selects zero damping; it does not scale a_h/a_psi by 0,
+    # which would turn an infinite coefficient into NaN.
+    ev = evaluate(make_state(16), ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
+    a = step(ev, stepper)
+    b = step(dataclasses.replace(ev, a_h=np.inf, a_psi=np.inf), stepper)
+    assert np.array_equal(a.h.values, b.h.values)
+    assert np.array_equal(a.psi.values, b.psi.values)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation shared by step and record
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_step_with_shared_evaluation_is_bit_identical(variant, model, scheme):
+    # simulate records a state and then steps it from the same evaluation:
+    # the record must leave what the step reads untouched.
+    state = make_state()
+    stepper = StepperConfig(dt=1e-4, scheme=scheme)
+    a = step(evaluate(state, variant, MOB, model), stepper)
+    ev = evaluate(state, variant, MOB, model)
+    record(ev, clamp_count=ev.clamp_count)
+    b = step(ev, stepper)
+    assert np.array_equal(a.h.values, b.h.values)
+    assert np.array_equal(a.psi.values, b.psi.values)
+    assert (a.t, a.step_index) == (b.t, b.step_index)
 
 
 # ---------------------------------------------------------------------------
