@@ -64,9 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config '{args.config}': {exc.strerror}", file=sys.stderr)
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: cannot read config '{args.config}': {reason}", file=sys.stderr)
         return 2
     try:
         return _dispatch(args, parse_config(text))

@@ -152,15 +152,15 @@ class FloryHuggins(EnergyModel):
     density = EnergyModel.density  # own entry: perfbench/spans.py traces this name
 
     def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        # Each logarithm is evaluated once for f and f'.
+        # Each logarithm is evaluated once for f and f', and p q once for all.
         p = psi
         q = 1.0 - p
-        log_p, log_q = np.log(p), np.log(q)
+        log_p, log_q, pq = np.log(p), np.log(q), p * q
         return (
-            self.sigma0 + self.beta * (p * log_p + q * log_q) + self.chi * p * q,
+            self.sigma0 + self.beta * (p * log_p + q * log_q) + self.chi * pq,
             self.beta * (log_p - log_q) + self.chi * (1.0 - 2.0 * p),
-            self.beta / (p * q) - 2.0 * self.chi,
-            self.beta * (2.0 * p - 1.0) / (p * p * q * q),
+            self.beta / pq - 2.0 * self.chi,
+            self.beta * (2.0 * p - 1.0) / (pq * pq),
         )
 
 

@@ -29,11 +29,11 @@ Four variants are provided:
     it can raise the energy, which is exactly what the gauge-comparison
     diagnostics exercise.  Requires the Quadratic energy preset.
 
-Spatial derivatives are spectral, except the gradient of the tangential
-velocity: with ``v = phi grad psi`` it is ``phi' grad psi grad psi + phi
-D2 psi``, formed pointwise from the derivatives of ``psi``.  A step
-therefore makes four transform pairs: the derivatives of ``h`` and of
-``psi``, and the two damped increments.
+Spatial derivatives are spectral, except the divergence of the tangential
+velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
+psi`` in the surface metric, formed pointwise from the derivatives of
+``psi``.  A step therefore makes three transform pairs: the derivatives of
+``h``, those of ``psi``, and both damped increments in one stack.
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
@@ -65,7 +65,7 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField2,
-    dealias_solve,
+    _dealias_solve_stack,
     derivatives,
 )
 
@@ -222,10 +222,10 @@ def evaluate(
 
     The density is clamped into the energy's domain once; the count is
     ``clamp_count``.  The surface algebra is that of the
-    :mod:`gradflow.geometry` kernels.  The velocity ``v = phi grad psi`` is
-    differentiated analytically, ``d_j v_i = phi' psi_i psi_j + phi
-    psi_ij``, from the derivatives of ``psi`` at hand, so it costs no
-    transform.  Where the clamp acts, ``f''`` of the clamped density does
+    :mod:`gradflow.geometry` kernels.  As ``v = phi grad psi`` has ``d_j v_i
+    = phi' psi_i psi_j + phi psi_ij``, its tangential divergence is ``phi'
+    |grad psi|^2 + phi tr D2 psi`` in the surface metric, from terms at
+    hand.  Where the clamp acts, ``f''`` of the clamped density does
     not vary with ``psi``, and ``phi'`` has no ``f'''`` term there.
     """
     _require_quadratic(variant, energy)
@@ -238,15 +238,14 @@ def evaluate(
         clamped, n = energy.clamp(psi)
         f0, f1, fpp, fppp = energy.derivatives(clamped)
         hx, hy = cache.dh.x.values, cache.dh.y.values
-        g = cache.g_det.values
-        hfrak = cache.hfrak.values
+        g, hfrak = cache.g_det.values, cache.hfrak.values
 
         # Each array is released once nothing reads it (``del``): fewer live
         # full-grid arrays lower the peak RSS and the page faults at 256^2.
         sigma = f0 - clamped * f1
         del f1
         sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
-        dth = sign * g * sigma * hfrak / m_x
+        dth = g * sigma * hfrak * (sign / m_x)
         r = m_psi / m_x
         amp = 1.0 + psi * psi * r
 
@@ -256,12 +255,13 @@ def evaluate(
         if variant is ModelVariant.NORMAL_ONLY:
             v = VectorField2(grid.zeros(), grid.zeros())
         else:
-            phi = -sign * psi * fpp / m_x
+            phi = psi * fpp * (-sign / m_x)
             v = VectorField2(ScalarField(grid, phi * px), ScalarField(grid, phi * py))
 
         p_dh = px * hx + py * hy
         grad_sq = covariant_square(px, py, p_dh, g)
         trace = hessian_trace(pxx, pxy, pyy, hx, hy, g)
+        del pxx, pxy, pyy
         if variant is ModelVariant.VELOCITY_SUBSTITUTED:
             rhs = (
                 amp * fpp * trace
@@ -272,18 +272,14 @@ def evaluate(
         else:
             del sigma, amp
             diffusive = (fpp * (trace - p_dh * hfrak) + fppp * grad_sq) / m_psi
-            del trace, grad_sq
-            v_flat = dv = None
+            v_flat = div_t = None
             if variant is not ModelVariant.NORMAL_ONLY:
-                if n:
-                    fppp = np.where(clamped == psi, fppp, 0.0)
-                dphi = -sign * (fpp + psi * fppp) / m_x
-                del fppp
-                v_xy = dphi * px * py + phi * pxy
-                dv = (dphi * px * px + phi * pxx, v_xy, v_xy, dphi * py * py + phi * pyy)
-                del dphi, phi
+                fppp = np.where(clamped == psi, fppp, 0.0) if n else fppp
+                div_t = (fpp + psi * fppp) * (-sign / m_x) * grad_sq + phi * trace
+                del phi
                 v_flat = (v.x.values, v.y.values)
-            rhs = truesdell_solve(diffusive, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v_flat, dv)
+            del trace, grad_sq, fppp
+            rhs = truesdell_solve(diffusive, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v_flat, div_t)
 
     return Evaluation(
         state=state,
@@ -331,11 +327,11 @@ def stabilization_coefficients(
 def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     """Advance ``ev.state`` by one time step of ``stepper``.
 
-    Both fields are updated from the rates of ``ev``.  Each increment ``dt *
-    rhs`` is dealiased and, for IMEX1, damped mode by mode by ``1/(1 + dt *
-    a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``: the solution of
-    ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit Euler applies no
-    damping.  A zero right-hand side gives an exactly zero increment.
+    One transform pair updates both fields from the rates of ``ev``.  Each
+    increment ``dt * rhs`` is dealiased and, for IMEX1, damped mode by mode
+    by ``1/(1 + dt * a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``:
+    the solution of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit
+    Euler applies no damping.  A zero right-hand side gives a zero increment.
 
     Raises
     ------
@@ -345,10 +341,10 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     """
     state = ev.state
     dt = stepper.dt
-    a_h, a_psi = _damping(ev, stepper)
     with np.errstate(**_QUIET):
-        h_new = state.h.values + dt * dealias_solve(ev.dth, dt * a_h).values
-        psi_new = state.psi.values + dt * dealias_solve(ev.rhs_psi, dt * a_psi).values
+        inc = _dealias_solve_stack((ev.dth, ev.rhs_psi), [dt * a for a in _damping(ev, stepper)])
+        inc *= dt
+        h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
 
     if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(psi_new))):
         raise SolverAbort(
@@ -356,10 +352,9 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
             f"(t = {state.t + dt:.6g}); aborting",
             last_valid=state,
         )
-    grid = state.grid
     return FlowState(
         t=state.t + dt,
-        h=ScalarField(grid, h_new),
-        psi=ScalarField(grid, psi_new),
+        h=ScalarField(state.grid, h_new),
+        psi=ScalarField(state.grid, psi_new),
         step_index=state.step_index + 1,
     )

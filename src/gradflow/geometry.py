@@ -74,24 +74,21 @@ def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g):
     return vx_x + vy_y - dh_dv_dh / g
 
 
-def truesdell_solve(rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, dv=None):
+def truesdell_solve(rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_t=None):
     """Time derivative of a surface density whose Truesdell rate is ``rate``.
 
-    The Truesdell rate is ``dtpsi - T dth + psi div_t v + v.(dpsi - T dh)``
-    with the transport coefficient ``T = psi hfrak + p_dh / |g|`` and the
-    :func:`tangential_divergence` ``div_t``; this solves it for ``dtpsi``.
-    ``px, py`` are the flat gradient of ``psi`` and ``p_dh`` its projection
-    on ``dh``; ``dth`` is the height rate.  ``v = (vx, vy)`` holds the flat
-    tangential velocity and ``dv = (vx_x, vx_y, vy_x, vy_y)`` its flat
-    gradients; without them (no tangential motion) the velocity terms are
-    skipped.
+    The Truesdell rate is ``dtpsi - T dth + psi div_t + v.(dpsi - T dh)``
+    with the transport coefficient ``T = psi hfrak + p_dh / |g|``; this
+    solves it for ``dtpsi``.  ``px, py`` are the flat gradient of ``psi`` and
+    ``p_dh`` its projection on ``dh``; ``dth`` is the height rate.  ``v``
+    holds the flat tangential velocity and ``div_t`` its
+    :func:`tangential_divergence`; without them the velocity terms vanish.
     """
     transport = psi * hfrak + p_dh / g
     out = transport * dth + rate
     if v is not None:
         vx, vy = v
-        out = out - psi * tangential_divergence(*dv, hx, hy, g)
-        out = out - (vx * (px - transport * hx) + vy * (py - transport * hy))
+        out = out - psi * div_t - (vx * (px - transport * hx) + vy * (py - transport * hy))
     return out
 
 
@@ -207,11 +204,11 @@ def truesdell_rate(
     gives for a vanishing Truesdell rate.
     """
     px, py = (s.values for s in gradient(psi))
-    hx, hy = cache.dh.x.values, cache.dh.y.values
+    hx, hy, g = cache.dh.x.values, cache.dh.y.values, cache.g_det.values
     still = truesdell_solve(
-        0.0, psi.values, px, py, px * hx + py * hy, dth.values, hx, hy,
-        cache.g_det.values, cache.hfrak.values,
-        v=(v.x.values, v.y.values), dv=_velocity_gradients(v),
+        0.0, psi.values, px, py, px * hx + py * hy, dth.values, hx, hy, g,
+        cache.hfrak.values, v=(v.x.values, v.y.values),
+        div_t=tangential_divergence(*_velocity_gradients(v), hx, hy, g),
     )
     return ScalarField(psi.grid, dtpsi.values - still)
 

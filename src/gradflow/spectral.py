@@ -50,27 +50,23 @@ def get_fft_workers() -> int:
 # two, and otherwise differs by rounding (each pass scales by its own 1/n).
 
 
-def _rfft2(values: np.ndarray) -> np.ndarray:
-    spec = np.fft.rfft(values, axis=-1)
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    spec = np.fft.rfft(values, axis=-1, out=out)
     return np.fft.fft(spec, axis=-2, out=spec)
 
 
-def _irfft2(spec: np.ndarray, ny: int) -> np.ndarray:
+def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`_rfft2`; overwrites ``spec``, which every caller
     builds itself."""
     np.fft.ifft(spec, axis=-2, out=spec)
-    return np.fft.irfft(spec, n=ny, axis=-1)
+    return np.fft.irfft(spec, n=ny, axis=-1, out=out)
 
 
 def _derivative_stack(f: "ScalarField", multipliers: np.ndarray) -> np.ndarray:
-    """Inverse transforms of ``multipliers * rfft2(f)``, one per multiplier.
-
-    The products are written into the grid's work buffer instead of a new
-    spectral stack per call.  The returned stack is a new array; the buffer
-    is scratch.
-    """
+    """Inverse transforms of ``multipliers * rfft2(f)``, one per multiplier,
+    formed in the grid's complex work array; the returned stack is new."""
     g = f.grid
-    work = g._spectral_work()[: len(multipliers)]
+    work = g._scratch("_work", g.deriv_multipliers.shape, complex)[: len(multipliers)]
     np.multiply(multipliers, _rfft2(f.values), out=work)
     return _irfft2(work, g.ny)
 
@@ -87,9 +83,9 @@ class Grid:
         Domain extents, finite and positive; default ``2 * pi`` each.
 
     ``dealias_mask`` is the 2/3-rule mask of :func:`dealias_solve`; it is
-    always on.  The grid also owns a complex work buffer for the derivative
-    helpers, allocated on first use; a grid is therefore not for concurrent
-    use from several threads.
+    always on.  The grid also owns work arrays for the spectral helpers,
+    allocated on first use, so that a step allocates no spectral or stacked
+    temporary; a grid is therefore not for concurrent use from threads.
     """
 
     nx: int
@@ -149,12 +145,12 @@ class Grid:
             ),
         )
 
-    def _spectral_work(self) -> np.ndarray:
-        """Complex scratch of the shape of ``deriv_multipliers``."""
-        work = self.__dict__.get("_work")
+    def _scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """The grid's work array ``name``, allocated on first use."""
+        work = self.__dict__.get(name)
         if work is None:
-            work = np.empty_like(self.deriv_multipliers)
-            object.__setattr__(self, "_work", work)
+            work = np.empty(shape, dtype)
+            object.__setattr__(self, name, work)
         return work
 
     # -- field constructors -------------------------------------------------
@@ -271,9 +267,19 @@ def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
     """
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    g = rhs.grid
-    spec = _rfft2(rhs.values)
+    return ScalarField(rhs.grid, _dealias_solve_stack((rhs,), (a,))[0].copy())
+
+
+def _dealias_solve_stack(fields, coefficients) -> np.ndarray:
+    """:func:`dealias_solve` of one or two fields, each with its own
+    coefficient, in one transform pair; the solutions are the grid's real
+    work array, which the next call overwrites."""
+    g, m = fields[0].grid, len(fields)
+    real = g._scratch("_real_work", (2, g.nx, g.ny), float)[:m]
+    np.stack([f.values for f in fields], out=real)
+    spec = _rfft2(real, out=g._scratch("_work", g.deriv_multipliers.shape, complex)[:m])
     spec *= g.dealias_mask
-    if a != 0.0:
-        spec /= 1.0 + a * g.k2
-    return ScalarField(g, _irfft2(spec, g.ny))
+    for row, a in zip(spec, coefficients):
+        if a != 0.0:
+            row /= 1.0 + a * g.k2
+    return _irfft2(spec, g.ny, out=real)

@@ -401,6 +401,16 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert err.count(path) == 1, err
 
 
+def test_cli_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"grid.nx = 16\n# \xff\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config '{path}': ")
+    assert "0xff" in err
+    assert err.count(str(path)) == 1, err
+
+
 def test_cli_invalid_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "grid.nx = 16\n")
     assert main(["run", cfg]) == 2

@@ -39,7 +39,7 @@ from gradflow import (
 )
 
 import oracles
-from gradflow.geometry import truesdell_solve
+from gradflow.geometry import tangential_divergence, truesdell_solve
 
 
 def make_state(n=32, h_amp=0.3, psi_amp=0.1):
@@ -304,6 +304,25 @@ def test_stabilization_explicit_euler_is_zero():
     assert applied(state, ModelVariant.FULL_COUPLED, MOB, model, imex) == (ev.a_h, ev.a_psi)
 
 
+def test_imex_step_damps_each_increment_with_its_own_coefficient():
+    # Both increments share one transform pair; each is still the one-field
+    # dealias_solve with its own coefficient, to the bit.
+    state = make_state()
+    dt = 1e-2
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    assert ev.a_h != ev.a_psi
+    s = step(ev, StepperConfig(dt=dt))
+    for new, old, rate, a in (
+        (s.h, state.h, ev.dth, ev.a_h),
+        (s.psi, state.psi, ev.rhs_psi, ev.a_psi),
+    ):
+        damped = dealias_solve(rate, dt * a).values
+        assert np.array_equal(new.values, old.values + dt * damped)
+        # The damping is not negligible at this dt.
+        undamped = dealias_solve(rate, 0.0).values
+        assert np.abs(damped - undamped).max() > 1e-3 * np.abs(undamped).max()
+
+
 def test_stabilization_auto_values():
     state = make_state()
     c = 2.0
@@ -474,20 +493,41 @@ def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
 
 def _rhs_with_velocity_gradients(ev, model, dv):
     """``rhs_psi`` of the full/material-gauge density equation, rebuilt from
-    the geometry operators and the Truesdell solve with the flat velocity
-    gradients ``dv = (vx_x, vx_y, vy_x, vy_y)``."""
+    the geometry operators and the Truesdell solve with the tangential
+    divergence of the flat velocity gradients ``dv = (vx_x, vx_y, vy_x,
+    vy_y)``."""
     psi, cache = ev.state.psi, ev.cache
     _, _, fpp, fppp = model.derivatives(model.clamp(psi.values)[0])
     grad = VectorField2(*gradient(psi))
     lap = laplace_beltrami(psi, cache).values
     diffusive = (fpp * lap + fppp * covariant_norm_sq(grad, cache).values) / MOB.m_psi
     px, py = grad.x.values, grad.y.values
-    hx, hy = cache.dh.x.values, cache.dh.y.values
+    hx, hy, g = cache.dh.x.values, cache.dh.y.values, cache.g_det.values
     return truesdell_solve(
         diffusive, psi.values, px, py, px * hx + py * hy, ev.dth.values, hx, hy,
-        cache.g_det.values, cache.hfrak.values,
-        v=(ev.v.x.values, ev.v.y.values), dv=dv,
+        g, cache.hfrak.values, v=(ev.v.x.values, ev.v.y.values),
+        div_t=tangential_divergence(*dv, hx, hy, g),
     )
+
+
+def _analytic_velocity_gradients(state, model, sign, third):
+    """Flat gradients ``d_j v_i = phi' psi_i psi_j + phi psi_ij`` of the
+    velocity ``v = phi grad psi``, ``phi = -sign psi f'' / m_x``, with
+    ``third`` in place of ``f'''`` in ``phi'``."""
+    psi = state.psi.values
+    _, _, fpp, _ = model.derivatives(model.clamp(psi)[0])
+    px, py, pxx, pxy, pyy = (s.values for s in derivatives(state.psi))
+    phi = -sign * psi * fpp / MOB.m_x
+    dphi = -sign * (fpp + psi * third) / MOB.m_x
+    v_xy = dphi * px * py + phi * pxy
+    return (dphi * px * px + phi * pxx, v_xy, v_xy, dphi * py * py + phi * pyy)
+
+
+def _third_derivative_off_the_clamp(state, model):
+    """``f'''`` of the clamped density, zero where the clamp acts."""
+    psi = state.psi.values
+    clamped, _ = model.clamp(psi)
+    return np.where(clamped == psi, model.derivatives(clamped)[3], 0.0)
 
 
 @pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[3]])
@@ -501,6 +541,30 @@ def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
     assert np.abs(ev.v.x.values).max() > 1e-2
 
 
+@pytest.mark.parametrize(
+    "variant, model, state, clamps",
+    [
+        (*VARIANT_MODELS[0], make_state(32), False),
+        (*VARIANT_MODELS[3], make_state(32), False),
+        (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.3), clamping_state(), True),
+    ],
+    ids=["full", "material_gauge", "full_clamping"],
+)
+def test_density_rate_takes_the_divergence_of_the_analytic_velocity_gradients(
+    variant, model, state, clamps
+):
+    # evaluate forms the divergence as phi' |grad psi|^2 + phi tr D2 psi; the
+    # kernel applied to the four flat gradients gives the same rate.
+    ev = evaluate(state, variant, MOB, model)
+    sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
+    third = _third_derivative_off_the_clamp(state, model)
+    dv = _analytic_velocity_gradients(state, model, sign, third)
+    expected = _rhs_with_velocity_gradients(ev, model, dv)
+    assert np.abs(ev.rhs_psi.values - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(ev.v.x.values).max() > 1e-2
+    assert (ev.clamp_count > 0) == clamps
+
+
 def test_clamped_points_drop_the_third_derivative_term():
     model = FloryHuggins(1.0, 0.75, 0.3)
     state = clamping_state()
@@ -510,19 +574,14 @@ def test_clamped_points_drop_the_third_derivative_term():
 
     psi = state.psi.values
     clamped, _ = model.clamp(psi)
-    _, _, fpp, fppp = model.derivatives(clamped)
+    fppp = model.derivatives(clamped)[3]
     free = clamped == psi
-    px, py, pxx, pxy, pyy = (s.values for s in derivatives(state.psi))
-    phi = -psi * fpp / MOB.m_x
 
     def rhs(third):
-        # v = phi grad psi, so d_j v_i = phi' psi_i psi_j + phi psi_ij.
-        dphi = -(fpp + psi * third) / MOB.m_x
-        v_xy = dphi * px * py + phi * pxy
-        dv = (dphi * px * px + phi * pxx, v_xy, v_xy, dphi * py * py + phi * pyy)
+        dv = _analytic_velocity_gradients(state, model, 1.0, third)
         return _rhs_with_velocity_gradients(ev, model, dv)
 
-    without = rhs(np.where(free, fppp, 0.0))
+    without = rhs(_third_derivative_off_the_clamp(state, model))
     scale = np.abs(without).max()
     assert np.abs(ev.rhs_psi.values - without).max() <= 1e-12 * scale
     # Keeping f''' at the clamped points would change the rate there only.
@@ -596,13 +655,13 @@ def test_evaluation_keeps_no_second_derivatives():
 
 
 def test_full_imex_step_transform_budget(calls):
-    # One transform pair each for the derivatives of h and of psi and for the
-    # two damped increments; the velocity gradients are analytic.
+    # One transform pair each for the derivatives of h and of psi, and one for
+    # both damped increments; the velocity divergence is analytic.
     state = make_state(16)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
     step(ev, StepperConfig(dt=1e-4))
     assert calls["build_cache"] == 1
-    assert calls["fft"] == 8
+    assert calls["fft"] == 6
 
 
 def test_normal_only_explicit_step_transform_budget(calls):
@@ -610,4 +669,4 @@ def test_normal_only_explicit_step_transform_budget(calls):
     stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
     step(evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)), stepper)
     assert calls["build_cache"] == 1
-    assert calls["fft"] == 8
+    assert calls["fft"] == 6
