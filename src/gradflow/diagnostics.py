@@ -71,16 +71,17 @@ def record(
     """
     state, mobilities = ev.state, ev.mobilities
     cache = ev.cache
-    u = surface_integral(ScalarField(state.grid, ev.f), cache)
-    mass = surface_integral(state.psi, cache)
 
     # A state whose rates overflow is recorded as it is; the step from it aborts.
     with np.errstate(**_QUIET):
+        sqrt_g = cache.sqrt_g.values  # one area element for the four integrals
+        u = surface_integral(ScalarField(state.grid, ev.f), cache, sqrt_g)
+        mass = surface_integral(state.psi, cache, sqrt_g)
         v_sq = covariant_norm_sq(ev.v, cache).values + ev.dth.values**2 / cache.g_det.values
         q_sq = covariant_norm_sq(ev.flux(), cache)
         dissipation_rhs = -(
-            mobilities.m_x * surface_integral(ScalarField(state.grid, v_sq), cache)
-            + mobilities.m_psi * surface_integral(q_sq, cache)
+            mobilities.m_x * surface_integral(ScalarField(state.grid, v_sq), cache, sqrt_g)
+            + mobilities.m_psi * surface_integral(q_sq, cache, sqrt_g)
         )
 
     if prev is None:

@@ -18,6 +18,9 @@ The surface tension is the Legendre-type combination
 Out-of-domain FloryHuggins arguments are clamped to ``[eps, 1-eps]`` with
 ``eps = 1e-10``; clamping is never silent -- :meth:`EnergyModel.clamp`
 returns the number of affected grid points with the clamped values.
+
+Both write to caller-supplied arrays when given them, so that the flow
+evaluation forms them in the grid's work arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ __all__ = [
 CLAMP_EPS = 1e-10
 
 
+def _outputs(psi, out) -> tuple[np.ndarray, ...]:
+    """The four arrays of ``out``, new when it is absent."""
+    return tuple(np.empty((4,) + np.shape(psi)) if out is None else out)
+
+
 class EnergyModel:
     """Base class for energy-density presets.
 
@@ -49,8 +57,10 @@ class EnergyModel:
     are already inside the model's domain.  Models are immutable values.
     """
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(f, f', f'', f''')`` at in-domain values."""
+    def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
+        """``(f, f', f'', f''')`` at in-domain values, written to the four
+        arrays of ``out`` (new when absent), none of which may be ``psi``.
+        FloryHuggins uses one array of ``work``."""
         raise NotImplementedError
 
     def density(self, psi: np.ndarray, order: int) -> np.ndarray:
@@ -59,8 +69,10 @@ class EnergyModel:
             raise ValueError(f"derivative order must be in 0..3, got {order}")
         return self.derivatives(psi)[order]
 
-    def clamp(self, psi: np.ndarray) -> tuple[np.ndarray, int]:
-        """Return (domain-valid values, number of clamped points)."""
+    def clamp(self, psi: np.ndarray, out=None) -> tuple[np.ndarray, int]:
+        """Return (domain-valid values, number of clamped points); the values
+        are ``psi`` itself where nothing is clamped, else written to ``out``
+        (new when absent)."""
         return psi, 0
 
     def count_violations(self, psi: np.ndarray) -> int:
@@ -77,13 +89,12 @@ class Constant(EnergyModel):
         if not (self.c > 0.0):
             raise ValueError(f"Constant energy requires c > 0, got {self.c}")
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (
-            np.full_like(psi, self.c),
-            np.zeros_like(psi),
-            np.zeros_like(psi),
-            np.zeros_like(psi),
-        )
+    def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
+        f, f1, f2, f3 = _outputs(psi, out)
+        f.fill(self.c)
+        for a in (f1, f2, f3):
+            a.fill(0.0)
+        return f, f1, f2, f3
 
 
 @dataclass(frozen=True)
@@ -92,13 +103,13 @@ class Linear(EnergyModel):
 
     c: float = 1.0
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (
-            self.c * psi,
-            np.full_like(psi, self.c),
-            np.zeros_like(psi),
-            np.zeros_like(psi),
-        )
+    def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
+        f, f1, f2, f3 = _outputs(psi, out)
+        np.multiply(self.c, psi, out=f)
+        f1.fill(self.c)
+        f2.fill(0.0)
+        f3.fill(0.0)
+        return f, f1, f2, f3
 
 
 @dataclass(frozen=True)
@@ -111,13 +122,14 @@ class Quadratic(EnergyModel):
         if not (self.c > 0.0):
             raise ValueError(f"Quadratic energy requires c > 0, got {self.c}")
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (
-            0.5 * self.c * psi * psi,
-            self.c * psi,
-            np.full_like(psi, self.c),
-            np.zeros_like(psi),
-        )
+    def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
+        f, f1, f2, f3 = _outputs(psi, out)
+        np.multiply(0.5 * self.c, psi, out=f)
+        f *= psi
+        np.multiply(self.c, psi, out=f1)
+        f2.fill(self.c)
+        f3.fill(0.0)
+        return f, f1, f2, f3
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,10 @@ class FloryHuggins(EnergyModel):
         if not (self.beta > 0.0):
             raise ValueError(f"FloryHuggins requires beta > 0, got {self.beta}")
 
-    def clamp(self, psi: np.ndarray) -> tuple[np.ndarray, int]:
+    def clamp(self, psi: np.ndarray, out=None) -> tuple[np.ndarray, int]:
         n = self.count_violations(psi)
         if n:
-            return np.clip(psi, CLAMP_EPS, 1.0 - CLAMP_EPS), n
+            return np.clip(psi, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out), n
         return psi, 0
 
     def count_violations(self, psi: np.ndarray) -> int:
@@ -151,17 +163,39 @@ class FloryHuggins(EnergyModel):
 
     density = EnergyModel.density  # own entry: perfbench/spans.py traces this name
 
-    def derivatives(self, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        # Each logarithm is evaluated once for f and f', and p q once for all.
+    def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
+        # Each logarithm is evaluated once for f and f', and p q once for all;
+        # the outputs hold q and the logarithms until their own turn.
+        f, f1, f2, f3 = _outputs(psi, out)
+        pq = np.empty_like(psi) if work is None else work[0]
         p = psi
-        q = 1.0 - p
-        log_p, log_q, pq = np.log(p), np.log(q), p * q
-        return (
-            self.sigma0 + self.beta * (p * log_p + q * log_q) + self.chi * pq,
-            self.beta * (log_p - log_q) + self.chi * (1.0 - 2.0 * p),
-            self.beta / pq - 2.0 * self.chi,
-            self.beta * (2.0 * p - 1.0) / (pq * pq),
-        )
+        q = np.subtract(1.0, p, out=f3)
+        log_p = np.log(p, out=f1)
+        log_q = np.log(q, out=f2)
+        np.multiply(p, q, out=pq)
+        # f = sigma0 + beta (p log p + q log q) + chi p q
+        np.multiply(p, log_p, out=f)
+        q *= log_q
+        f += q
+        f *= self.beta
+        f += self.sigma0
+        f += np.multiply(self.chi, pq, out=f3)
+        # f' = beta (log p - log q) + chi (1 - 2 p)
+        log_p -= log_q
+        f1 *= self.beta
+        np.multiply(2.0, p, out=f2)
+        np.subtract(1.0, f2, out=f2)
+        f2 *= self.chi
+        f1 += f2
+        # f''' = beta (2 p - 1) / (p q)^2
+        np.multiply(2.0, p, out=f3)
+        f3 -= 1.0
+        f3 *= self.beta
+        f3 /= np.multiply(pq, pq, out=f2)
+        # f'' = beta / (p q) - 2 chi
+        np.divide(self.beta, pq, out=f2)
+        f2 -= 2.0 * self.chi
+        return f, f1, f2, f3
 
 
 def total_energy(model: EnergyModel, psi: ScalarField, cache: GeometryCache) -> float:

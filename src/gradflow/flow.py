@@ -37,9 +37,13 @@ psi`` in the surface metric, formed pointwise from the derivatives of
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
-read the resulting :class:`Evaluation`.  Time stepping is first-order:
-plain explicit Euler, or a stabilized semi-implicit variant (IMEX1) in which
-the update increment is damped by ``1/(1 + dt * a * |k|^2)`` mode-by-mode.
+read the resulting :class:`Evaluation`.  The evaluation allocates only the
+arrays it keeps and forms its intermediates in the grid's five work arrays,
+so a step's working set does not grow with the number of terms.
+
+Time stepping is first-order: plain explicit Euler, or a stabilized
+semi-implicit variant (IMEX1) in which the update increment is damped by
+``1/(1 + dt * a * |k|^2)`` mode-by-mode.
 The damping coefficients are the grid maxima of the linearized diffusion
 coefficients of the state, which every evaluation carries; the damping
 leaves any zero right-hand side exactly zero, so static states stay frozen
@@ -66,7 +70,7 @@ from .spectral import (
     ScalarField,
     VectorField2,
     _dealias_solve_stack,
-    derivatives,
+    _derivative_stack,
 )
 
 __all__ = [
@@ -227,59 +231,108 @@ def evaluate(
     |grad psi|^2 + phi tr D2 psi`` in the surface metric, from terms at
     hand.  Where the clamp acts, ``f''`` of the clamped density does
     not vary with ``psi``, and ``phi'`` has no ``f'''`` term there.
+
+    Only the twelve arrays the :class:`Evaluation` keeps are allocated;
+    every intermediate is formed with ``out=`` ufuncs in the grid's five
+    work arrays (:meth:`Grid._work`), which the next evaluation or step
+    overwrites.
     """
     _require_quadratic(variant, energy)
     grid = state.grid
     m_x, m_psi = mobilities.m_x, mobilities.m_psi
+    sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
+    r = m_psi / m_x
+    psi = state.psi.values
     with np.errstate(**_QUIET):
         cache = build_cache(state.h)
-        px, py, pxx, pxy, pyy = (f.values for f in derivatives(state.psi))
-        psi = state.psi.values
-        clamped, n = energy.clamp(psi)
-        f0, f1, fpp, fppp = energy.derivatives(clamped)
         hx, hy = cache.dh.x.values, cache.dh.y.values
         g, hfrak = cache.g_det.values, cache.hfrak.values
 
-        # Each array is released once nothing reads it (``del``): fewer live
-        # full-grid arrays lower the peak RSS and the page faults at 256^2.
-        sigma = f0 - clamped * f1
-        del f1
-        sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
-        dth = g * sigma * hfrak * (sign / m_x)
-        r = m_psi / m_x
-        amp = 1.0 + psi * psi * r
+        # Only the arrays the evaluation keeps are new.  Each intermediate is
+        # formed in one of the grid's five work arrays ``w``, or in a kept
+        # array before its own value is due.
+        w = _derivative_stack(state.psi, 5, out=grid._work())
+        px, py = w[:2].copy()
+        trace = hessian_trace(*w[2:], hx, hy, g, out=w[0], work=w[1:2])
+        p_dh = np.multiply(px, hx, out=w[1])
+        p_dh += np.multiply(py, hy, out=w[2])
+        grad_sq = covariant_square(px, py, p_dh, g, out=w[2], work=w[3:4])
+        clamped, n = energy.clamp(psi, out=w[3])
 
-        a_h = float(np.max(np.abs(sigma))) / m_x
-        a_psi = max(0.0, float(np.max(amp * fpp))) / m_psi
+        f0, fpp, dth, rhs = (np.empty_like(psi) for _ in range(4))
+        v = np.empty((2,) + psi.shape)
+        # f' is formed in dth, where it becomes sigma = f - psi f' and then the
+        # height rate; f''' is formed in v[1], which the velocity overwrites.
+        _, sigma, _, fppp = energy.derivatives(clamped, out=(f0, dth, fpp, v[1]), work=w[4:])
+        sigma *= clamped
+        np.subtract(f0, sigma, out=sigma)
+        a_h = float(np.abs(sigma, out=w[4]).max()) / m_x
+        amp = np.multiply(psi, psi, out=w[4])
+        amp *= r
+        amp += 1.0
+        amp_fpp = np.multiply(amp, fpp, out=rhs)
+        a_psi = max(0.0, float(amp_fpp.max())) / m_psi
 
-        if variant is ModelVariant.NORMAL_ONLY:
-            v = VectorField2(grid.zeros(), grid.zeros())
-        else:
-            phi = psi * fpp * (-sign / m_x)
-            v = VectorField2(ScalarField(grid, phi * px), ScalarField(grid, phi * py))
-
-        p_dh = px * hx + py * hy
-        grad_sq = covariant_square(px, py, p_dh, g)
-        trace = hessian_trace(pxx, pxy, pyy, hx, hy, g)
-        del pxx, pxy, pyy
         if variant is ModelVariant.VELOCITY_SUBSTITUTED:
-            rhs = (
-                amp * fpp * trace
-                + (amp * fppp + 2.0 * psi * r * fpp) * grad_sq
-                + (r * (sigma - psi * psi * fpp) - fpp) * p_dh * hfrak
-                + g * psi * r * sigma * hfrak * hfrak
-            ) / m_psi
+            # rhs = (amp f'' trace + (amp f''' + 2 psi r f'') grad_sq
+            #        + (r (sigma - psi^2 f'') - f'') p_dh hfrak
+            #        + g psi r sigma hfrak^2) / m_psi, summed term by term.
+            rhs *= trace
+            t, term = w[3], np.multiply(amp, fppp, out=fppp)
+            np.multiply(2.0, psi, out=t)
+            t *= r
+            t *= fpp
+            term += t
+            term *= grad_sq
+            rhs += term
+            np.multiply(psi, psi, out=t)
+            t *= fpp
+            np.subtract(sigma, t, out=t)
+            t *= r
+            t -= fpp
+            t *= p_dh
+            t *= hfrak
+            rhs += t
+            np.multiply(g, psi, out=t)
+            for factor in (r, sigma, hfrak, hfrak):
+                t *= factor
+            rhs += t
+            rhs /= m_psi
+
+        np.multiply(g, sigma, out=dth)
+        dth *= hfrak
+        dth *= sign / m_x
+
+        div_t = None
+        if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
+            # The diffusive rate (f'' (trace - p_dh hfrak) + f''' grad_sq) / m_psi.
+            np.multiply(fppp, grad_sq, out=rhs)
+            t = np.multiply(p_dh, hfrak, out=w[4])
+            np.subtract(trace, t, out=t)
+            np.multiply(fpp, t, out=t)
+            np.add(t, rhs, out=rhs)
+            rhs /= m_psi
+        if variant is ModelVariant.NORMAL_ONLY:
+            v.fill(0.0)
         else:
-            del sigma, amp
-            diffusive = (fpp * (trace - p_dh * hfrak) + fppp * grad_sq) / m_psi
-            v_flat = div_t = None
-            if variant is not ModelVariant.NORMAL_ONLY:
-                fppp = np.where(clamped == psi, fppp, 0.0) if n else fppp
-                div_t = (fpp + psi * fppp) * (-sign / m_x) * grad_sq + phi * trace
-                del phi
-                v_flat = (v.x.values, v.y.values)
-            del trace, grad_sq, fppp
-            rhs = truesdell_solve(diffusive, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v_flat, div_t)
+            phi = np.multiply(psi, fpp, out=w[4])
+            phi *= -sign / m_x
+            if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
+                # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
+                if n:
+                    np.copyto(fppp, 0.0, where=clamped != psi)
+                div_t = np.multiply(psi, fppp, out=fppp)
+                np.add(fpp, div_t, out=div_t)
+                div_t *= -sign / m_x
+                div_t = np.multiply(div_t, grad_sq, out=grad_sq)
+                div_t += np.multiply(phi, trace, out=trace)
+            np.multiply(phi, px, out=v[0])
+            np.multiply(phi, py, out=v[1])
+        if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
+            truesdell_solve(
+                rhs, psi, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else v,
+                div_t, out=rhs, work=(w[0], w[3], w[4]),
+            )
 
     return Evaluation(
         state=state,
@@ -291,7 +344,7 @@ def evaluate(
         f=f0,
         fpp=fpp,
         dth=ScalarField(grid, dth),
-        v=v,
+        v=VectorField2(ScalarField(grid, v[0]), ScalarField(grid, v[1])),
         rhs_psi=ScalarField(grid, rhs),
         a_h=a_h,
         a_psi=a_psi,

@@ -13,6 +13,11 @@ to pointwise algebra on spectrally computed derivatives.  The conventions:
 Vector fields on the surface are handled through their flat (component)
 representation ``v = (v_x, v_y)``; the corresponding ambient tangent vector
 is recovered by :func:`reconstruct_velocity`.
+
+The pointwise kernels write into an ``out`` array with caller-supplied work
+arrays, so that :func:`build_cache` and :func:`gradflow.flow.evaluate` form
+their intermediates in the grid's five work arrays; the operators on fields
+let them allocate.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField2,
+    _derivative_stack,
     derivatives,
     gradient,
     integrate,
@@ -53,28 +59,70 @@ __all__ = [
 # derivatives the caller already holds, the height slopes ``hx, hy`` and the
 # metric determinant ``g``.  The operators below and ``flow.evaluate`` call
 # them, so the oracle tests of the operators check the solver's arithmetic.
-# Each expression keeps its operation order: output bytes depend on it.
+# Each kernel writes its result to ``out`` and uses the arrays of ``work``
+# for its intermediates; either is new when not given, and neither may be an
+# input unless the kernel says so.  Each expression keeps its operation
+# order, one ufunc per operation: output bytes depend on it.
 
 
-def hessian_trace(fxx, fxy, fyy, hx, hy, g):
-    """Metric trace of a flat Hessian, ``fxx + fyy - dh.D2f.dh / |g|``."""
-    return fxx + fyy - (hx * hx * fxx + 2.0 * hx * hy * fxy + hy * hy * fyy) / g
+def _buffers(like, out, work, k):
+    """``out`` and ``k`` work arrays shaped like ``like``, new where absent."""
+    if out is None:
+        out = np.empty(np.shape(like))
+    if work is None:
+        work = np.empty((k,) + np.shape(like))
+    return out, work[:k]
 
 
-def covariant_square(ax, ay, a_dh, g):
+def hessian_trace(fxx, fxy, fyy, hx, hy, g, out=None, work=None):
+    """Metric trace of a flat Hessian, ``fxx + fyy - dh.D2f.dh / |g|``; one
+    work array."""
+    out, (t,) = _buffers(g, out, work, 1)
+    np.multiply(hx, hx, out=out)
+    out *= fxx
+    np.multiply(2.0, hx, out=t)
+    t *= hy
+    t *= fxy
+    out += t
+    np.multiply(hy, hy, out=t)
+    t *= fyy
+    out += t
+    out /= g
+    np.add(fxx, fyy, out=t)
+    return np.subtract(t, out, out=out)
+
+
+def covariant_square(ax, ay, a_dh, g, out=None, work=None):
     """Squared surface norm of flat components ``a`` given ``a_dh = a.dh``:
-    ``a.a - (a.dh)^2 / |g|``."""
-    return ax * ax + ay * ay - a_dh * a_dh / g
+    ``a.a - (a.dh)^2 / |g|``; one work array."""
+    out, (t,) = _buffers(g, out, work, 1)
+    np.multiply(ax, ax, out=out)
+    np.multiply(ay, ay, out=t)
+    out += t
+    np.multiply(a_dh, a_dh, out=t)
+    t /= g
+    return np.subtract(out, t, out=out)
 
 
-def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g):
+def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g, out=None, work=None):
     """Surface divergence of the tangent field with flat components ``v``,
-    from their flat gradients: ``vx_x + vy_y - dh.Dv.dh / |g|``."""
-    dh_dv_dh = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
-    return vx_x + vy_y - dh_dv_dh / g
+    from their flat gradients: ``vx_x + vy_y - dh.Dv.dh / |g|``; one work
+    array."""
+    out, (t,) = _buffers(g, out, work, 1)
+    np.multiply(hx, vx_x, out=out)
+    out *= hx
+    for a, b, c in ((hx, vy_x, hy), (hy, vx_y, hx), (hy, vy_y, hy)):
+        np.multiply(a, b, out=t)
+        t *= c
+        out += t
+    out /= g
+    np.add(vx_x, vy_y, out=t)
+    return np.subtract(t, out, out=out)
 
 
-def truesdell_solve(rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_t=None):
+def truesdell_solve(
+    rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_t=None, out=None, work=None
+):
     """Time derivative of a surface density whose Truesdell rate is ``rate``.
 
     The Truesdell rate is ``dtpsi - T dth + psi div_t + v.(dpsi - T dh)``
@@ -83,12 +131,24 @@ def truesdell_solve(rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_
     ``p_dh`` its projection on ``dh``; ``dth`` is the height rate.  ``v``
     holds the flat tangential velocity and ``div_t`` its
     :func:`tangential_divergence`; without them the velocity terms vanish.
+    Three work arrays; ``out`` may be ``rate``.
     """
-    transport = psi * hfrak + p_dh / g
-    out = transport * dth + rate
+    out, (transport, t, u) = _buffers(psi, out, work, 3)
+    np.multiply(psi, hfrak, out=transport)
+    np.divide(p_dh, g, out=t)
+    transport += t
+    np.multiply(transport, dth, out=t)
+    np.add(t, rate, out=out)
     if v is not None:
         vx, vy = v
-        out = out - psi * div_t - (vx * (px - transport * hx) + vy * (py - transport * hy))
+        np.multiply(psi, div_t, out=t)
+        out -= t
+        for a, p, h, prod in ((vx, px, hx, t), (vy, py, hy, u)):
+            np.multiply(transport, h, out=prod)
+            np.subtract(p, prod, out=prod)
+            np.multiply(a, prod, out=prod)
+        t += u
+        out -= t
     return out
 
 
@@ -101,18 +161,25 @@ class GeometryCache:
     """Derivatives of the height field and derived metric quantities.
 
     Built once per height field (typically once per time step) and shared by
-    every geometric operator evaluated against that surface.
+    every geometric operator evaluated against that surface.  It stores the
+    slopes, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the mean
+    curvature and the normal are computed on demand, as only the surface
+    integrals of a record and the operators read them.
     """
 
     h: ScalarField
     dh: VectorField2
     g_det: ScalarField
-    sqrt_g: ScalarField
     hfrak: ScalarField
 
     @property
     def grid(self) -> Grid:
         return self.h.grid
+
+    @property
+    def sqrt_g(self) -> ScalarField:
+        """Area element ``sqrt(|g|)``."""
+        return ScalarField(self.grid, np.sqrt(self.g_det.values))
 
     @property
     def mean_curv(self) -> ScalarField:
@@ -140,21 +207,22 @@ def build_cache(h: ScalarField) -> GeometryCache:
     """
     h.check_finite("height field")
     grid = h.grid
-    hx, hy, hxx, hxy, hyy = (f.values for f in derivatives(h))
+    # The derivatives land in the grid's work arrays; the slopes, which the
+    # cache keeps, are copied out of them.
+    work = _derivative_stack(h, 5, out=grid._work())
+    hx, hy = work[:2].copy()
 
-    g_det = 1.0 + hx * hx + hy * hy
-    sqrt_g = np.sqrt(g_det)
-    hfrak = hessian_trace(hxx, hxy, hyy, hx, hy, g_det) / g_det
+    g_det = np.multiply(hx, hx)
+    g_det += 1.0
+    g_det += np.multiply(hy, hy, out=work[0])
+    hfrak = hessian_trace(*work[2:], hx, hy, g_det, work=work[:1])
+    hfrak /= g_det
     if not np.all(np.isfinite(hfrak)):
         raise FloatingPointError("curvature evaluation produced non-finite values")
 
     wrap = lambda v: ScalarField(grid, v)
     return GeometryCache(
-        h=h,
-        dh=VectorField2(wrap(hx), wrap(hy)),
-        g_det=wrap(g_det),
-        sqrt_g=wrap(sqrt_g),
-        hfrak=wrap(hfrak),
+        h=h, dh=VectorField2(wrap(hx), wrap(hy)), g_det=wrap(g_det), hfrak=wrap(hfrak)
     )
 
 
@@ -232,6 +300,13 @@ def reconstruct_velocity(
     )
 
 
-def surface_integral(f: ScalarField, cache: GeometryCache) -> float:
-    """Integral of a scalar over the curved surface (area weight included)."""
-    return integrate(ScalarField(f.grid, f.values * cache.sqrt_g.values))
+def surface_integral(
+    f: ScalarField, cache: GeometryCache, sqrt_g: np.ndarray | None = None
+) -> float:
+    """Integral of a scalar over the curved surface (area weight included).
+
+    ``sqrt_g`` is the cache's area element, for a caller that integrates
+    several fields and forms it once; it is computed here when absent.
+    """
+    area = cache.sqrt_g.values if sqrt_g is None else sqrt_g
+    return integrate(ScalarField(f.grid, f.values * area))

@@ -171,17 +171,23 @@ def simulate(
         take_snapshots(state, 0)
         for i in range(1, n_steps + 1):
             clamp_count += ev.clamp_count
+            last_valid = ev.state
             try:
                 state = step(ev, stepper)
-            except SolverAbort as exc:
+                ev = None  # release the old evaluation before the next is built
+                ev = evaluate(state, variant, mobilities, energy)
+            except (SolverAbort, FloatingPointError) as exc:
+                # A step can leave finite fields whose geometry overflows: then
+                # the evaluation of the new state fails, and the run ends at
+                # the last state whose evaluation was finite.
                 aborted = True
                 abort_message = str(exc)
-                state = exc.last_valid
+                if not isinstance(exc, SolverAbort):
+                    abort_message += f" after step {i} (t = {state.t:.6g}); aborting"
+                state = last_valid
                 if out is not None:
                     write_snapshot(state, out / "last_valid.sgf")
                 break
-            ev = None  # release the old evaluation before the next is built
-            ev = evaluate(state, variant, mobilities, energy)
             if should_record(i):
                 take_record(ev)
             take_snapshots(state, i)

@@ -62,13 +62,32 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
     return np.fft.irfft(spec, n=ny, axis=-1, out=out)
 
 
-def _derivative_stack(f: "ScalarField", multipliers: np.ndarray) -> np.ndarray:
-    """Inverse transforms of ``multipliers * rfft2(f)``, one per multiplier,
-    formed in the grid's complex work array; the returned stack is new."""
+def _derivative_stack(
+    f: "ScalarField", n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(f_x, f_y)`` (``n = 2``) or ``(f_x, f_y, f_xx, f_xy, f_yy)`` (``n =
+    5``) as one stack, from one forward and one inverse transform, written to
+    ``out`` (new if absent).
+
+    Each row of the grid's spectral work array is the spectrum times a
+    per-axis factor of :attr:`Grid.deriv_factors`; the mixed multiplier
+    ``-kx ky`` is formed in its row.  The last row holds the spectrum until
+    its own turn.
+    """
     g = f.grid
-    work = g._scratch("_work", g.deriv_multipliers.shape, complex)[: len(multipliers)]
-    np.multiply(multipliers, _rfft2(f.values), out=work)
-    return _irfft2(work, g.ny)
+    ikx, iky, kxx, kyy = g.deriv_factors
+    work = g._spectral_work()[:n]
+    spec = _rfft2(f.values, out=work[-1])
+    np.multiply(ikx, spec, out=work[0])
+    if n == 2:
+        spec *= iky
+    else:
+        np.multiply(iky, spec, out=work[1])
+        np.multiply(kxx, spec, out=work[2])
+        np.multiply(-g.kx, g.ky, out=work[3])
+        work[3] *= spec
+        spec *= kyy
+    return _irfft2(work, g.ny, out=out)
 
 
 @dataclass(frozen=True)
@@ -83,9 +102,16 @@ class Grid:
         Domain extents, finite and positive; default ``2 * pi`` each.
 
     ``dealias_mask`` is the 2/3-rule mask of :func:`dealias_solve`; it is
-    always on.  The grid also owns work arrays for the spectral helpers,
-    allocated on first use, so that a step allocates no spectral or stacked
-    temporary; a grid is therefore not for concurrent use from threads.
+    always on.  ``deriv_factors`` holds the per-axis derivative multipliers
+    ``(1j kx, 1j ky, -kx^2, -ky^2)`` as vectors; no full multiplier array
+    is stored.
+
+    The grid owns two work stacks, allocated on first use: five half
+    spectra for the transforms (:meth:`_spectral_work`), and five real
+    ``(nx, ny)`` arrays (:meth:`_work`) in which the stacked solve and
+    :func:`gradflow.flow.evaluate` form every intermediate.  A state's
+    evaluation and step therefore allocate only the arrays they return, and
+    a grid is not for concurrent use from threads.
     """
 
     nx: int
@@ -124,26 +150,18 @@ class Grid:
         # Full |k|^2 (Nyquist included) for Helmholtz-type solves.
         set_attr(self, "k2", kx * kx + ky * ky)
 
+        # Per-axis derivative factors.  ``1j * k`` is multiplied by 1.0, which
+        # makes its real parts +0: the signed zeros of the derivatives of a
+        # constant field depend on it.
+        set_attr(
+            self,
+            "deriv_factors",
+            (1j * kx_d * 1.0, 1j * ky_d * 1.0, -kx_d * kx_d, -ky_d * ky_d),
+        )
+
         cut_x = (2.0 / 3.0) * (self.nx / 2.0) * (1.0 + 1e-12)
         cut_y = (2.0 / 3.0) * (self.ny / 2.0) * (1.0 + 1e-12)
         set_attr(self, "dealias_mask", (np.abs(mx) <= cut_x) & (np.abs(my) <= cut_y))
-
-        # Precomputed multiplier stack for the batched derivative helpers,
-        # (d/dx, d/dy, dxx, dxy, dyy); the gradient uses its first two.
-        one = np.ones((self.nx, self.ny // 2 + 1))
-        set_attr(
-            self,
-            "deriv_multipliers",
-            np.stack(
-                (
-                    1j * kx_d * one,
-                    1j * ky_d * one,
-                    -kx_d * kx_d * one,
-                    -kx_d * ky_d * one,
-                    -ky_d * ky_d * one,
-                )
-            ),
-        )
 
     def _scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """The grid's work array ``name``, allocated on first use."""
@@ -152,6 +170,14 @@ class Grid:
             work = np.empty(shape, dtype)
             object.__setattr__(self, name, work)
         return work
+
+    def _work(self) -> np.ndarray:
+        """The five real ``(nx, ny)`` work arrays, as one stack."""
+        return self._scratch("_real_work", (5, self.nx, self.ny), float)
+
+    def _spectral_work(self) -> np.ndarray:
+        """Five half spectra, one per derivative of :func:`derivatives`."""
+        return self._scratch("_spec_work", (5, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
 
@@ -233,7 +259,7 @@ class VectorField2:
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
     g = f.grid
-    out = _derivative_stack(f, g.deriv_multipliers[:2])
+    out = _derivative_stack(f, 2)
     return ScalarField(g, out[0]), ScalarField(g, out[1])
 
 
@@ -246,10 +272,9 @@ def derivatives(
     symmetric by construction (a single spectral multiplier).
     """
     g = f.grid
-    out = _derivative_stack(f, g.deriv_multipliers)
-    # The slopes are copied out of the stack: callers keep them (the height
-    # slopes in the geometry cache, the density's in an evaluation) and drop
-    # the second derivatives, which then free the stack.
+    out = _derivative_stack(f, 5)
+    # The slopes are copied out of the stack, so that a caller that keeps
+    # them and drops the second derivatives frees the stack.
     return tuple(ScalarField(g, a) for a in (*out[:2].copy(), *out[2:]))
 
 
@@ -272,12 +297,12 @@ def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
 
 def _dealias_solve_stack(fields, coefficients) -> np.ndarray:
     """:func:`dealias_solve` of one or two fields, each with its own
-    coefficient, in one transform pair; the solutions are the grid's real
-    work array, which the next call overwrites."""
+    coefficient, in one transform pair; the solutions are the first rows of
+    the grid's real work arrays, which the next use overwrites."""
     g, m = fields[0].grid, len(fields)
-    real = g._scratch("_real_work", (2, g.nx, g.ny), float)[:m]
+    real = g._work()[:m]
     np.stack([f.values for f in fields], out=real)
-    spec = _rfft2(real, out=g._scratch("_work", g.deriv_multipliers.shape, complex)[:m])
+    spec = _rfft2(real, out=g._spectral_work()[:m])
     spec *= g.dealias_mask
     for row, a in zip(spec, coefficients):
         if a != 0.0:

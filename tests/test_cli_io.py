@@ -368,6 +368,37 @@ def test_aborted_run_emits_no_floating_point_warnings():
     assert result.aborted and "non-finite" in result.abort_message
 
 
+def quadratic_blowup(dt):
+    """A quadratic-energy explicit run that blows up within 400 steps."""
+    return f"""
+grid.nx = 16
+energy.kind = quadratic
+stepper.scheme = explicit_euler
+stepper.dt = {dt!r}
+run.t_end = {400 * dt!r}
+run.record_every = 1
+initial.psi = 0.25
+"""
+
+
+# At dt = 0.1468 a step leaves finite fields whose curvature overflows, so
+# the evaluation of the new state fails; at the other dt the record of a
+# blowing-up state used to warn of an overflow in its surface integrals.
+BLOWUPS = [quadratic_blowup(0.1468), quadratic_blowup(0.06812920690579612)]
+
+
+@pytest.mark.parametrize("text", BLOWUPS)
+def test_blowup_ends_as_an_abort_at_the_last_finite_evaluation(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate(parse_config(text))
+    assert result.aborted and "non-finite" in result.abort_message
+    last = result.state
+    assert np.all(np.isfinite(last.h.values)) and np.all(np.isfinite(last.psi.values))
+    # The run stops at the state it last evaluated: its record is the last.
+    assert result.records[-1].t == last.t
+
+
 # ---------------------------------------------------------------------------
 # Command-line interface
 
@@ -465,6 +496,20 @@ def test_cli_aborted_run_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ABORTING)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "run aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", BLOWUPS)
+def test_cli_blowup_ends_as_an_abort(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted" in err and "Traceback" not in err
+    assert "status = aborted" in (out / "report.txt").read_text()
+    last = read_snapshot(out / "last_valid.sgf")
+    assert np.all(np.isfinite(last.h.values)) and np.all(np.isfinite(last.psi.values))
+    assert not (out / "final.sgf").exists()
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -670,3 +671,52 @@ def test_normal_only_explicit_step_transform_budget(calls):
     step(evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)), stepper)
     assert calls["build_cache"] == 1
     assert calls["fft"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Working set
+
+
+def _numpy_bytes():
+    """Bytes of the numpy array data alive now."""
+    numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_only]).traces)
+
+
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_evaluation_works_in_the_grid_work_arrays(variant, model):
+    # On a warm state, an evaluation allocates the 12 full-grid arrays it
+    # keeps and forms every intermediate in the grid's work arrays; a step
+    # allocates the new state's two.  The peaks count Python objects too.
+    state = make_state(32)
+    stepper = StepperConfig(dt=1e-4)
+    step(evaluate(state, variant, MOB, model), stepper)  # allocates the work arrays
+    array_bytes = state.h.values.nbytes
+    tracemalloc.start()
+    try:
+        kept_before = _numpy_bytes()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ev = evaluate(state, variant, MOB, model)
+        peak = tracemalloc.get_traced_memory()[1]
+        kept = _numpy_bytes() - kept_before
+        tracemalloc.reset_peak()
+        start_step = tracemalloc.get_traced_memory()[0]
+        step(ev, stepper)
+        peak_step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 12 * array_bytes
+    assert peak - start <= 16 * array_bytes
+    assert peak_step - start_step <= 3 * array_bytes
+
+
+def test_grid_stores_no_derivative_multipliers():
+    # The derivatives multiply the spectrum by per-axis factors; apart from
+    # its two work stacks the grid holds nothing larger than one spectrum.
+    g = make_state(32).grid
+    derivatives(g.from_function(lambda x, y: np.sin(x) * np.cos(y)))
+    work = (g._work(), g._spectral_work())
+    held = [a for v in vars(g).values() for a in (v if isinstance(v, tuple) else (v,))]
+    stored = [a for a in held if isinstance(a, np.ndarray) and not any(a is w for w in work)]
+    assert stored and all(a.size <= g.nx * (g.ny // 2 + 1) for a in stored)

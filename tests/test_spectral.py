@@ -162,7 +162,8 @@ def _plain_transforms(f, a):
     the independent reference."""
     g = f.grid
     spec = scipy.fft.rfft2(f.values)
-    m = g.deriv_multipliers
+    kx, ky, one = g.kx, g.ky, np.ones((g.nx, g.ny // 2 + 1))
+    m = np.stack((1j * kx * one, 1j * ky * one, -kx * kx * one, -kx * ky * one, -ky * ky * one))
 
     def inverse(s):
         return scipy.fft.irfft2(s, s=(g.nx, g.ny), axes=(-2, -1))
