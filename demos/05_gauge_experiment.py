@@ -35,11 +35,11 @@ stepper = StepperConfig(dt=1e-6)
 
 def trajectory(variant):
     state = FlowState(0.0, h0, psi0)
-    energies = [total_energy(model, state.psi, build_cache(state.h))]
+    energies = [total_energy(model, state.psi.values, build_cache(state.h))]
     for i in range(1, 201):
         state = step(evaluate(state, variant, mobilities, model), stepper)
         if i % 20 == 0:
-            energies.append(total_energy(model, state.psi, build_cache(state.h)))
+            energies.append(total_energy(model, state.psi.values, build_cache(state.h)))
     return energies
 
 

@@ -7,6 +7,11 @@ L2 descent, the density by H^-1 descent.  Everything is spectral on a
 uniform periodic grid; time stepping is first order (explicit or
 stabilized semi-implicit).
 
+Samples enter as a :class:`ScalarField` (an array with its grid): the grid's
+constructors, a state's ``h`` and ``psi``, and a snapshot.  Everything
+computed from them -- derivatives, the geometry cache, an evaluation's
+rates, the operators' results -- is a plain array.
+
 Quick start::
 
     from pathlib import Path
@@ -71,7 +76,6 @@ from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .spectral import (
     Grid,
     ScalarField,
-    VectorField2,
     derivatives,
     get_fft_workers,
     gradient,
@@ -86,7 +90,6 @@ __all__ = [
     # spectral
     "Grid",
     "ScalarField",
-    "VectorField2",
     "gradient",
     "derivatives",
     "integrate",

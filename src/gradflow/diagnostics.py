@@ -25,7 +25,6 @@ import numpy as np
 from .flow import _QUIET, Evaluation, ModelVariant
 from .geometry import build_cache  # noqa: F401  (perfbench/spans.py traces this name)
 from .geometry import covariant_norm_sq, surface_integral
-from .spectral import ScalarField
 
 __all__ = [
     "DiagnosticsRecord",
@@ -71,16 +70,17 @@ def record(
     """
     state, mobilities = ev.state, ev.mobilities
     cache = ev.cache
+    h, psi = state.h.values, state.psi.values
 
     # A state whose rates overflow is recorded as it is; the step from it aborts.
     with np.errstate(**_QUIET):
-        sqrt_g = cache.sqrt_g.values  # one area element for the four integrals
-        u = surface_integral(ScalarField(state.grid, ev.f), cache, sqrt_g)
-        mass = surface_integral(state.psi, cache, sqrt_g)
-        v_sq = covariant_norm_sq(ev.v, cache).values + ev.dth.values**2 / cache.g_det.values
+        sqrt_g = cache.sqrt_g  # one area element for the four integrals
+        u = surface_integral(ev.f, cache, sqrt_g)
+        mass = surface_integral(psi, cache, sqrt_g)
+        v_sq = covariant_norm_sq(ev.v, cache) + ev.dth**2 / cache.g_det
         q_sq = covariant_norm_sq(ev.flux(), cache)
         dissipation_rhs = -(
-            mobilities.m_x * surface_integral(ScalarField(state.grid, v_sq), cache, sqrt_g)
+            mobilities.m_x * surface_integral(v_sq, cache, sqrt_g)
             + mobilities.m_psi * surface_integral(q_sq, cache, sqrt_g)
         )
 
@@ -97,10 +97,10 @@ def record(
         energy=u,
         mass=mass,
         mass_error=mass_error,
-        h_min=state.h.min(),
-        h_max=state.h.max(),
-        psi_min=state.psi.min(),
-        psi_max=state.psi.max(),
+        h_min=float(h.min()),
+        h_max=float(h.max()),
+        psi_min=float(psi.min()),
+        psi_max=float(psi.max()),
         dissipation_lhs=dissipation_lhs,
         dissipation_rhs=dissipation_rhs,
         clamp_count=clamp_count,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryCache, surface_integral
-from .spectral import ScalarField
 
 __all__ = [
     "CLAMP_EPS",
@@ -198,8 +197,7 @@ class FloryHuggins(EnergyModel):
         return f, f1, f2, f3
 
 
-def total_energy(model: EnergyModel, psi: ScalarField, cache: GeometryCache) -> float:
+def total_energy(model: EnergyModel, psi: np.ndarray, cache: GeometryCache) -> float:
     """Total surface energy: integral of f(psi) with the area weight, taken
-    at the clamped density."""
-    values, _ = model.clamp(psi.values)
-    return surface_integral(ScalarField(psi.grid, model.derivatives(values)[0]), cache)
+    at the clamped density samples ``psi``."""
+    return surface_integral(model.derivatives(model.clamp(psi)[0])[0], cache)

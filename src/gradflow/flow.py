@@ -39,7 +39,8 @@ A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
 read the resulting :class:`Evaluation`.  The evaluation allocates only the
 arrays it keeps and forms its intermediates in the grid's five work arrays,
-so a step's working set does not grow with the number of terms.
+so a step's working set does not grow with the number of terms.  The state
+holds the two fields; everything evaluated from it is a plain array.
 
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
@@ -65,13 +66,7 @@ from .geometry import (
     hessian_trace,
     truesdell_solve,
 )
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField2,
-    _dealias_solve_stack,
-    _derivative_stack,
-)
+from .spectral import Grid, ScalarField, _dealias_solve_stack, _derivative_stack
 
 __all__ = [
     "ModelVariant",
@@ -173,7 +168,9 @@ class Evaluation:
     """Everything the flow needs from one state, built by :func:`evaluate`.
 
     :func:`step` and :func:`gradflow.diagnostics.record` both read it, so a
-    recorded state is evaluated once.  Besides the rates it keeps what the
+    recorded state is evaluated once.  The rates are arrays: ``dth`` and
+    ``rhs_psi`` are ``(nx, ny)``, and the flat tangential velocity ``v`` is
+    ``(2, nx, ny)``, as is :meth:`flux`.  Besides the rates it keeps what the
     record reads: the energy density ``f`` and its second derivative ``fpp``
     at the clamped density, the raw flat gradient ``psi_x, psi_y`` of the
     density, and ``clamp_count``, the number of clamped points.
@@ -189,20 +186,18 @@ class Evaluation:
     clamp_count: int
     f: np.ndarray
     fpp: np.ndarray
-    dth: ScalarField
-    v: VectorField2
-    rhs_psi: ScalarField
+    dth: np.ndarray
+    v: np.ndarray
+    rhs_psi: np.ndarray
     a_h: float
     a_psi: float
 
-    def flux(self) -> VectorField2:
-        """Covariant proxy of the conserved-density flux, ``-f'' grad psi / m_psi``."""
-        grid = self.state.grid
-        factor = -self.fpp / self.mobilities.m_psi
-        return VectorField2(
-            ScalarField(grid, factor * self.psi_x),
-            ScalarField(grid, factor * self.psi_y),
-        )
+    def flux(self) -> np.ndarray:
+        """Covariant proxy of the conserved-density flux, ``-f'' grad psi /
+        m_psi``, as a ``(2, nx, ny)`` stack of flat components."""
+        q = np.stack((self.psi_x, self.psi_y))
+        q *= -self.fpp / self.mobilities.m_psi
+        return q
 
 
 def evaluate(
@@ -245,13 +240,12 @@ def evaluate(
     psi = state.psi.values
     with np.errstate(**_QUIET):
         cache = build_cache(state.h)
-        hx, hy = cache.dh.x.values, cache.dh.y.values
-        g, hfrak = cache.g_det.values, cache.hfrak.values
+        hx, hy, g, hfrak = cache.hx, cache.hy, cache.g_det, cache.hfrak
 
         # Only the arrays the evaluation keeps are new.  Each intermediate is
         # formed in one of the grid's five work arrays ``w``, or in a kept
         # array before its own value is due.
-        w = _derivative_stack(state.psi, 5, out=grid._work())
+        w = _derivative_stack(grid, psi, 5, out=grid._work())
         px, py = w[:2].copy()
         trace = hessian_trace(*w[2:], hx, hy, g, out=w[0], work=w[1:2])
         p_dh = np.multiply(px, hx, out=w[1])
@@ -343,9 +337,9 @@ def evaluate(
         clamp_count=n,
         f=f0,
         fpp=fpp,
-        dth=ScalarField(grid, dth),
-        v=VectorField2(ScalarField(grid, v[0]), ScalarField(grid, v[1])),
-        rhs_psi=ScalarField(grid, rhs),
+        dth=dth,
+        v=v,
+        rhs_psi=rhs,
         a_h=a_h,
         a_psi=a_psi,
     )
@@ -395,7 +389,9 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     state = ev.state
     dt = stepper.dt
     with np.errstate(**_QUIET):
-        inc = _dealias_solve_stack((ev.dth, ev.rhs_psi), [dt * a for a in _damping(ev, stepper)])
+        inc = _dealias_solve_stack(
+            state.grid, (ev.dth, ev.rhs_psi), [dt * a for a in _damping(ev, stepper)]
+        )
         inc *= dt
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
 

@@ -16,8 +16,10 @@ is recovered by :func:`reconstruct_velocity`.
 
 The pointwise kernels write into an ``out`` array with caller-supplied work
 arrays, so that :func:`build_cache` and :func:`gradflow.flow.evaluate` form
-their intermediates in the grid's five work arrays; the operators on fields
-let them allocate.
+their intermediates in the grid's five work arrays; the operators let them
+allocate.  Only :func:`build_cache` takes a field, the height; the cache and
+every operator hold and return plain ``(nx, ny)`` arrays, and a tangent
+vector is its ``(2, nx, ny)`` stack of flat components.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField2,
-    _derivative_stack,
-    derivatives,
-    gradient,
-    integrate,
-)
+from .spectral import Grid, ScalarField, _derivative_stack
 
 __all__ = [
     "hessian_trace",
@@ -153,48 +147,41 @@ def truesdell_solve(
 
 
 # ---------------------------------------------------------------------------
-# Surface cache and ScalarField operators
+# Surface cache and operators
 
 
 @dataclass
 class GeometryCache:
-    """Derivatives of the height field and derived metric quantities.
+    """Slopes of the height field and derived metric quantities, as arrays.
 
     Built once per height field (typically once per time step) and shared by
     every geometric operator evaluated against that surface.  It stores the
-    slopes, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the mean
-    curvature and the normal are computed on demand, as only the surface
+    slopes ``hx, hy``, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the
+    mean curvature and the normal are computed on demand, as only the surface
     integrals of a record and the operators read them.
     """
 
-    h: ScalarField
-    dh: VectorField2
-    g_det: ScalarField
-    hfrak: ScalarField
+    grid: Grid
+    hx: np.ndarray
+    hy: np.ndarray
+    g_det: np.ndarray
+    hfrak: np.ndarray
 
     @property
-    def grid(self) -> Grid:
-        return self.h.grid
-
-    @property
-    def sqrt_g(self) -> ScalarField:
+    def sqrt_g(self) -> np.ndarray:
         """Area element ``sqrt(|g|)``."""
-        return ScalarField(self.grid, np.sqrt(self.g_det.values))
+        return np.sqrt(self.g_det)
 
     @property
-    def mean_curv(self) -> ScalarField:
+    def mean_curv(self) -> np.ndarray:
         """Mean curvature ``H = sqrt(|g|) * hfrak``."""
-        return ScalarField(self.grid, self.sqrt_g.values * self.hfrak.values)
+        return self.sqrt_g * self.hfrak
 
     @property
-    def normal(self) -> tuple[ScalarField, ScalarField, ScalarField]:
+    def normal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Upward unit normal ``(-h_x, -h_y, 1) / sqrt(|g|)``."""
-        grid, sqrt_g = self.grid, self.sqrt_g.values
-        return (
-            ScalarField(grid, -self.dh.x.values / sqrt_g),
-            ScalarField(grid, -self.dh.y.values / sqrt_g),
-            ScalarField(grid, 1.0 / sqrt_g),
-        )
+        sqrt_g = self.sqrt_g
+        return -self.hx / sqrt_g, -self.hy / sqrt_g, 1.0 / sqrt_g
 
 
 def build_cache(h: ScalarField) -> GeometryCache:
@@ -205,11 +192,12 @@ def build_cache(h: ScalarField) -> GeometryCache:
     FloatingPointError
         If the height field or any derived quantity is non-finite.
     """
-    h.check_finite("height field")
+    if not np.all(np.isfinite(h.values)):
+        raise FloatingPointError("height field contains non-finite values")
     grid = h.grid
     # The derivatives land in the grid's work arrays; the slopes, which the
     # cache keeps, are copied out of them.
-    work = _derivative_stack(h, 5, out=grid._work())
+    work = _derivative_stack(grid, h.values, 5, out=grid._work())
     hx, hy = work[:2].copy()
 
     g_det = np.multiply(hx, hx)
@@ -219,51 +207,44 @@ def build_cache(h: ScalarField) -> GeometryCache:
     hfrak /= g_det
     if not np.all(np.isfinite(hfrak)):
         raise FloatingPointError("curvature evaluation produced non-finite values")
-
-    wrap = lambda v: ScalarField(grid, v)
-    return GeometryCache(
-        h=h, dh=VectorField2(wrap(hx), wrap(hy)), g_det=wrap(g_det), hfrak=wrap(hfrak)
-    )
+    return GeometryCache(grid, hx, hy, g_det, hfrak)
 
 
-def laplace_beltrami(f: ScalarField, cache: GeometryCache) -> ScalarField:
-    """Surface Laplacian of a scalar on the cached surface."""
-    fx, fy, fxx, fxy, fyy = (s.values for s in derivatives(f))
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det.values)
-    return ScalarField(f.grid, trace - (fx * hx + fy * hy) * cache.hfrak.values)
+def laplace_beltrami(f: np.ndarray, cache: GeometryCache) -> np.ndarray:
+    """Surface Laplacian of the scalar samples ``f`` on the cached surface."""
+    fx, fy, fxx, fxy, fyy = _derivative_stack(cache.grid, f, 5)
+    hx, hy = cache.hx, cache.hy
+    trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det)
+    return trace - (fx * hx + fy * hy) * cache.hfrak
 
 
-def covariant_norm_sq(v: VectorField2, cache: GeometryCache) -> ScalarField:
+def covariant_norm_sq(v: np.ndarray, cache: GeometryCache) -> np.ndarray:
     """Squared surface norm of a tangent vector given by flat components."""
-    vx, vy = v.x.values, v.y.values
-    v_dh = vx * cache.dh.x.values + vy * cache.dh.y.values
-    return ScalarField(v.x.grid, covariant_square(vx, vy, v_dh, cache.g_det.values))
+    vx, vy = v
+    v_dh = vx * cache.hx + vy * cache.hy
+    return covariant_square(vx, vy, v_dh, cache.g_det)
 
 
-def _velocity_gradients(v: VectorField2) -> tuple[np.ndarray, ...]:
-    """``(vx_x, vx_y, vy_x, vy_y)`` as raw arrays."""
-    return tuple(s.values for c in (v.x, v.y) for s in gradient(c))
+def _velocity_gradients(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(vx_x, vx_y, vy_x, vy_y)``."""
+    return tuple(d for c in v for d in _derivative_stack(grid, c, 2))
 
 
-def div_comp_material(
-    v: VectorField2, dth: ScalarField, cache: GeometryCache
-) -> ScalarField:
+def div_comp_material(v: np.ndarray, dth: np.ndarray, cache: GeometryCache) -> np.ndarray:
     """Surface divergence of the material velocity with flat part ``v`` and
     height rate ``dth``."""
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    div_t = tangential_divergence(*_velocity_gradients(v), hx, hy, cache.g_det.values)
-    v_dh = v.x.values * hx + v.y.values * hy
-    return ScalarField(dth.grid, div_t - (dth.values + v_dh) * cache.hfrak.values)
+    (vx, vy), hx, hy = v, cache.hx, cache.hy
+    div_t = tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, cache.g_det)
+    return div_t - (dth + (vx * hx + vy * hy)) * cache.hfrak
 
 
 def truesdell_rate(
-    psi: ScalarField,
-    dtpsi: ScalarField,
-    v: VectorField2,
-    dth: ScalarField,
+    psi: np.ndarray,
+    dtpsi: np.ndarray,
+    v: np.ndarray,
+    dth: np.ndarray,
     cache: GeometryCache,
-) -> ScalarField:
+) -> np.ndarray:
     """Truesdell rate of a surface density: material rate plus dilution.
 
     Vanishing Truesdell rate (up to a surface-divergence flux) is the
@@ -271,42 +252,37 @@ def truesdell_rate(
     conserved.  It is ``dtpsi`` minus the rate :func:`truesdell_solve`
     gives for a vanishing Truesdell rate.
     """
-    px, py = (s.values for s in gradient(psi))
-    hx, hy, g = cache.dh.x.values, cache.dh.y.values, cache.g_det.values
+    px, py = _derivative_stack(cache.grid, psi, 2)
+    hx, hy, g = cache.hx, cache.hy, cache.g_det
     still = truesdell_solve(
-        0.0, psi.values, px, py, px * hx + py * hy, dth.values, hx, hy, g,
-        cache.hfrak.values, v=(v.x.values, v.y.values),
-        div_t=tangential_divergence(*_velocity_gradients(v), hx, hy, g),
+        0.0, psi, px, py, px * hx + py * hy, dth, hx, hy, g, cache.hfrak, v=v,
+        div_t=tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, g),
     )
-    return ScalarField(psi.grid, dtpsi.values - still)
+    return dtpsi - still
 
 
 def reconstruct_velocity(
-    v: VectorField2, dth: ScalarField, cache: GeometryCache
-) -> tuple[ScalarField, ScalarField, ScalarField]:
+    v: np.ndarray, dth: np.ndarray, cache: GeometryCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ambient coordinates of the material velocity of the surface.
 
     The returned vector is the sum of the tangential velocity with flat
     components ``v`` and the normal velocity implied by the height rate.
     """
-    hx, hy = cache.dh.x.values, cache.dh.y.values
-    g = cache.g_det.values
-    s = (dth.values + v.x.values * hx + v.y.values * hy) / g
-    grid = dth.grid
-    return (
-        ScalarField(grid, v.x.values - s * hx),
-        ScalarField(grid, v.y.values - s * hy),
-        ScalarField(grid, s),
-    )
+    (vx, vy), hx, hy = v, cache.hx, cache.hy
+    s = (dth + vx * hx + vy * hy) / cache.g_det
+    return vx - s * hx, vy - s * hy, s
 
 
 def surface_integral(
-    f: ScalarField, cache: GeometryCache, sqrt_g: np.ndarray | None = None
+    f: np.ndarray, cache: GeometryCache, sqrt_g: np.ndarray | None = None
 ) -> float:
-    """Integral of a scalar over the curved surface (area weight included).
+    """Integral of the scalar samples ``f`` over the curved surface (area
+    weight included), by the trapezoidal rule of
+    :func:`gradflow.spectral.integrate`.
 
     ``sqrt_g`` is the cache's area element, for a caller that integrates
     several fields and forms it once; it is computed here when absent.
     """
-    area = cache.sqrt_g.values if sqrt_g is None else sqrt_g
-    return integrate(ScalarField(f.grid, f.values * area))
+    area = cache.sqrt_g if sqrt_g is None else sqrt_g
+    return float((f * area).sum() * cache.grid.cell_area)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import RunConfig, build_grid, check_dt, format_config, initial_state
+from .config import ConfigError, RunConfig, build_grid, check_dt, format_config, initial_state
 from .diagnostics import (
     CompareResult,
     DiagnosticsRecord,
@@ -118,6 +118,12 @@ def simulate(
     dissipation-identity sweep).  When ``out_dir`` is given, outputs are
     written there incrementally so a solver abort still leaves the partial
     series behind.
+
+    Raises
+    ------
+    ConfigError
+        If the initial state cannot be read, or its surface has no finite
+        geometry; nothing is written then.
     """
     t_start = time.perf_counter()
     grid = build_grid(config)
@@ -125,8 +131,13 @@ def simulate(
     stepper = StepperConfig(config.dt, config.scheme)
     energy = config.energy
     variant = config.variant
-    # Read before anything is written: bad initial data leaves no output.
+    # Read and evaluated before anything is written: bad initial data leaves
+    # no output.  One evaluation per state serves its step and its record.
     state = initial_state(config, grid)
+    try:
+        ev = evaluate(state, variant, mobilities, energy)
+    except FloatingPointError as exc:
+        raise ConfigError(f"key 'initial.h': bad initial height: {exc}") from None
     clamp_count = 0  # cumulative over the stepped states
 
     out = Path(out_dir) if out_dir is not None else None
@@ -165,8 +176,6 @@ def simulate(
     aborted = False
     abort_message = None
     try:
-        # One evaluation per state serves its step and its record.
-        ev = evaluate(state, variant, mobilities, energy)
         take_record(ev)
         take_snapshots(state, 0)
         for i in range(1, n_steps + 1):

@@ -6,6 +6,10 @@ operators act in spectral space through real FFTs; nonlinear terms are
 expected to be formed pointwise by the caller and dealiased with the 2/3
 rule afterwards.
 
+A :class:`ScalarField` pairs samples with their grid, and is made only where
+a field enters the program (the grid's constructors, a new state, a
+snapshot).  The helpers take one and return plain ``(nx, ny)`` arrays.
+
 Conventions
 -----------
 * Forward transforms are unnormalized; inverse transforms divide by
@@ -20,14 +24,12 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "Grid",
     "ScalarField",
-    "VectorField2",
     "gradient",
     "derivatives",
     "integrate",
@@ -63,21 +65,20 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _derivative_stack(
-    f: "ScalarField", n: int, out: np.ndarray | None = None
+    g: "Grid", values: np.ndarray, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``(f_x, f_y)`` (``n = 2``) or ``(f_x, f_y, f_xx, f_xy, f_yy)`` (``n =
-    5``) as one stack, from one forward and one inverse transform, written to
-    ``out`` (new if absent).
+    5``) of the samples ``values`` on ``g`` as one stack, from one forward and
+    one inverse transform, written to ``out`` (new if absent).
 
     Each row of the grid's spectral work array is the spectrum times a
     per-axis factor of :attr:`Grid.deriv_factors`; the mixed multiplier
     ``-kx ky`` is formed in its row.  The last row holds the spectrum until
     its own turn.
     """
-    g = f.grid
     ikx, iky, kxx, kyy = g.deriv_factors
     work = g._spectral_work()[:n]
-    spec = _rfft2(f.values, out=work[-1])
+    spec = _rfft2(values, out=work[-1])
     np.multiply(ikx, spec, out=work[0])
     if n == 2:
         spec *= iky
@@ -207,8 +208,8 @@ class Grid:
 
 @dataclass
 class ScalarField:
-    """Real scalar samples on a :class:`Grid`; arithmetic goes through
-    ``values``."""
+    """Real scalar samples on a :class:`Grid`, as they enter the program;
+    what is computed from them is a plain array."""
 
     grid: Grid
     values: np.ndarray
@@ -221,61 +222,26 @@ class ScalarField:
                 f"field shape {self.values.shape} does not match grid {expected}"
             )
 
-    def check_finite(self, label: str = "field") -> "ScalarField":
-        if not np.all(np.isfinite(self.values)):
-            bad = int(np.size(self.values) - np.count_nonzero(np.isfinite(self.values)))
-            raise FloatingPointError(f"{label} contains {bad} non-finite values")
-        return self
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-
-@dataclass
-class VectorField2:
-    """Pair of scalar fields holding the flat components of a surface vector."""
-
-    x: ScalarField
-    y: ScalarField
-
-    def __post_init__(self) -> None:
-        if self.x.grid is not self.y.grid and not self.x.grid.compatible(self.y.grid):
-            raise ValueError("fields live on incompatible grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x.grid
-
-    def __iter__(self) -> Iterator[ScalarField]:
-        return iter((self.x, self.y))
-
 
 # -- spectral operators -----------------------------------------------------
 
 
-def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
+def gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
-    g = f.grid
-    out = _derivative_stack(f, 2)
-    return ScalarField(g, out[0]), ScalarField(g, out[1])
+    f_x, f_y = _derivative_stack(f.grid, f.values, 2)
+    return f_x, f_y
 
 
-def derivatives(
-    f: ScalarField,
-) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField, ScalarField]:
+def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
     One forward transform and one batched inverse transform; ``f_xy`` is
     symmetric by construction (a single spectral multiplier).
     """
-    g = f.grid
-    out = _derivative_stack(f, 5)
+    out = _derivative_stack(f.grid, f.values, 5)
     # The slopes are copied out of the stack, so that a caller that keeps
     # them and drops the second derivatives frees the stack.
-    return tuple(ScalarField(g, a) for a in (*out[:2].copy(), *out[2:]))
+    return (*out[:2].copy(), *out[2:])
 
 
 def integrate(f: ScalarField) -> float:
@@ -283,7 +249,7 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.cell_area)
 
 
-def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
+def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
     """Solve ``(I - a * laplacian) u = rhs`` mode by mode on the modes the
     grid's 2/3-rule mask keeps, in one transform pair.
 
@@ -292,16 +258,16 @@ def dealias_solve(rhs: ScalarField, a: float) -> ScalarField:
     """
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    return ScalarField(rhs.grid, _dealias_solve_stack((rhs,), (a,))[0].copy())
+    return _dealias_solve_stack(rhs.grid, (rhs.values,), (a,))[0].copy()
 
 
-def _dealias_solve_stack(fields, coefficients) -> np.ndarray:
-    """:func:`dealias_solve` of one or two fields, each with its own
+def _dealias_solve_stack(g: Grid, arrays, coefficients) -> np.ndarray:
+    """:func:`dealias_solve` of one or two arrays on ``g``, each with its own
     coefficient, in one transform pair; the solutions are the first rows of
     the grid's real work arrays, which the next use overwrites."""
-    g, m = fields[0].grid, len(fields)
+    m = len(arrays)
     real = g._work()[:m]
-    np.stack([f.values for f in fields], out=real)
+    np.stack(arrays, out=real)
     spec = _rfft2(real, out=g._spectral_work()[:m])
     spec *= g.dealias_mask
     for row, a in zip(spec, coefficients):

@@ -47,7 +47,6 @@ from gradflow import (
     ScalarField,
     Scheme,
     StepperConfig,
-    VectorField2,
     build_cache,
     compare_variants,
     convergence_sweep,
@@ -213,14 +212,12 @@ def test_special_case_exactness():
     cache = build_cache(state.h)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, mob, model)
     v, dth, rhs = ev.v, ev.dth, ev.rhs_psi
-    assert np.all(v.x.values == 0.0) and np.all(v.y.values == 0.0)
-    dthx, dthy = gradient(dth)
-    hx, hy = cache.dh.x.values, cache.dh.y.values
+    assert np.all(v == 0.0)
+    dthx, dthy = gradient(ScalarField(g, dth))
+    hx, hy, sqrt_g = cache.hx, cache.hy, cache.sqrt_g
     mass_rate = integrate(
         ScalarField(
-            g,
-            rhs.values * cache.sqrt_g.values
-            + state.psi.values * (hx * dthx.values + hy * dthy.values) / cache.sqrt_g.values,
+            g, rhs * sqrt_g + state.psi.values * (hx * dthx + hy * dthy) / sqrt_g
         )
     )
     assert abs(mass_rate) <= 1e-10
@@ -260,11 +257,11 @@ def test_material_gauge_can_raise_energy_while_twin_dissipates():
 
     def energies(variant):
         s = FlowState(0.0, h0, psi0)
-        out = [total_energy(model, s.psi, build_cache(s.h))]
+        out = [total_energy(model, s.psi.values, build_cache(s.h))]
         for i in range(1, 201):
             s = step(evaluate(s, variant, mob, model), stepper)
             if i % 20 == 0:
-                out.append(total_energy(model, s.psi, build_cache(s.h)))
+                out.append(total_energy(model, s.psi.values, build_cache(s.h)))
         return out
 
     u_gauge = energies(ModelVariant.MATERIAL_GAUGE_QUADRATIC)
@@ -301,40 +298,36 @@ def test_geometry_operators_converge_against_fd_oracle():
         dth = oracles.dth_fn(xg, yg)
         geo = oracles.FdGeometry(h, dx, dy)
 
-        ff = ScalarField(g, f)
-        pf = ScalarField(g, psi)
-        vf = VectorField2(ScalarField(g, vx), ScalarField(g, vy))
-        dthf = ScalarField(g, dth)
-        dtpf = ScalarField(g, dtpsi)
-        cache = build_cache(ScalarField(g, h))
+        v = np.stack((vx, vy))
+        cache = build_cache(g.from_function(oracles.h_fn))
 
         checks = {
-            "metric_determinant": (cache.g_det.values, geo.g),
-            "curvature_density": (cache.hfrak.values, geo.hfrak),
-            "mean_curvature": (cache.mean_curv.values, geo.mean_curv),
-            "unit_normal_z": (cache.normal[2].values, geo.normal[2]),
+            "metric_determinant": (cache.g_det, geo.g),
+            "curvature_density": (cache.hfrak, geo.hfrak),
+            "mean_curvature": (cache.mean_curv, geo.mean_curv),
+            "unit_normal_z": (cache.normal[2], geo.normal[2]),
             "laplace_beltrami": (
-                laplace_beltrami(ff, cache).values,
+                laplace_beltrami(f, cache),
                 oracles.fd_laplace_beltrami(f, geo),
             ),
             "covariant_grad_sq": (
-                covariant_norm_sq(VectorField2(*gradient(ff)), cache).values,
+                covariant_norm_sq(np.stack(gradient(g.from_function(oracles.f_fn))), cache),
                 oracles.fd_covariant_grad_sq(f, geo),
             ),
             "covariant_norm_sq": (
-                covariant_norm_sq(vf, cache).values,
+                covariant_norm_sq(v, cache),
                 oracles.fd_covariant_norm_sq(vx, vy, geo),
             ),
             "material_divergence": (
-                div_comp_material(vf, dthf, cache).values,
+                div_comp_material(v, dth, cache),
                 oracles.fd_div_comp_material(vx, vy, dth, geo),
             ),
             "truesdell_rate": (
-                truesdell_rate(pf, dtpf, vf, dthf, cache).values,
+                truesdell_rate(psi, dtpsi, v, dth, cache),
                 oracles.fd_truesdell_rate(psi, dtpsi, vx, vy, dth, geo),
             ),
             "surface_integral": (
-                surface_integral(ff, cache),
+                surface_integral(f, cache),
                 oracles.fd_surface_integral(f, geo, g.lx, g.ly),
             ),
         }
@@ -354,25 +347,23 @@ def test_geometry_operators_converge_against_fd_oracle():
     g = Grid(32, 32)
     cache = build_cache(g.zeros())
     f = g.from_function(oracles.f_fn)
-    v = VectorField2(g.from_function(oracles.vx_fn), g.from_function(oracles.vy_fn))
+    vx, vy = g.from_function(oracles.vx_fn), g.from_function(oracles.vy_fn)
+    v = np.stack((vx.values, vy.values))
     _, _, fxx, _, fyy = derivatives(f)
-    flat_lap = fxx.values + fyy.values
-    assert np.abs(laplace_beltrami(f, cache).values - flat_lap).max() < 1e-12
+    flat_lap = fxx + fyy
+    assert np.abs(laplace_beltrami(f.values, cache) - flat_lap).max() < 1e-12
     fx, fy = gradient(f)
     assert (
-        np.abs(
-            covariant_norm_sq(VectorField2(fx, fy), cache).values
-            - (fx.values**2 + fy.values**2)
-        ).max()
+        np.abs(covariant_norm_sq(np.stack((fx, fy)), cache) - (fx**2 + fy**2)).max()
         < 1e-12
     )
-    flat_div = gradient(v.x)[0].values + gradient(v.y)[1].values
+    flat_div = gradient(vx)[0] + gradient(vy)[1]
     assert (
-        np.abs(div_comp_material(v, g.zeros(), cache).values - flat_div).max() < 1e-12
+        np.abs(div_comp_material(v, g.zeros().values, cache) - flat_div).max() < 1e-12
     )
-    assert abs(surface_integral(f, cache) - integrate(f)) < 1e-12
-    assert np.all(cache.g_det.values == 1.0)
-    assert np.abs(cache.mean_curv.values).max() < 1e-12
+    assert abs(surface_integral(f.values, cache) - integrate(f)) < 1e-12
+    assert np.all(cache.g_det == 1.0)
+    assert np.abs(cache.mean_curv).max() < 1e-12
 
     print(
         "ACCEPTANCE 7 PASS: finest-pair orders "
@@ -396,12 +387,10 @@ def test_density_rate_converges_against_fd_oracle(variant):
         g = Grid(n, n)
         xg, yg = np.meshgrid(g.x, g.y, indexing="ij")
         h, psi = oracles.h_fn(xg, yg), oracles.psi_fn(xg, yg)
-        state = FlowState(0.0, ScalarField(g, h), ScalarField(g, psi))
+        state = FlowState(0.0, g.from_function(oracles.h_fn), g.from_function(oracles.psi_fn))
         ev = evaluate(state, variant, mob, model)
         geo = oracles.FdGeometry(h, g.lx / n, g.ly / n)
-        rate = oracles.fd_truesdell_rate(
-            psi, ev.rhs_psi.values, ev.v.x.values, ev.v.y.values, ev.dth.values, geo
-        )
+        rate = oracles.fd_truesdell_rate(psi, ev.rhs_psi, *ev.v, ev.dth, geo)
         diffusion = (
             model.density(psi, 2) * oracles.fd_laplace_beltrami(psi, geo)
             + model.density(psi, 3) * oracles.fd_covariant_grad_sq(psi, geo)
@@ -431,13 +420,13 @@ def test_density_variation_and_trajectory_equivalence():
     )
 
     def central(model, eps):
-        up = total_energy(model, ScalarField(g, psi.values + eps * phi.values), cache)
-        dn = total_energy(model, ScalarField(g, psi.values - eps * phi.values), cache)
+        up = total_energy(model, psi.values + eps * phi.values, cache)
+        dn = total_energy(model, psi.values - eps * phi.values, cache)
         return (up - dn) / (2 * eps)
 
     def pairing(model):
         dpsi = model.derivatives(psi.values)[1]
-        return surface_integral(ScalarField(g, dpsi * phi.values), cache)
+        return surface_integral(dpsi * phi.values, cache)
 
     # constant: both sides vanish identically
     model = Constant(2.0)

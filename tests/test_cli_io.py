@@ -491,6 +491,18 @@ def test_cli_bad_initial_snapshot_names_the_key(tmp_path, capsys, fault, key):
     assert not out.exists()
 
 
+def test_cli_initial_height_without_finite_geometry_names_the_key(tmp_path, capsys):
+    # The heights are finite, but their curvature overflows: the run is
+    # refused as bad input before anything is written.
+    doc = MINIMAL.replace("flory_huggins", "quadratic") + "initial.h_amplitude = 1e200\n"
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'initial.h': ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_aborted_run_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ABORTING)

@@ -1,16 +1,20 @@
 """The demos and the README's examples import only names the package has,
-the README's examples run, and the README documents exactly the config keys
-the parser accepts.
+the quick demos and the README's examples run, and the README documents
+exactly the config keys the parser accepts.
 
-The demos are not run by the suite, so a removed or renamed public name
-would break them silently; each one is parsed, not executed.  The
-``python`` blocks of README.md are short, and they are also run.
+Every demo is parsed for its imports.  The demos that exercise the field API
+and take about a second (01, 02 and 05) are also run, each in its own
+process; the three longer runs (03, 04 and 06, 5-11 s each) are only parsed.
+The ``python`` blocks of README.md are short, and they are also run.
 """
 
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,23 @@ def test_demo_imports_exist(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"{name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_spectral_and_geometry.py", "02_mean_curvature_flow.py", "05_gauge_experiment.py"]
+)
+def test_quick_demo_runs(demo):
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, str(DEMO_DIR / demo)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
 
 
 def test_readme_python_blocks_run(capsys):

@@ -24,7 +24,6 @@ from gradflow import (
     Scheme,
     SolverAbort,
     StepperConfig,
-    VectorField2,
     build_cache,
     covariant_norm_sq,
     dealias_solve,
@@ -109,23 +108,23 @@ def test_material_gauge_requires_quadratic():
 def test_velocity_zero_for_normal_only():
     state = make_state()
     v = evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
-    assert np.all(v.x.values == 0.0)
-    assert np.all(v.y.values == 0.0)
+    assert np.all(v[0] == 0.0)
+    assert np.all(v[1] == 0.0)
 
 
 def test_velocity_zero_for_constant_density():
     state = make_state()
     v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(2.0)).v
-    assert np.all(v.x.values == 0.0)
-    assert np.all(v.y.values == 0.0)
+    assert np.all(v[0] == 0.0)
+    assert np.all(v[1] == 0.0)
 
 
 def test_velocity_zero_for_uniform_psi():
     g = Grid(32, 32)
     state = FlowState(0.0, g.from_function(lambda x, y: 0.2 * np.sin(x) * np.sin(y)), g.constant(0.4))
     v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
-    assert np.abs(v.x.values).max() < 1e-14
-    assert np.abs(v.y.values).max() < 1e-14
+    assert np.abs(v[0]).max() < 1e-14
+    assert np.abs(v[1]).max() < 1e-14
 
 
 def test_velocity_closed_form_quadratic():
@@ -135,10 +134,10 @@ def test_velocity_closed_form_quadratic():
     from gradflow import gradient
 
     px, py = gradient(state.psi)
-    expected_x = -c * state.psi.values * px.values / MOB.m_x
-    expected_y = -c * state.psi.values * py.values / MOB.m_x
-    assert np.allclose(v.x.values, expected_x, atol=1e-15)
-    assert np.allclose(v.y.values, expected_y, atol=1e-15)
+    expected_x = -c * state.psi.values * px / MOB.m_x
+    expected_y = -c * state.psi.values * py / MOB.m_x
+    assert np.allclose(v[0], expected_x, atol=1e-15)
+    assert np.allclose(v[1], expected_y, atol=1e-15)
 
 
 def test_material_gauge_velocity_is_exact_negation():
@@ -146,8 +145,8 @@ def test_material_gauge_velocity_is_exact_negation():
     model = Quadratic(1.5)
     v_desc = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).v
     v_gauge = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).v
-    assert np.array_equal(v_gauge.x.values, -v_desc.x.values)
-    assert np.array_equal(v_gauge.y.values, -v_desc.y.values)
+    assert np.array_equal(v_gauge[0], -v_desc[0])
+    assert np.array_equal(v_gauge[1], -v_desc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +156,14 @@ def test_material_gauge_velocity_is_exact_negation():
 def test_height_rhs_zero_for_linear_density():
     state = make_state()
     dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Linear(3.0)).dth
-    assert np.all(dth.values == 0.0)
+    assert np.all(dth == 0.0)
 
 
 def test_height_rhs_zero_on_flat_surface():
     g = Grid(32, 32)
     state = FlowState(0.0, g.zeros(), g.from_function(lambda x, y: 0.4 + 0.1 * np.sin(x)))
     dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).dth
-    assert np.abs(dth.values).max() < 1e-13
+    assert np.abs(dth).max() < 1e-13
 
 
 def test_height_rhs_mean_curvature_form():
@@ -173,8 +172,8 @@ def test_height_rhs_mean_curvature_form():
     cache = build_cache(state.h)
     c = 2.5
     dth = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(c)).dth
-    expected = c * cache.g_det.values * cache.hfrak.values / MOB.m_x
-    assert np.allclose(dth.values, expected, rtol=1e-13, atol=1e-13)
+    expected = c * cache.g_det * cache.hfrak / MOB.m_x
+    assert np.allclose(dth, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_material_gauge_height_rhs_is_exact_negation():
@@ -182,7 +181,7 @@ def test_material_gauge_height_rhs_is_exact_negation():
     model = Quadratic(1.5)
     a = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).dth
     b = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).dth
-    assert np.array_equal(b.values, -a.values)
+    assert np.array_equal(b, -a)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_psi_rhs_flat_static_matches_fd_oracle():
         fppp = model.density(vals, 3)
         dx, dy = g.lx / n, g.ly / n
         expected = oracles.fd_flat_diffusion(vals, fpp, fppp, dx, dy, mob.m_psi)
-        errors.append(np.abs(rhs.values - expected).max())
+        errors.append(np.abs(rhs - expected).max())
     orders = oracles.observed_orders(errors)
     assert min(orders) >= 3.5, (errors, orders)
 
@@ -221,8 +220,8 @@ def test_psi_rhs_uniform_density_pure_transport():
     mob = Mobilities(m_x, 1.0)
     model = Constant(c)
     rhs = evaluate(state, ModelVariant.FULL_COUPLED, mob, model).rhs_psi
-    expected = (c / m_x) * cache.g_det.values * cache.hfrak.values**2
-    assert np.abs(rhs.values - expected).max() < 1e-12
+    expected = (c / m_x) * cache.g_det * cache.hfrak**2
+    assert np.abs(rhs - expected).max() < 1e-12
 
 
 def test_full_and_normal_only_agree_without_tangential_velocity():
@@ -255,8 +254,8 @@ def test_velocity_substituted_matches_full_coupled_rhs():
     for model in (Quadratic(1.5), FloryHuggins(1.0, 0.75, 0.0)):
         r_full = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).rhs_psi
         r_sub = evaluate(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, model).rhs_psi
-        scale = np.abs(r_full.values).max()
-        assert np.abs(r_full.values - r_sub.values).max() < 1e-12 * scale, model
+        scale = np.abs(r_full).max()
+        assert np.abs(r_full - r_sub).max() < 1e-12 * scale, model
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,8 @@ def test_velocity_substituted_matches_full_coupled_rhs():
 def test_flux_vector_zero_for_linear_density():
     state = make_state()
     q = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Linear(2.0)).flux()
-    assert np.all(q.x.values == 0.0)
-    assert np.all(q.y.values == 0.0)
+    assert np.all(q[0] == 0.0)
+    assert np.all(q[1] == 0.0)
 
 
 def test_flux_vector_closed_form():
@@ -277,8 +276,8 @@ def test_flux_vector_closed_form():
     from gradflow import gradient
 
     px, py = gradient(state.psi)
-    assert np.allclose(q.x.values, -c * px.values / MOB.m_psi, atol=1e-15)
-    assert np.allclose(q.y.values, -c * py.values / MOB.m_psi, atol=1e-15)
+    assert np.allclose(q[0], -c * px / MOB.m_psi, atol=1e-15)
+    assert np.allclose(q[1], -c * py / MOB.m_psi, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +294,12 @@ def test_stabilization_explicit_euler_is_zero():
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
     assert ev.a_h > 0.0 and ev.a_psi > 0.0
     s = step(ev, explicit)
-    assert np.array_equal(s.h.values, state.h.values + dt * dealias_solve(ev.dth, 0.0).values)
+    g = state.grid
     assert np.array_equal(
-        s.psi.values, state.psi.values + dt * dealias_solve(ev.rhs_psi, 0.0).values
+        s.h.values, state.h.values + dt * dealias_solve(ScalarField(g, ev.dth), 0.0)
+    )
+    assert np.array_equal(
+        s.psi.values, state.psi.values + dt * dealias_solve(ScalarField(g, ev.rhs_psi), 0.0)
     )
     applied = gradflow.flow.stabilization_coefficients
     assert applied(state, ModelVariant.FULL_COUPLED, MOB, model, explicit) == (0.0, 0.0)
@@ -317,10 +319,11 @@ def test_imex_step_damps_each_increment_with_its_own_coefficient():
         (s.h, state.h, ev.dth, ev.a_h),
         (s.psi, state.psi, ev.rhs_psi, ev.a_psi),
     ):
-        damped = dealias_solve(rate, dt * a).values
+        rate = ScalarField(state.grid, rate)
+        damped = dealias_solve(rate, dt * a)
         assert np.array_equal(new.values, old.values + dt * damped)
         # The damping is not negligible at this dt.
-        undamped = dealias_solve(rate, 0.0).values
+        undamped = dealias_solve(rate, 0.0)
         assert np.abs(damped - undamped).max() > 1e-3 * np.abs(undamped).max()
 
 
@@ -499,14 +502,14 @@ def _rhs_with_velocity_gradients(ev, model, dv):
     vy_y)``."""
     psi, cache = ev.state.psi, ev.cache
     _, _, fpp, fppp = model.derivatives(model.clamp(psi.values)[0])
-    grad = VectorField2(*gradient(psi))
-    lap = laplace_beltrami(psi, cache).values
-    diffusive = (fpp * lap + fppp * covariant_norm_sq(grad, cache).values) / MOB.m_psi
-    px, py = grad.x.values, grad.y.values
-    hx, hy, g = cache.dh.x.values, cache.dh.y.values, cache.g_det.values
+    grad = np.stack(gradient(psi))
+    lap = laplace_beltrami(psi.values, cache)
+    diffusive = (fpp * lap + fppp * covariant_norm_sq(grad, cache)) / MOB.m_psi
+    px, py = grad
+    hx, hy, g = cache.hx, cache.hy, cache.g_det
     return truesdell_solve(
-        diffusive, psi.values, px, py, px * hx + py * hy, ev.dth.values, hx, hy,
-        g, cache.hfrak.values, v=(ev.v.x.values, ev.v.y.values),
+        diffusive, psi.values, px, py, px * hx + py * hy, ev.dth, hx, hy,
+        g, cache.hfrak, v=ev.v,
         div_t=tangential_divergence(*dv, hx, hy, g),
     )
 
@@ -517,7 +520,7 @@ def _analytic_velocity_gradients(state, model, sign, third):
     ``third`` in place of ``f'''`` in ``phi'``."""
     psi = state.psi.values
     _, _, fpp, _ = model.derivatives(model.clamp(psi)[0])
-    px, py, pxx, pxy, pyy = (s.values for s in derivatives(state.psi))
+    px, py, pxx, pxy, pyy = derivatives(state.psi)
     phi = -sign * psi * fpp / MOB.m_x
     dphi = -sign * (fpp + psi * third) / MOB.m_x
     v_xy = dphi * px * py + phi * pxy
@@ -534,12 +537,12 @@ def _third_derivative_off_the_clamp(state, model):
 @pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[3]])
 def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
     ev = evaluate(make_state(64), variant, MOB, model)
-    dv = tuple(s.values for c in ev.v for s in gradient(c))
+    dv = tuple(d for c in ev.v for d in gradient(ScalarField(ev.state.grid, c)))
     expected = _rhs_with_velocity_gradients(ev, model, dv)
     scale = np.abs(expected).max()
-    assert np.abs(ev.rhs_psi.values - expected).max() <= 1e-9 * scale
+    assert np.abs(ev.rhs_psi - expected).max() <= 1e-9 * scale
     # The velocity terms are not negligible on this state.
-    assert np.abs(ev.v.x.values).max() > 1e-2
+    assert np.abs(ev.v[0]).max() > 1e-2
 
 
 @pytest.mark.parametrize(
@@ -561,8 +564,8 @@ def test_density_rate_takes_the_divergence_of_the_analytic_velocity_gradients(
     third = _third_derivative_off_the_clamp(state, model)
     dv = _analytic_velocity_gradients(state, model, sign, third)
     expected = _rhs_with_velocity_gradients(ev, model, dv)
-    assert np.abs(ev.rhs_psi.values - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.abs(ev.v.x.values).max() > 1e-2
+    assert np.abs(ev.rhs_psi - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(ev.v[0]).max() > 1e-2
     assert (ev.clamp_count > 0) == clamps
 
 
@@ -571,7 +574,7 @@ def test_clamped_points_drop_the_third_derivative_term():
     state = clamping_state()
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
     assert ev.clamp_count > 0
-    assert np.all(np.isfinite(ev.rhs_psi.values))
+    assert np.all(np.isfinite(ev.rhs_psi))
 
     psi = state.psi.values
     clamped, _ = model.clamp(psi)
@@ -584,7 +587,7 @@ def test_clamped_points_drop_the_third_derivative_term():
 
     without = rhs(_third_derivative_off_the_clamp(state, model))
     scale = np.abs(without).max()
-    assert np.abs(ev.rhs_psi.values - without).max() <= 1e-12 * scale
+    assert np.abs(ev.rhs_psi - without).max() <= 1e-12 * scale
     # Keeping f''' at the clamped points would change the rate there only.
     kept = rhs(fppp)
     assert np.abs(kept - without)[~free].max() > 1e-2 * scale
@@ -651,7 +654,7 @@ def test_evaluation_keeps_no_second_derivatives():
     state = make_state(16)
     for variant, model in VARIANT_MODELS:
         ev = evaluate(state, variant, MOB, model)
-        for kept in (ev.psi_x, ev.psi_y, ev.cache.dh.x.values, ev.cache.dh.y.values):
+        for kept in (ev.psi_x, ev.psi_y, ev.cache.hx, ev.cache.hy):
             assert kept.base is not None and kept.base.shape[0] <= 2, variant
 
 
