@@ -72,16 +72,24 @@ def record(
     cache = ev.cache
     h, psi = state.h.values, state.psi.values
 
-    # A state whose rates overflow is recorded as it is; the step from it aborts.
+    # A state whose rates overflow is recorded as it is; the step from it
+    # aborts.  Every full-grid intermediate is formed in the grid's five work
+    # arrays ``w``, which the evaluation no longer uses.
+    w = cache.grid._work()
     with np.errstate(**_QUIET):
-        sqrt_g = cache.sqrt_g  # one area element for the four integrals
-        u = surface_integral(ev.f, cache, sqrt_g)
-        mass = surface_integral(psi, cache, sqrt_g)
-        v_sq = covariant_norm_sq(ev.v, cache) + ev.dth**2 / cache.g_det
-        q_sq = covariant_norm_sq(ev.flux(), cache)
+        sqrt_g = np.sqrt(cache.g_det, out=w[0])  # one area element for the four integrals
+        u = surface_integral(ev.f, cache, sqrt_g, out=w[1])
+        mass = surface_integral(psi, cache, sqrt_g, out=w[1])
+        v_sq = covariant_norm_sq(ev.v, cache, out=w[1], work=w[2:4])
+        normal = np.square(ev.dth, out=w[2])
+        normal /= cache.g_det
+        v_sq += normal
+        v_part = surface_integral(v_sq, cache, sqrt_g, out=w[2])
+        q = ev.flux(out=w[1:3])
+        q_sq = covariant_norm_sq(q, cache, out=q[0], work=w[3:5])
         dissipation_rhs = -(
-            mobilities.m_x * surface_integral(v_sq, cache, sqrt_g)
-            + mobilities.m_psi * surface_integral(q_sq, cache, sqrt_g)
+            mobilities.m_x * v_part
+            + mobilities.m_psi * surface_integral(q_sq, cache, sqrt_g, out=w[2])
         )
 
     if prev is None:

@@ -33,7 +33,8 @@ Spatial derivatives are spectral, except the divergence of the tangential
 velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
 psi`` in the surface metric, formed pointwise from the derivatives of
 ``psi``.  A step therefore makes three transform pairs: the derivatives of
-``h``, those of ``psi``, and both damped increments in one stack.
+``h``, those of ``psi``, and both damped increments in one stack (one pair
+each when paired, see below).
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
@@ -41,6 +42,14 @@ read the resulting :class:`Evaluation`.  The evaluation allocates only the
 arrays it keeps and forms its intermediates in the grid's five work arrays,
 so a step's working set does not grow with the number of terms.  The state
 holds the two fields; everything evaluated from it is a plain array.
+
+The two halves of the system are independent within a step, and on large
+grids (:func:`gradflow.spectral._pairs`) they run as pairs on the caller's
+thread and one helper thread (:func:`gradflow.spectral._pair`): the
+derivatives of ``psi`` beside the geometry of ``h``, the pointwise rate
+algebra on the two halves of the rows, and the two damped increments.
+Each element and each one-dimensional FFT line is computed as it is on
+one thread, so the output bytes do not depend on the pairing.
 
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
@@ -66,7 +75,15 @@ from .geometry import (
     hessian_trace,
     truesdell_solve,
 )
-from .spectral import Grid, ScalarField, _dealias_solve_stack, _derivative_stack
+from .spectral import (
+    _QUIET,
+    Grid,
+    ScalarField,
+    _dealias_solve_stack,
+    _derivative_stack,
+    _pair,
+    _pairs,
+)
 
 __all__ = [
     "ModelVariant",
@@ -158,11 +175,6 @@ def _require_quadratic(variant: ModelVariant, energy: EnergyModel) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation of one state
 
-# Non-finite values are reported by the finite check in :func:`step` (as a
-# SolverAbort), not by numpy floating-point warnings.
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-
-
 @dataclass
 class Evaluation:
     """Everything the flow needs from one state, built by :func:`evaluate`.
@@ -192,11 +204,15 @@ class Evaluation:
     a_h: float
     a_psi: float
 
-    def flux(self) -> np.ndarray:
+    def flux(self, out: np.ndarray | None = None) -> np.ndarray:
         """Covariant proxy of the conserved-density flux, ``-f'' grad psi /
-        m_psi``, as a ``(2, nx, ny)`` stack of flat components."""
-        q = np.stack((self.psi_x, self.psi_y))
-        q *= -self.fpp / self.mobilities.m_psi
+        m_psi``, as a ``(2, nx, ny)`` stack of flat components, written to
+        ``out`` (new if absent)."""
+        q = np.empty((2,) + self.fpp.shape) if out is None else out
+        factor = np.negative(self.fpp, out=q[0])
+        factor /= self.mobilities.m_psi
+        np.multiply(self.psi_y, factor, out=q[1])
+        np.multiply(self.psi_x, factor, out=q[0])
         return q
 
 
@@ -231,6 +247,10 @@ def evaluate(
     every intermediate is formed with ``out=`` ufuncs in the grid's five
     work arrays (:meth:`Grid._work`), which the next evaluation or step
     overwrites.
+
+    Paired (see the module docstring), the derivatives of ``psi`` are
+    transformed on the helper thread while this one builds the geometry, and
+    the rate algebra runs on the two halves of the rows at once.
     """
     _require_quadratic(variant, energy)
     grid = state.grid
@@ -238,110 +258,135 @@ def evaluate(
     sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
     r = m_psi / m_x
     psi = state.psi.values
+
+    # Only the arrays the evaluation keeps are new.  The derivatives of psi
+    # land in the first five rows of the (psi_x, psi_y, f, f'', dth, rhs)
+    # block; the rate algebra reads the second derivatives, row by row,
+    # before it overwrites them.
+    kept = np.empty((6,) + psi.shape)
+    v = np.empty((2,) + psi.shape)
+    slopes, second = kept[:2], kept[2:5]
     with np.errstate(**_QUIET):
-        cache = build_cache(state.h)
-        hx, hy, g, hfrak = cache.hx, cache.hy, cache.g_det, cache.hfrak
+        cache, _ = _pair(
+            grid,
+            lambda: build_cache(state.h),
+            lambda: _derivative_stack(grid, psi, 5, out=kept[:5], half=1),
+        )
+        # The clamped density is formed in v[0], which the velocity overwrites
+        # after its last use.
+        clamped, n = energy.clamp(psi, out=v[0])
 
-        # Only the arrays the evaluation keeps are new.  Each intermediate is
-        # formed in one of the grid's five work arrays ``w``, or in a kept
-        # array before its own value is due.
-        w = _derivative_stack(grid, psi, 5, out=grid._work())
-        px, py = w[:2].copy()
-        trace = hessian_trace(*w[2:], hx, hy, g, out=w[0], work=w[1:2])
-        p_dh = np.multiply(px, hx, out=w[1])
-        p_dh += np.multiply(py, hy, out=w[2])
-        grad_sq = covariant_square(px, py, p_dh, g, out=w[2], work=w[3:4])
-        clamped, n = energy.clamp(psi, out=w[3])
+        def rates(s: slice) -> tuple[float, float]:
+            """The rate algebra on the rows ``s``, which returns the peaks of
+            ``|sigma|`` and of ``amp f''`` there.  Each intermediate is formed
+            in the rows ``s`` of one of the grid's five work arrays ``w``, or
+            of a kept array before its own value is due."""
+            w, vs, (px, py) = grid._work()[:, s], v[:, s], slopes[:, s]
+            f0, fpp, dth, rhs = kept[2:, s]
+            ps, cl, hx, hy = psi[s], clamped[s], cache.hx[s], cache.hy[s]
+            g, hfrak = cache.g_det[s], cache.hfrak[s]
+            trace = hessian_trace(*second[:, s], hx, hy, g, out=w[0], work=w[1:2])
+            p_dh = np.multiply(px, hx, out=w[1])
+            p_dh += np.multiply(py, hy, out=w[2])
+            grad_sq = covariant_square(px, py, p_dh, g, out=w[2], work=w[4:])
 
-        f0, fpp, dth, rhs = (np.empty_like(psi) for _ in range(4))
-        v = np.empty((2,) + psi.shape)
-        # f' is formed in dth, where it becomes sigma = f - psi f' and then the
-        # height rate; f''' is formed in v[1], which the velocity overwrites.
-        _, sigma, _, fppp = energy.derivatives(clamped, out=(f0, dth, fpp, v[1]), work=w[4:])
-        sigma *= clamped
-        np.subtract(f0, sigma, out=sigma)
-        a_h = float(np.abs(sigma, out=w[4]).max()) / m_x
-        amp = np.multiply(psi, psi, out=w[4])
-        amp *= r
-        amp += 1.0
-        amp_fpp = np.multiply(amp, fpp, out=rhs)
-        a_psi = max(0.0, float(amp_fpp.max())) / m_psi
+            # f' is formed in dth, where it becomes sigma = f - psi f' and then
+            # the height rate; f''' is formed in v[1], which the velocity
+            # overwrites.
+            _, sigma, _, fppp = energy.derivatives(cl, out=(f0, dth, fpp, vs[1]), work=w[4:])
+            sigma *= cl
+            np.subtract(f0, sigma, out=sigma)
+            peak_sigma = float(np.abs(sigma, out=w[4]).max())
+            amp = np.multiply(ps, ps, out=w[4])
+            amp *= r
+            amp += 1.0
+            amp_fpp = np.multiply(amp, fpp, out=rhs)
+            peak_amp_fpp = float(amp_fpp.max())
 
-        if variant is ModelVariant.VELOCITY_SUBSTITUTED:
-            # rhs = (amp f'' trace + (amp f''' + 2 psi r f'') grad_sq
-            #        + (r (sigma - psi^2 f'') - f'') p_dh hfrak
-            #        + g psi r sigma hfrak^2) / m_psi, summed term by term.
-            rhs *= trace
-            t, term = w[3], np.multiply(amp, fppp, out=fppp)
-            np.multiply(2.0, psi, out=t)
-            t *= r
-            t *= fpp
-            term += t
-            term *= grad_sq
-            rhs += term
-            np.multiply(psi, psi, out=t)
-            t *= fpp
-            np.subtract(sigma, t, out=t)
-            t *= r
-            t -= fpp
-            t *= p_dh
-            t *= hfrak
-            rhs += t
-            np.multiply(g, psi, out=t)
-            for factor in (r, sigma, hfrak, hfrak):
-                t *= factor
-            rhs += t
-            rhs /= m_psi
+            if variant is ModelVariant.VELOCITY_SUBSTITUTED:
+                # rhs = (amp f'' trace + (amp f''' + 2 psi r f'') grad_sq
+                #        + (r (sigma - psi^2 f'') - f'') p_dh hfrak
+                #        + g psi r sigma hfrak^2) / m_psi, summed term by term.
+                rhs *= trace
+                t, term = w[3], np.multiply(amp, fppp, out=fppp)
+                np.multiply(2.0, ps, out=t)
+                t *= r
+                t *= fpp
+                term += t
+                term *= grad_sq
+                rhs += term
+                np.multiply(ps, ps, out=t)
+                t *= fpp
+                np.subtract(sigma, t, out=t)
+                t *= r
+                t -= fpp
+                t *= p_dh
+                t *= hfrak
+                rhs += t
+                np.multiply(g, ps, out=t)
+                for factor in (r, sigma, hfrak, hfrak):
+                    t *= factor
+                rhs += t
+                rhs /= m_psi
 
-        np.multiply(g, sigma, out=dth)
-        dth *= hfrak
-        dth *= sign / m_x
+            np.multiply(g, sigma, out=dth)
+            dth *= hfrak
+            dth *= sign / m_x
 
-        div_t = None
-        if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-            # The diffusive rate (f'' (trace - p_dh hfrak) + f''' grad_sq) / m_psi.
-            np.multiply(fppp, grad_sq, out=rhs)
-            t = np.multiply(p_dh, hfrak, out=w[4])
-            np.subtract(trace, t, out=t)
-            np.multiply(fpp, t, out=t)
-            np.add(t, rhs, out=rhs)
-            rhs /= m_psi
-        if variant is ModelVariant.NORMAL_ONLY:
-            v.fill(0.0)
-        else:
-            phi = np.multiply(psi, fpp, out=w[4])
-            phi *= -sign / m_x
+            div_t = None
             if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-                # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
-                if n:
-                    np.copyto(fppp, 0.0, where=clamped != psi)
-                div_t = np.multiply(psi, fppp, out=fppp)
-                np.add(fpp, div_t, out=div_t)
-                div_t *= -sign / m_x
-                div_t = np.multiply(div_t, grad_sq, out=grad_sq)
-                div_t += np.multiply(phi, trace, out=trace)
-            np.multiply(phi, px, out=v[0])
-            np.multiply(phi, py, out=v[1])
-        if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-            truesdell_solve(
-                rhs, psi, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else v,
-                div_t, out=rhs, work=(w[0], w[3], w[4]),
-            )
+                # The diffusive rate (f'' (trace - p_dh hfrak) + f''' grad_sq) / m_psi.
+                np.multiply(fppp, grad_sq, out=rhs)
+                t = np.multiply(p_dh, hfrak, out=w[4])
+                np.subtract(trace, t, out=t)
+                np.multiply(fpp, t, out=t)
+                np.add(t, rhs, out=rhs)
+                rhs /= m_psi
+            if variant is ModelVariant.NORMAL_ONLY:
+                vs.fill(0.0)
+            else:
+                phi = np.multiply(ps, fpp, out=w[4])
+                phi *= -sign / m_x
+                if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
+                    # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
+                    if n:
+                        np.copyto(fppp, 0.0, where=cl != ps)
+                    div_t = np.multiply(ps, fppp, out=fppp)
+                    np.add(fpp, div_t, out=div_t)
+                    div_t *= -sign / m_x
+                    div_t = np.multiply(div_t, grad_sq, out=grad_sq)
+                    div_t += np.multiply(phi, trace, out=trace)
+                np.multiply(phi, px, out=vs[0])
+                np.multiply(phi, py, out=vs[1])
+            if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
+                truesdell_solve(
+                    rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else vs,
+                    div_t, out=rhs, work=(w[0], w[3], w[4]),
+                )
+            return peak_sigma, peak_amp_fpp
+
+        if _pairs(grid):
+            mid = grid.nx // 2
+            halves = _pair(grid, lambda: rates(slice(0, mid)), lambda: rates(slice(mid, None)))
+            # A NaN-propagating maximum, as the peaks of the whole grid are.
+            peak_sigma, peak_amp_fpp = np.max(halves, axis=0)
+        else:
+            peak_sigma, peak_amp_fpp = rates(slice(None))
 
     return Evaluation(
         state=state,
         mobilities=mobilities,
         cache=cache,
-        psi_x=px,
-        psi_y=py,
+        psi_x=slopes[0],
+        psi_y=slopes[1],
         clamp_count=n,
-        f=f0,
-        fpp=fpp,
-        dth=dth,
+        f=kept[2],
+        fpp=kept[3],
+        dth=kept[4],
         v=v,
-        rhs_psi=rhs,
-        a_h=a_h,
-        a_psi=a_psi,
+        rhs_psi=kept[5],
+        a_h=float(peak_sigma) / m_x,
+        a_psi=max(0.0, float(peak_amp_fpp)) / m_psi,
     )
 
 
@@ -374,7 +419,9 @@ def stabilization_coefficients(
 def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     """Advance ``ev.state`` by one time step of ``stepper``.
 
-    One transform pair updates both fields from the rates of ``ev``.  Each
+    One transform pair updates both fields from the rates of ``ev``; on
+    grids where :func:`gradflow.spectral._pairs` holds, each field has its
+    own, and the two run at once on this thread and the helper thread.  Each
     increment ``dt * rhs`` is dealiased and, for IMEX1, damped mode by mode
     by ``1/(1 + dt * a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``:
     the solution of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit
@@ -387,11 +434,19 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
         last valid state.
     """
     state = ev.state
+    grid = state.grid
     dt = stepper.dt
+    coefficients = [dt * a for a in _damping(ev, stepper)]
     with np.errstate(**_QUIET):
-        inc = _dealias_solve_stack(
-            state.grid, (ev.dth, ev.rhs_psi), [dt * a for a in _damping(ev, stepper)]
-        )
+        if _pairs(grid):
+            _pair(
+                grid,
+                lambda: _dealias_solve_stack(grid, (ev.dth,), coefficients[:1]),
+                lambda: _dealias_solve_stack(grid, (ev.rhs_psi,), coefficients[1:], half=1),
+            )
+        else:
+            _dealias_solve_stack(grid, (ev.dth, ev.rhs_psi), coefficients)
+        inc = grid._work()[:2]
         inc *= dt
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
 
@@ -403,7 +458,7 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
         )
     return FlowState(
         t=state.t + dt,
-        h=ScalarField(state.grid, h_new),
-        psi=ScalarField(state.grid, psi_new),
+        h=ScalarField(grid, h_new),
+        psi=ScalarField(grid, psi_new),
         step_index=state.step_index + 1,
     )

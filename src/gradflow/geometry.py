@@ -88,7 +88,7 @@ def hessian_trace(fxx, fxy, fyy, hx, hy, g, out=None, work=None):
 
 def covariant_square(ax, ay, a_dh, g, out=None, work=None):
     """Squared surface norm of flat components ``a`` given ``a_dh = a.dh``:
-    ``a.a - (a.dh)^2 / |g|``; one work array."""
+    ``a.a - (a.dh)^2 / |g|``; one work array.  ``out`` may be ``ax``."""
     out, (t,) = _buffers(g, out, work, 1)
     np.multiply(ax, ax, out=out)
     np.multiply(ay, ay, out=t)
@@ -196,8 +196,9 @@ def build_cache(h: ScalarField) -> GeometryCache:
         raise FloatingPointError("height field contains non-finite values")
     grid = h.grid
     # The derivatives land in the grid's work arrays; the slopes, which the
-    # cache keeps, are copied out of them.
-    work = _derivative_stack(grid, h.values, 5, out=grid._work())
+    # cache keeps, are copied out of them.  :func:`gradflow.flow.evaluate`
+    # may transform the density's derivatives meanwhile, in the other half.
+    work = _derivative_stack(grid, h.values, 5, out=grid._work(), half=0)
     hx, hy = work[:2].copy()
 
     g_det = np.multiply(hx, hx)
@@ -218,11 +219,17 @@ def laplace_beltrami(f: np.ndarray, cache: GeometryCache) -> np.ndarray:
     return trace - (fx * hx + fy * hy) * cache.hfrak
 
 
-def covariant_norm_sq(v: np.ndarray, cache: GeometryCache) -> np.ndarray:
-    """Squared surface norm of a tangent vector given by flat components."""
+def covariant_norm_sq(
+    v: np.ndarray, cache: GeometryCache, out: np.ndarray | None = None, work=None
+) -> np.ndarray:
+    """Squared surface norm of a tangent vector given by flat components,
+    written to ``out``, which may be ``v[0]``; two work arrays.  Both are new
+    when not given."""
     vx, vy = v
-    v_dh = vx * cache.hx + vy * cache.hy
-    return covariant_square(vx, vy, v_dh, cache.g_det)
+    out, (v_dh, t) = _buffers(vx, out, work, 2)
+    np.multiply(vx, cache.hx, out=v_dh)
+    v_dh += np.multiply(vy, cache.hy, out=t)
+    return covariant_square(vx, vy, v_dh, cache.g_det, out=out, work=(t,))
 
 
 def _velocity_gradients(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -275,14 +282,18 @@ def reconstruct_velocity(
 
 
 def surface_integral(
-    f: np.ndarray, cache: GeometryCache, sqrt_g: np.ndarray | None = None
+    f: np.ndarray,
+    cache: GeometryCache,
+    sqrt_g: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> float:
     """Integral of the scalar samples ``f`` over the curved surface (area
     weight included), by the trapezoidal rule of
     :func:`gradflow.spectral.integrate`.
 
     ``sqrt_g`` is the cache's area element, for a caller that integrates
-    several fields and forms it once; it is computed here when absent.
+    several fields and forms it once; it is computed here when absent.  The
+    integrand ``f sqrt_g`` is formed in ``out``, new when absent.
     """
     area = cache.sqrt_g if sqrt_g is None else sqrt_g
-    return float((f * area).sum() * cache.grid.cell_area)
+    return float(np.multiply(f, area, out=out).sum() * cache.grid.cell_area)

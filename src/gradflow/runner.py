@@ -9,7 +9,9 @@ directory (:func:`compare` and :func:`sweep` write their own tables):
   runs of the same configuration.
 * ``snapshot_NNN.sgf`` -- binary states at the configured snapshot times,
   plus ``final.sgf`` (or ``last_valid.sgf`` after a solver abort).
-* ``report.txt`` -- final diagnostics, clamp count, and wall time.
+* ``report.txt`` -- final diagnostics, clamp count, wall time, steps per
+  second, and ``threads``: 2 where the solver shared each step with its
+  helper thread (:func:`gradflow.spectral._pairs`), else 1.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .flow import (
     step,
 )
 from .snapshot import write_snapshot
+from .spectral import _pairs
 
 __all__ = [
     "RunResult",
@@ -236,6 +239,8 @@ def _write_report(result: RunResult, path: Path) -> None:
         f"psi_max = {_fmt(r.psi_max)}",
         f"clamp_count = {result.clamp_count}",
         f"wall_time_seconds = {result.wall_time:.3f}",
+        f"steps_per_second = {result.state.step_index / result.wall_time:.3f}",
+        f"threads = {2 if _pairs(result.state.grid) else 1}",
     ]
     if result.abort_message:
         lines.insert(1, f"abort_message = {result.abort_message}")

@@ -23,6 +23,9 @@ Conventions
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +42,123 @@ __all__ = [
 
 
 def get_fft_workers() -> int:
-    """The number of FFT threads: always 1, numpy's FFT is single-threaded.
+    """The number of threads one transform runs on: always 1, numpy's FFT
+    is single-threaded.  On large grids two transforms can run at once, one
+    on a helper thread (see :func:`_pair`), but each is still one thread.
 
     Kept because ``perfbench/worker.py`` imports it to record the setting.
     """
     return 1
+
+
+# Non-finite values are reported by the solver's finite checks, not by numpy
+# floating-point warnings.  numpy's error state is per thread, so the helper
+# thread of :func:`_pair` sets it too.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+# The smallest grid, in points, whose work :func:`_pair` splits between two
+# threads.  Below it the interpreter lock, which changes hands around every
+# short ufunc, costs more than the second core gives.  On a 2-core x86 VM,
+# pairing made a 500-step 64^2 run 2.1x as slow and a 200-step 128^2 run
+# 31 % slower; it made a 40-step 256^2 run 16 % faster, and a warm 256^2
+# evaluation 35 % faster.
+_PAIR_POINTS = 256 * 256
+
+# The cores this process may run on, read once: every call then takes the
+# same paired or one-thread layout of the work stacks for a grid.  Where the
+# affinity mask cannot be read, all cores of the machine count.
+_CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_requests: queue.SimpleQueue | None = None  # of the helper thread, started on first use
+_requests_lock = threading.Lock()
+
+
+def _pairs(g: "Grid") -> bool:
+    """Whether :func:`_pair` runs its two calls on two threads on ``g``."""
+    return g.nx * g.ny >= _PAIR_POINTS and _CORES >= 2
+
+
+def _serve(requests: queue.SimpleQueue) -> None:
+    with np.errstate(**_QUIET):
+        while True:
+            _run(*requests.get())
+
+
+def _run(fn, done: threading.Event, reply: list) -> None:
+    # The call is dropped before the reply is sent: the helper holds no
+    # reference to the caller's arrays while it waits for the next call.
+    try:
+        result = fn(), None
+    except BaseException as exc:  # handed to the caller, which re-raises it
+        result = None, exc
+    del fn
+    reply.append(result)
+    done.set()
+
+
+def _helper_requests() -> queue.SimpleQueue:
+    """The request queue of the helper thread, which starts on first use."""
+    global _requests
+    with _requests_lock:
+        if _requests is None:
+            _requests = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_requests,), name="gradflow-pair", daemon=True
+            ).start()
+        return _requests
+
+
+def _forget_helper() -> None:
+    # A forked child has no helper thread; it starts its own on first use.
+    global _requests, _requests_lock
+    _requests, _requests_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _wait(done: threading.Event) -> None:
+    """Return once ``done`` is set, also when an exception such as
+    ``KeyboardInterrupt`` arrives meanwhile: until then the helper may still
+    write to the grid's work arrays.  The exception is raised afterwards."""
+    interrupted = None
+    while True:
+        try:
+            done.wait()  # returns at once when set, so a retry cannot block
+            break
+        except BaseException as exc:
+            interrupted = exc
+    if interrupted is not None:
+        raise interrupted
+
+
+def _pair(g: "Grid", fa, fb) -> tuple:
+    """``(fa(), fb())``: ``fb`` on the helper thread while ``fa`` runs on
+    this one when :func:`_pairs` holds for ``g``, else ``fa`` and then ``fb``
+    here.
+
+    The two calls must touch disjoint arrays, and ``fb`` must not call
+    :func:`_pair`.  An exception of either is raised here once both have
+    finished; when both raise, ``fa``'s.  ``fb`` runs under :data:`_QUIET`,
+    and it must not call a name that a caller may rebind to trace or count
+    it (``perfbench/spans.py`` rebinds ``flow.build_cache``, the energy's
+    ``clamp`` and the runner's calls), as such wrappers are not thread-safe.
+    """
+    if not _pairs(g):
+        return fa(), fb()
+    done, reply = threading.Event(), []
+    _helper_requests().put((fb, done, reply))
+    try:
+        a = fa()
+    finally:
+        _wait(done)
+    b, exc = reply[0]
+    if exc is not None:
+        raise exc
+    return a, b
 
 
 # Both transforms run as two one-dimensional passes of ``numpy.fft``, the
@@ -65,30 +180,47 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, n: int, out: np.ndarray | None = None
+    g: "Grid", values: np.ndarray, n: int, out: np.ndarray | None = None,
+    half: int | None = None,
 ) -> np.ndarray:
     """``(f_x, f_y)`` (``n = 2``) or ``(f_x, f_y, f_xx, f_xy, f_yy)`` (``n =
-    5``) of the samples ``values`` on ``g`` as one stack, from one forward and
-    one inverse transform, written to ``out`` (new if absent).
+    5``) of the samples ``values`` on ``g`` as one stack, from one forward
+    transform, written to ``out`` (new if absent) and returned.
 
-    Each row of the grid's spectral work array is the spectrum times a
-    per-axis factor of :attr:`Grid.deriv_factors`; the mixed multiplier
-    ``-kx ky`` is formed in its row.  The last row holds the spectrum until
-    its own turn.
+    Each row of the grid's half spectra (:meth:`Grid._spectral_work`) is the
+    spectrum times a per-axis factor of :attr:`Grid.deriv_factors`; the mixed
+    multiplier ``-kx ky`` is formed in its row.  The last row holds the
+    spectrum until its own turn, and one inverse transform gives the stack.
+    ``half`` = 0 or 1 names a stack that :func:`_pair` may form beside
+    another: where :func:`_pairs` holds for ``g``, it then works in three
+    half spectra, the first three for ``half = 0`` and the last three for
+    ``half = 1``, and ``n = 5`` inverts the slopes and the second
+    derivatives in two rounds.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
-    work = g._spectral_work()[:n]
+    split = half is not None and _pairs(g)
+    work = g._spectral_work()
+    work = work[3 * half : 3 * half + 3] if split else work[:n]
+    if n == 2:
+        spec = _rfft2(values, out=work[1])
+        np.multiply(ikx, spec, out=work[0])
+        spec *= iky
+        return _irfft2(work[:2], g.ny, out=out)
+    if out is None:
+        out = np.empty((5, g.nx, g.ny))
     spec = _rfft2(values, out=work[-1])
     np.multiply(ikx, spec, out=work[0])
-    if n == 2:
-        spec *= iky
-    else:
-        np.multiply(iky, spec, out=work[1])
-        np.multiply(kxx, spec, out=work[2])
-        np.multiply(-g.kx, g.ky, out=work[3])
-        work[3] *= spec
-        spec *= kyy
-    return _irfft2(work, g.ny, out=out)
+    np.multiply(iky, spec, out=work[1])
+    target = out
+    if split:  # the slopes are inverted first, which frees their two rows
+        _irfft2(work[:2], g.ny, out=out[:2])
+        target = out[2:]
+    np.multiply(kxx, spec, out=work[-3])
+    np.multiply(-g.kx, g.ky, out=work[-2])
+    work[-2] *= spec
+    spec *= kyy
+    _irfft2(work, g.ny, out=target)
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,12 +239,15 @@ class Grid:
     ``(1j kx, 1j ky, -kx^2, -ky^2)`` as vectors; no full multiplier array
     is stored.
 
-    The grid owns two work stacks, allocated on first use: five half
-    spectra for the transforms (:meth:`_spectral_work`), and five real
-    ``(nx, ny)`` arrays (:meth:`_work`) in which the stacked solve and
-    :func:`gradflow.flow.evaluate` form every intermediate.  A state's
-    evaluation and step therefore allocate only the arrays they return, and
-    a grid is not for concurrent use from threads.
+    The grid owns two work stacks, allocated on first use: six half spectra
+    for the transforms (:meth:`_spectral_work`), three for each of two
+    transforms that may run at once, and five real ``(nx, ny)`` arrays
+    (:meth:`_work`) in which the stacked solve, the geometry, the evaluation
+    and the record form every intermediate.  A state's evaluation and step
+    therefore allocate only the arrays they return.  Where :func:`_pairs`
+    holds, the solver shares this work with one helper thread
+    (:func:`_pair`), each thread on its own rows of the stacks; a grid is
+    still not for use from several threads of the caller at once.
     """
 
     nx: int
@@ -177,8 +312,8 @@ class Grid:
         return self._scratch("_real_work", (5, self.nx, self.ny), float)
 
     def _spectral_work(self) -> np.ndarray:
-        """Five half spectra, one per derivative of :func:`derivatives`."""
-        return self._scratch("_spec_work", (5, self.nx, self.ny // 2 + 1), complex)
+        """Six half spectra: rows 0-2 and 3-5 for two transforms at once."""
+        return self._scratch("_spec_work", (6, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
 
@@ -261,14 +396,17 @@ def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
     return _dealias_solve_stack(rhs.grid, (rhs.values,), (a,))[0].copy()
 
 
-def _dealias_solve_stack(g: Grid, arrays, coefficients) -> np.ndarray:
+def _dealias_solve_stack(g: Grid, arrays, coefficients, half: int = 0) -> np.ndarray:
     """:func:`dealias_solve` of one or two arrays on ``g``, each with its own
-    coefficient, in one transform pair; the solutions are the first rows of
-    the grid's real work arrays, which the next use overwrites."""
+    coefficient, in one transform pair; the solutions are rows of the grid's
+    real work arrays from row ``half`` on, which the next use overwrites.
+    The transform uses the half spectra from row ``3 * half`` on, so that
+    ``half = 0`` and ``half = 1`` may each solve one field at once (see
+    :func:`_derivative_stack`)."""
     m = len(arrays)
-    real = g._work()[:m]
+    real = g._work()[half : half + m]
     np.stack(arrays, out=real)
-    spec = _rfft2(real, out=g._spectral_work()[:m])
+    spec = _rfft2(real, out=g._spectral_work()[3 * half : 3 * half + m])
     spec *= g.dealias_mask
     for row, a in zip(spec, coefficients):
         if a != 0.0:

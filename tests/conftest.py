@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+import gradflow.flow
+import gradflow.spectral
 from gradflow import Grid, ScalarField
 
 
@@ -51,3 +55,35 @@ def smooth_field(rng):
         return ScalarField(grid, values + offset)
 
     return make
+
+
+
+class Pairing:
+    """``pairing(True)`` makes every grid share its steps with the helper
+    thread, as grids of ``spectral._PAIR_POINTS`` points do on two cores;
+    ``pairing(False)`` makes none do.  Two cores are reported either way, and
+    ``helper_calls`` counts the calls of the solver that ran on another
+    thread."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.helper_calls = 0
+        monkeypatch.setattr(gradflow.spectral, "_CORES", 2)
+        pair = gradflow.flow._pair
+
+        def spied(grid, fa, fb):
+            def counted_fb():
+                self.helper_calls += threading.current_thread() is not threading.main_thread()
+                return fb()
+
+            return pair(grid, fa, counted_fb)
+
+        monkeypatch.setattr(gradflow.flow, "_pair", spied)
+
+    def __call__(self, on: bool) -> None:
+        self.monkeypatch.setattr(gradflow.spectral, "_PAIR_POINTS", 0 if on else 2**62)
+
+
+@pytest.fixture
+def pairing(monkeypatch):
+    return Pairing(monkeypatch)

@@ -324,6 +324,9 @@ def test_simulate_writes_complete_output_set(tmp_path):
     assert "status = completed" in report
     assert "steps = 5" in report
     assert "clamp_count = 0" in report
+    assert "threads = 1" in report.splitlines()  # a 16x16 grid stays on one thread
+    rate = [line for line in report.splitlines() if line.startswith("steps_per_second = ")]
+    assert len(rate) == 1 and float(rate[0].split(" = ")[1]) > 0.0
 
 
 def test_simulate_record_cadence_and_final_pair():
@@ -366,6 +369,49 @@ def test_aborted_run_emits_no_floating_point_warnings():
         warnings.simplefilter("error")
         result = simulate(parse_config(ABORTING))
     assert result.aborted and "non-finite" in result.abort_message
+
+
+def test_paired_run_writes_the_bytes_of_the_inline_run(tmp_path, pairing):
+    # Five 256x256 steps, each recorded, with a snapshot midway.
+    cfg = parse_config(
+        """
+        grid.nx = 256
+        energy.kind = flory_huggins
+        stepper.dt = 1e-5
+        run.t_end = 5e-5
+        run.record_every = 1
+        run.snapshot_times = 3e-5
+        initial.psi = 0.25
+        """
+    )
+    outputs = []
+    for on in (False, True):
+        pairing(on)
+        out = tmp_path / f"paired_{on}"
+        assert not simulate(cfg, out_dir=out).aborted
+        outputs.append(
+            [(out / name).read_bytes() for name in ("series.csv", "final.sgf", "snapshot_000.sgf")]
+        )
+        assert f"threads = {2 if on else 1}" in (out / "report.txt").read_text().splitlines()
+    assert outputs[0] == outputs[1]
+    assert pairing.helper_calls == 2 * 6 + 5  # two per evaluation of six states, one per step
+
+
+def test_paired_abort_matches_the_inline_abort(pairing):
+    results = []
+    for on in (False, True):
+        pairing(on)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # also a warning on the helper thread
+            result = simulate(parse_config(ABORTING))
+        assert result.aborted
+        results.append(result)
+    inline, paired = results
+    assert paired.abort_message == inline.abort_message
+    assert paired.state.step_index == inline.state.step_index and paired.state.t == inline.state.t
+    assert paired.state.h.values.tobytes() == inline.state.h.values.tobytes()
+    assert paired.state.psi.values.tobytes() == inline.state.psi.values.tobytes()
+    assert pairing.helper_calls > 0
 
 
 def quadratic_blowup(dt):

@@ -2,6 +2,11 @@
 
 import collections
 import dataclasses
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -649,13 +654,19 @@ def test_record_with_an_evaluation_makes_no_transform(calls):
 
 
 def test_evaluation_keeps_no_second_derivatives():
-    # The slopes an evaluation keeps have their own 2-field arrays, so the
-    # three second derivatives of h and of psi are freed when it returns.
+    # The slopes of h have their own 2-field array, and those of psi share a
+    # block only with arrays the evaluation keeps, whose rows held psi's
+    # second derivatives until the rates overwrote them.  So the three second
+    # derivatives of h and of psi are freed when it returns.
     state = make_state(16)
     for variant, model in VARIANT_MODELS:
         ev = evaluate(state, variant, MOB, model)
-        for kept in (ev.psi_x, ev.psi_y, ev.cache.hx, ev.cache.hy):
+        for kept in (ev.cache.hx, ev.cache.hy):
             assert kept.base is not None and kept.base.shape[0] <= 2, variant
+        rows = (ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.rhs_psi)
+        block = ev.psi_x.base
+        assert block is not None and block.shape[0] == len(rows), variant
+        assert all(np.shares_memory(row, block[i]) for i, row in enumerate(rows)), variant
 
 
 def test_full_imex_step_transform_budget(calls):
@@ -714,6 +725,25 @@ def test_evaluation_works_in_the_grid_work_arrays(variant, model):
     assert peak_step - start_step <= 3 * array_bytes
 
 
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_record_works_in_the_grid_work_arrays(variant, model):
+    # A warm record forms its area element, integrands, norms and flux in the
+    # grid's work arrays; the peak counts Python objects too.
+    state = make_state(32)
+    ev = evaluate(state, variant, MOB, model)
+    record(ev)
+    array_bytes = state.h.values.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        record(ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * array_bytes
+
+
 def test_grid_stores_no_derivative_multipliers():
     # The derivatives multiply the spectrum by per-axis factors; apart from
     # its two work stacks the grid holds nothing larger than one spectrum.
@@ -723,3 +753,170 @@ def test_grid_stores_no_derivative_multipliers():
     held = [a for v in vars(g).values() for a in (v if isinstance(v, tuple) else (v,))]
     stored = [a for a in held if isinstance(a, np.ndarray) and not any(a is w for w in work)]
     assert stored and all(a.size <= g.nx * (g.ny // 2 + 1) for a in stored)
+
+
+# ---------------------------------------------------------------------------
+# The paired path: the halves of a step on this thread and the helper thread
+
+
+def _fingerprint(ev, new_state):
+    """The bytes of every array of an evaluation and of the state it steps
+    to, with its coefficients and clamp count."""
+    arrays = (
+        ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.v, ev.rhs_psi,
+        ev.cache.hx, ev.cache.hy, ev.cache.g_det, ev.cache.hfrak,
+        new_state.h.values, new_state.psi.values,
+    )
+    return [a.tobytes() for a in arrays] + [repr(ev.a_h), repr(ev.a_psi), ev.clamp_count]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_paired_evaluation_and_step_are_bit_identical(pairing, variant, model, scheme):
+    stepper = StepperConfig(dt=1e-4, scheme=scheme)
+    for state in (make_state(32), clamping_state(32)):
+        runs = []
+        for on in (False, True):
+            pairing(on)
+            ev = evaluate(state, variant, MOB, model)
+            runs.append(_fingerprint(ev, step(ev, stepper)))
+        assert runs[0] == runs[1], variant
+    assert pairing.helper_calls == 2 * 3  # per state: psi's derivatives, a half, an increment
+
+
+def test_paired_evaluation_keeps_its_working_set(pairing):
+    # Paired, the derivatives of psi land in the arrays the evaluation keeps,
+    # and each half of the rate algebra works in its rows of the work arrays.
+    # The step's two solves hold their half-spectrum temporaries at once, so
+    # its peak is one array above the one-thread bound.
+    pairing(True)
+    state = make_state(32)
+    variant, model = VARIANT_MODELS[0]
+    stepper = StepperConfig(dt=1e-4)
+    step(evaluate(state, variant, MOB, model), stepper)  # allocates the work arrays
+    array_bytes = state.h.values.nbytes
+    tracemalloc.start()
+    try:
+        kept_before = _numpy_bytes()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ev = evaluate(state, variant, MOB, model)
+        peak = tracemalloc.get_traced_memory()[1]
+        kept = _numpy_bytes() - kept_before
+        tracemalloc.reset_peak()
+        start_step = tracemalloc.get_traced_memory()[0]
+        step(ev, stepper)
+        peak_step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 12 * array_bytes
+    assert peak - start <= 16 * array_bytes
+    assert peak_step - start_step <= 4 * array_bytes
+    assert pairing.helper_calls == 2 * 3
+
+
+@pytest.mark.parametrize("row", [1, 30])
+def test_paired_damping_coefficient_keeps_a_nan(pairing, row):
+    # A NaN in either half of sigma makes a_h NaN, as it does on one thread:
+    # the peaks of the halves are combined by a NaN-propagating maximum.
+    state = make_state(32)
+    psi = state.psi.values.copy()
+    psi[row, 5] = np.nan
+    state = FlowState(0.0, state.h, ScalarField(state.grid, psi))
+    for on in (False, True):
+        pairing(on)
+        ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+        assert np.isnan(ev.a_h), on
+        assert ev.a_psi >= 0.0
+    assert pairing.helper_calls
+
+
+def test_pair_raises_an_exception_of_either_call_once_both_ended(pairing):
+    pairing(True)
+    grid = Grid(16, 16)
+    ended = []
+
+    def fails():
+        assert threading.current_thread() is not threading.main_thread()
+        raise FloatingPointError("from the helper")
+
+    with pytest.raises(FloatingPointError, match="from the helper"):
+        gradflow.spectral._pair(grid, lambda: ended.append("a"), fails)
+    assert ended == ["a"]
+
+    def fails_here():
+        raise ValueError("from the caller")
+
+    with pytest.raises(ValueError, match="from the caller"):
+        gradflow.spectral._pair(grid, fails_here, lambda: ended.append("b"))
+    assert ended == ["a", "b"]
+    assert gradflow.spectral._pair(grid, lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_interrupted_pair_returns_once_the_helper_ended(pairing):
+    # A KeyboardInterrupt while the caller waits is raised only after the
+    # helper's call ended: until then it may still write to the grid's work
+    # arrays, which the caller's next evaluation would reuse.
+    pairing(True)
+    grid = Grid(16, 16)
+    main, ended = threading.get_ident(), []
+
+    def interrupts():
+        signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.3)
+        ended.append("b")
+
+    with pytest.raises(KeyboardInterrupt):
+        gradflow.spectral._pair(grid, lambda: None, interrupts)
+    assert ended == ["b"]
+    assert gradflow.spectral._pair(grid, lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_pair_serves_callers_on_several_threads(pairing):
+    # Each caller gets its own reply, even with the interpreter switching
+    # threads as often as it can.
+    pairing(True)
+    grid = Grid(16, 16)
+    wrong = []
+
+    def caller(k):
+        for i in range(300):
+            got = gradflow.spectral._pair(grid, lambda: (k, i), lambda: (i, k))
+            if got != ((k, i), (i, k)):
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper(pairing):
+    # A child forked after the helper started has no helper thread; without
+    # its own, its first pair would wait forever.
+    pairing(True)
+    grid = Grid(16, 16)
+    assert gradflow.spectral._pair(grid, lambda: 1, lambda: 2) == (1, 2)
+    pid = os.fork()
+    if pid == 0:  # the child
+        ok = gradflow.spectral._pair(grid, lambda: 1, lambda: 2) == (1, 2)
+        os._exit(0 if ok else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's pair did not return within 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
