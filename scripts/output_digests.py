@@ -12,6 +12,13 @@ gives one line ``<workload> <seed> <file> <sha256>``: ``series.csv``,
 ``snapshot_NNN.sgf``.  ``report.txt``, which holds the wall time, and the
 echoed ``config.cfg`` are left out.
 
+The two harnesses then run through the command line on a small inline
+16x16 config (:data:`HARNESS_CONFIG`): ``gradflow compare``,
+and ``gradflow sweep`` over a 3-point ladder for each error quantity
+(:data:`HARNESS_RUNS`).  Each file a run writes gives one line ``harness
+<run> <file> <sha256>``, and its standard output one line ``harness <run>
+stdout <sha256>``.
+
 ``--root`` names the source tree whose ``src/gradflow`` and
 ``perfbench/workloads.py`` are used (default: the tree holding this script).
 Running the script on two trees and comparing the outputs shows whether a
@@ -25,10 +32,54 @@ change kept the output bytes, e.g.::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
+
+HARNESS_CONFIG = """\
+grid.nx = 16
+energy.kind = flory_huggins
+mobility.m_x = 5.0
+stepper.dt = 1e-3
+run.t_end = 0.02
+run.record_every = 2
+initial.h_amplitude = 0.5
+initial.psi = 0.25
+"""
+HARNESS_RUNS = {
+    "compare": ["compare"],
+    "sweep_mass_error": ["sweep", "--dt-ladder", "2e-3,1e-3,5e-4"],
+    "sweep_trajectory_error": [
+        "sweep", "--dt-ladder", "2e-3,1e-3,5e-4", "--quantity", "trajectory_error"
+    ],
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def harness_digests() -> None:
+    """Run each of :data:`HARNESS_RUNS` through ``gradflow.cli.main`` and
+    print the digests of its files and its standard output."""
+    from gradflow.cli import main as gradflow
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "harness.cfg"
+        config.write_text(HARNESS_CONFIG)
+        for name, args in HARNESS_RUNS.items():
+            out = Path(tmp) / name
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = gradflow([args[0], str(config), "--out", str(out), *args[1:]])
+            if code != 0:
+                raise SystemExit(f"gradflow {' '.join(args)} exited with {code}")
+            for path in sorted(out.iterdir()):
+                print(f"harness {name} {path.name} {_digest(path.read_bytes())}", flush=True)
+            print(f"harness {name} stdout {_digest(stdout.getvalue().encode())}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,8 +101,8 @@ def main(argv: list[str] | None = None) -> int:
                 simulate(config, out_dir=tmp)
                 outputs = (p for p in Path(tmp).iterdir() if p.suffix in (".csv", ".sgf"))
                 for path in sorted(outputs):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{name} {seed} {path.name} {digest}", flush=True)
+                    print(f"{name} {seed} {path.name} {_digest(path.read_bytes())}", flush=True)
+    harness_digests()
     return 0
 
 

@@ -33,14 +33,7 @@ from .config import (
     initial_state,
     parse_config,
 )
-from .diagnostics import (
-    CompareResult,
-    ConvergenceRow,
-    DiagnosticsRecord,
-    compare_variants,
-    convergence_sweep,
-    record,
-)
+from .diagnostics import DiagnosticsRecord, record
 from .energy import (
     CLAMP_EPS,
     Constant,
@@ -71,7 +64,14 @@ from .geometry import (
     surface_integral,
     truesdell_rate,
 )
-from .runner import RunResult, compare, simulate, sweep
+from .runner import (
+    CompareResult,
+    ConvergenceRow,
+    RunResult,
+    compare_variants,
+    convergence_sweep,
+    simulate,
+)
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 from .spectral import (
     Grid,
@@ -125,10 +125,6 @@ __all__ = [
     # diagnostics
     "DiagnosticsRecord",
     "record",
-    "ConvergenceRow",
-    "convergence_sweep",
-    "CompareResult",
-    "compare_variants",
     # config
     "ConfigError",
     "InitialHeight",
@@ -145,6 +141,8 @@ __all__ = [
     # runner
     "RunResult",
     "simulate",
-    "compare",
-    "sweep",
+    "ConvergenceRow",
+    "convergence_sweep",
+    "CompareResult",
+    "compare_variants",
 ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, parse_config
-from .runner import compare, simulate, sweep
+from .config import ConfigError, RunConfig, check_dt, parse_config
+from .runner import compare_variants, convergence_sweep, simulate
 
 __all__ = ["main"]
 
@@ -87,7 +88,7 @@ def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
         return 0
 
     if args.command == "compare":
-        result = compare(config, out)
+        result = compare_variants(config, out_dir=out)
         print(f"energy_ordered = {'true' if result.energy_ordered else 'false'}")
         print(
             "final_range_smaller = "
@@ -102,7 +103,10 @@ def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"error: --dt-ladder must be comma-separated numbers, got {args.dt_ladder!r}", file=sys.stderr)
         return 2
     try:
-        rows = sweep(config, ladder, out, quantity=args.quantity)
+        for dt in ladder:
+            check_dt(dt, config.t_end, "--dt-ladder entry")
+        configs = [replace(config, dt=dt) for dt in ladder]
+        rows = convergence_sweep(configs, args.quantity, out_dir=out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

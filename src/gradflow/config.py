@@ -27,7 +27,7 @@ reproduces ``c`` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,7 +98,10 @@ class RunConfig:
 
 # -- schema -----------------------------------------------------------------
 
-_ENERGY_KINDS = ("constant", "linear", "quadratic", "flory_huggins")
+# energy.kind -> preset; each field of a preset is the key ``energy.<field>``.
+_ENERGIES = {
+    "constant": Constant, "linear": Linear, "quadratic": Quadratic, "flory_huggins": FloryHuggins
+}
 _H_PRESETS = ("sin2x_sin2y", "zero")
 
 # key -> (type tag, default); required keys have default _REQUIRED.
@@ -109,10 +112,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "grid.lx": ("float", TWO_PI),
     "grid.ly": ("float", TWO_PI),
     "energy.kind": ("str", _REQUIRED),
-    "energy.c": ("float", 1.0),
-    "energy.sigma0": ("float", 1.0),
-    "energy.beta": ("float", 0.75),
-    "energy.chi": ("float", 0.0),
+    **{f"energy.{f.name}": ("float", f.default) for e in _ENERGIES.values() for f in fields(e)},
     "mobility.m_x": ("float", 1.0),
     "mobility.m_psi": ("float", 1.0),
     "model.variant": ("str", "full"),
@@ -149,6 +149,16 @@ def _convert(key: str, tag: str, raw: str):
         return raw
     except ValueError as exc:
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
+
+
+def _choice(enum, key: str, raw: str):
+    """The member of ``enum`` whose value is ``raw``."""
+    try:
+        return enum(raw)
+    except ValueError:
+        raise ConfigError(
+            f"key '{key}' must be one of {', '.join(m.value for m in enum)}; got '{raw}'"
+        ) from None
 
 
 def check_dt(dt: float, t_end: float, name: str) -> None:
@@ -207,49 +217,28 @@ def parse_config(text: str) -> RunConfig:
     require_positive("grid.ly", ly)
 
     kind = get("energy.kind")
-    if kind not in _ENERGY_KINDS:
+    if kind not in _ENERGIES:
         raise ConfigError(
-            f"key 'energy.kind' must be one of {', '.join(_ENERGY_KINDS)}; got '{kind}'"
+            f"key 'energy.kind' must be one of {', '.join(_ENERGIES)}; got '{kind}'"
         )
+    keys = [f"energy.{f.name}" for f in fields(_ENERGIES[kind])]
     try:
-        if kind == "constant":
-            energy: EnergyModel = Constant(get("energy.c"))
-        elif kind == "linear":
-            energy = Linear(get("energy.c"))
-        elif kind == "quadratic":
-            energy = Quadratic(get("energy.c"))
-        else:
-            energy = FloryHuggins(get("energy.sigma0"), get("energy.beta"), get("energy.chi"))
+        energy = _ENERGIES[kind](*map(get, keys))
     except ValueError as exc:
-        section = "energy.c" if kind in ("constant", "linear", "quadratic") else "energy.sigma0/energy.beta"
-        raise ConfigError(f"invalid energy parameters ({section}): {exc}") from None
+        raise ConfigError(f"invalid energy parameters ({'/'.join(keys)}): {exc}") from None
 
     m_x, m_psi = get("mobility.m_x"), get("mobility.m_psi")
     require_positive("mobility.m_x", m_x)
     require_positive("mobility.m_psi", m_psi)
 
-    try:
-        variant = ModelVariant(get("model.variant"))
-    except ValueError:
-        raise ConfigError(
-            "key 'model.variant' must be one of "
-            + ", ".join(v.value for v in ModelVariant)
-            + f"; got '{get('model.variant')}'"
-        ) from None
+    variant = _choice(ModelVariant, "model.variant", get("model.variant"))
     if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC and kind != "quadratic":
         raise ConfigError(
             "key 'model.variant': material_gauge_quadratic requires energy.kind = quadratic"
         )
 
     dt = get("stepper.dt")
-    try:
-        scheme = Scheme(get("stepper.scheme"))
-    except ValueError:
-        raise ConfigError(
-            "key 'stepper.scheme' must be one of "
-            + ", ".join(s.value for s in Scheme)
-            + f"; got '{get('stepper.scheme')}'"
-        ) from None
+    scheme = _choice(Scheme, "stepper.scheme", get("stepper.scheme"))
 
     t_end = get("run.t_end")
     require_positive("run.t_end", t_end)
@@ -307,21 +296,13 @@ def parse_config(text: str) -> RunConfig:
 def format_config(config: RunConfig) -> str:
     """Emit the fully explicit document for a config; inverse of parsing."""
     e = config.energy
-    if isinstance(e, Constant):
-        energy_lines = ["energy.kind = constant", f"energy.c = {e.c!r}"]
-    elif isinstance(e, Linear):
-        energy_lines = ["energy.kind = linear", f"energy.c = {e.c!r}"]
-    elif isinstance(e, Quadratic):
-        energy_lines = ["energy.kind = quadratic", f"energy.c = {e.c!r}"]
-    elif isinstance(e, FloryHuggins):
-        energy_lines = [
-            "energy.kind = flory_huggins",
-            f"energy.sigma0 = {e.sigma0!r}",
-            f"energy.beta = {e.beta!r}",
-            f"energy.chi = {e.chi!r}",
-        ]
-    else:  # pragma: no cover - presets are closed
+    kind = next((k for k, preset in _ENERGIES.items() if type(e) is preset), None)
+    if kind is None:
         raise TypeError(f"unknown energy model {type(e).__name__}")
+    energy_lines = [
+        f"energy.kind = {kind}",
+        *(f"energy.{f.name} = {getattr(e, f.name)!r}" for f in fields(e)),
+    ]
 
     if config.initial_h.kind == "file":
         h_line = f"initial.h = file:{config.initial_h.path}"
@@ -375,7 +356,7 @@ def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarF
         # OSError, and a SnapshotError names only the fault.
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ConfigError(f"key '{key}': cannot read snapshot '{path}': {reason}") from None
-    if not loaded.grid.compatible(grid):
+    if loaded.grid != grid:
         raise ConfigError(
             f"key '{key}': snapshot grid {_describe(loaded.grid)} "
             f"does not match configured grid {_describe(grid)}"

@@ -270,7 +270,7 @@ def evaluate(
         cache, _ = _pair(
             grid,
             lambda: build_cache(state.h),
-            lambda: _derivative_stack(grid, psi, 5, out=kept[:5], half=1),
+            lambda: _derivative_stack(grid, psi, out=kept[:5], half=1),
         )
         # The clamped density is formed in v[0], which the velocity overwrites
         # after its last use.

@@ -198,7 +198,7 @@ def build_cache(h: ScalarField) -> GeometryCache:
     # The derivatives land in the grid's work arrays; the slopes, which the
     # cache keeps, are copied out of them.  :func:`gradflow.flow.evaluate`
     # may transform the density's derivatives meanwhile, in the other half.
-    work = _derivative_stack(grid, h.values, 5, out=grid._work(), half=0)
+    work = _derivative_stack(grid, h.values, out=grid._work(), half=0)
     hx, hy = work[:2].copy()
 
     g_det = np.multiply(hx, hx)
@@ -213,7 +213,7 @@ def build_cache(h: ScalarField) -> GeometryCache:
 
 def laplace_beltrami(f: np.ndarray, cache: GeometryCache) -> np.ndarray:
     """Surface Laplacian of the scalar samples ``f`` on the cached surface."""
-    fx, fy, fxx, fxy, fyy = _derivative_stack(cache.grid, f, 5)
+    fx, fy, fxx, fxy, fyy = _derivative_stack(cache.grid, f)
     hx, hy = cache.hx, cache.hy
     trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det)
     return trace - (fx * hx + fy * hy) * cache.hfrak
@@ -234,7 +234,7 @@ def covariant_norm_sq(
 
 def _velocity_gradients(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(vx_x, vx_y, vy_x, vy_y)``."""
-    return tuple(d for c in v for d in _derivative_stack(grid, c, 2))
+    return tuple(d for c in v for d in _derivative_stack(grid, c)[:2])
 
 
 def div_comp_material(v: np.ndarray, dth: np.ndarray, cache: GeometryCache) -> np.ndarray:
@@ -259,7 +259,7 @@ def truesdell_rate(
     conserved.  It is ``dtpsi`` minus the rate :func:`truesdell_solve`
     gives for a vanishing Truesdell rate.
     """
-    px, py = _derivative_stack(cache.grid, psi, 2)
+    px, py = _derivative_stack(cache.grid, psi)[:2]
     hx, hy, g = cache.hx, cache.hy, cache.g_det
     still = truesdell_solve(
         0.0, psi, px, py, px * hx + py * hy, dth, hx, hy, g, cache.hfrak, v=v,

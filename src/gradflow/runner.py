@@ -1,38 +1,40 @@
-"""Run orchestration and deterministic text outputs.
+"""Runs and their files: one simulation, the two harnesses, every output.
 
-:func:`simulate` advances a configured problem to its final time and
-returns the in-memory result, and writes these files when given an output
-directory (:func:`compare` and :func:`sweep` write their own tables):
+:func:`simulate` advances a configured problem to its final time;
+:func:`convergence_sweep` runs a dt ladder and reports observed orders;
+:func:`compare_variants` runs the fully coupled and normal-only variants
+from identical initial data.  Each returns its result, and given an output
+directory writes:
 
-* ``series.csv`` -- one row per record, fixed column schema, values with
-  17 significant digits; byte-identical across repeated single-threaded
-  runs of the same configuration.
-* ``snapshot_NNN.sgf`` -- binary states at the configured snapshot times,
-  plus ``final.sgf`` (or ``last_valid.sgf`` after a solver abort).
+* ``series.csv`` (``series_full.csv`` and ``series_normal.csv`` for the
+  comparison) -- one row per record, one column per field of
+  :class:`~gradflow.diagnostics.DiagnosticsRecord`, 17 significant digits;
+  byte-identical across repeated single-threaded runs.
+* ``config.cfg``, ``snapshot_NNN.sgf`` at the snapshot times, and
+  ``final.sgf`` (``last_valid.sgf`` after a solver abort).
 * ``report.txt`` -- final diagnostics, clamp count, wall time, steps per
   second, and ``threads``: 2 where the solver shared each step with its
   helper thread (:func:`gradflow.spectral._pairs`), else 1.
+* ``sweep.csv`` -- dt, error, observed order and dissipation mismatch per
+  ladder point; ``compare.txt`` -- the transient window and the two
+  ordering claims.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_grid, check_dt, format_config, initial_state
-from .diagnostics import (
-    CompareResult,
-    DiagnosticsRecord,
-    compare_variants,
-    convergence_sweep,
-    record,
-)
+from .config import ConfigError, RunConfig, build_grid, format_config, initial_state
+from .diagnostics import DiagnosticsRecord, record
 from .flow import (
     Evaluation,
     FlowState,
     Mobilities,
+    ModelVariant,
     SolverAbort,
     StepperConfig,
     evaluate,
@@ -44,39 +46,32 @@ from .spectral import _pairs
 __all__ = [
     "RunResult",
     "simulate",
-    "compare",
-    "sweep",
+    "ConvergenceRow",
+    "convergence_sweep",
+    "CompareResult",
+    "compare_variants",
     "CSV_HEADER",
     "write_series_csv",
 ]
 
-CSV_HEADER = (
-    "t,energy,mass,mass_error,h_min,h_max,psi_min,psi_max,"
-    "dissipation_lhs,dissipation_rhs,clamp_count"
-)
+# The series columns are the record's fields, in their order.
+_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+_row_values = attrgetter(*_COLUMNS)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _cell(x: float | int | None) -> str:
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else _fmt(x)
+
+
 def _csv_row(r: DiagnosticsRecord) -> str:
-    lhs = "" if r.dissipation_lhs is None else _fmt(r.dissipation_lhs)
-    return ",".join(
-        (
-            _fmt(r.t),
-            _fmt(r.energy),
-            _fmt(r.mass),
-            _fmt(r.mass_error),
-            _fmt(r.h_min),
-            _fmt(r.h_max),
-            _fmt(r.psi_min),
-            _fmt(r.psi_max),
-            lhs,
-            _fmt(r.dissipation_rhs),
-            str(r.clamp_count),
-        )
-    )
+    return ",".join(map(_cell, _row_values(r)))
 
 
 def write_series_csv(records: list[DiagnosticsRecord], path: str | Path) -> None:
@@ -247,41 +242,164 @@ def _write_report(result: RunResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def compare(config: RunConfig, out_dir: str | Path) -> CompareResult:
-    """Run the full-vs-normal-only pair and write paired outputs."""
-    out = Path(out_dir)
-    result = compare_variants(config)
-    out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(result.records_full, out / "series_full.csv")
-    write_series_csv(result.records_normal, out / "series_normal.csv")
-    text = [
-        f"transient_window = {result.transient_window!r}",
-        f"energy_ordered = {'true' if result.energy_ordered else 'false'}",
-        f"final_range_smaller = {'true' if result.final_range_smaller else 'false'}",
-    ]
-    (out / "compare.txt").write_text("\n".join(text) + "\n")
-    return result
+@dataclass(frozen=True)
+class ConvergenceRow:
+    """One ladder point of a convergence sweep.
+
+    ``observed_order`` is the successive-ratio order against the previous
+    ladder point (absent on the first row, and whenever either error
+    vanishes).  ``dissipation_mismatch`` is the relative gap between the
+    backward-difference energy rate over the final step and the
+    instantaneous dissipation integral at the step start.
+    """
+
+    parameter: float
+    error: float
+    observed_order: float | None
+    dissipation_mismatch: float | None
 
 
-def sweep(
-    config: RunConfig,
-    dt_ladder: list[float],
-    out_dir: str | Path,
+def _final_step_mismatch(records: list[DiagnosticsRecord], dt: float) -> float | None:
+    if len(records) < 2:
+        return None
+    last, prev = records[-1], records[-2]
+    if not math.isclose(last.t - prev.t, dt, rel_tol=1e-6):
+        return None
+    lhs = (last.energy - prev.energy) / (last.t - prev.t)
+    rhs = prev.dissipation_rhs
+    if rhs == 0.0:
+        return None
+    return abs(lhs - rhs) / abs(rhs)
+
+
+def convergence_sweep(
+    configs: list[RunConfig],
     quantity: str = "mass_error",
-):
-    """Run a dt ladder and write ``sweep.csv`` with errors and orders."""
-    out = Path(out_dir)
-    for dt in dt_ladder:
-        check_dt(dt, config.t_end, "--dt-ladder entry")
-    configs = [replace(config, dt=dt) for dt in dt_ladder]
-    rows = convergence_sweep(configs, quantity)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        fh.write(f"dt,{quantity},observed_order,dissipation_mismatch\n")
-        for row in rows:
-            order = "" if row.observed_order is None else _fmt(row.observed_order)
-            mismatch = (
-                "" if row.dissipation_mismatch is None else _fmt(row.dissipation_mismatch)
+    out_dir: str | Path | None = None,
+) -> list[ConvergenceRow]:
+    """Run a ladder of configurations and report errors with observed orders.
+
+    Parameters
+    ----------
+    configs : list of RunConfig
+        At least three configurations of the same physical problem on the
+        same grid to the same final time, differing in ``dt``.
+    quantity : {"mass_error", "trajectory_error"}
+        The error measure driving the observed order.  ``trajectory_error``
+        measures the final (h, psi) fields against a reference run at a
+        quarter of the smallest ladder dt.
+    out_dir : path, optional
+        Where ``sweep.csv`` is written once the ladder has run.
+    """
+    if len(configs) < 3:
+        raise ValueError(f"convergence sweep needs >= 3 ladder points, got {len(configs)}")
+    if quantity not in ("mass_error", "trajectory_error"):
+        raise ValueError(f"unknown sweep quantity {quantity!r}")
+    t_ends = {c.t_end for c in configs}
+    if len(t_ends) > 1:
+        raise ValueError(f"ladder configurations disagree on t_end: {sorted(t_ends)}")
+    grids = {(c.nx, c.ny, c.lx, c.ly) for c in configs}
+    if len(grids) > 1:
+        raise ValueError(
+            "ladder configurations disagree on the grid (nx, ny, lx, ly): "
+            f"{sorted(grids)}"
+        )
+
+    results = [simulate(c, record_final_pair=True) for c in configs]
+
+    reference = None
+    if quantity == "trajectory_error":
+        finest = min(configs, key=lambda c: c.dt)
+        reference = simulate(replace(finest, dt=finest.dt / 4.0))
+
+    rows: list[ConvergenceRow] = []
+    for config, result in zip(configs, results):
+        if quantity == "mass_error":
+            error = abs(result.records[-1].mass_error)
+        else:
+            err_h = float(
+                abs(result.state.h.values - reference.state.h.values).max()
             )
-            fh.write(f"{_fmt(row.parameter)},{_fmt(row.error)},{order},{mismatch}\n")
+            err_psi = float(
+                abs(result.state.psi.values - reference.state.psi.values).max()
+            )
+            error = max(err_h, err_psi)
+        order = None
+        if rows:
+            prev = rows[-1]
+            if prev.error > 0.0 and error > 0.0 and prev.parameter != config.dt:
+                order = math.log(prev.error / error) / math.log(prev.parameter / config.dt)
+        rows.append(
+            ConvergenceRow(
+                parameter=config.dt,
+                error=error,
+                observed_order=order,
+                dissipation_mismatch=_final_step_mismatch(result.records, config.dt),
+            )
+        )
+
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "sweep.csv", "w", newline="") as fh:
+            fh.write(f"dt,{quantity},observed_order,dissipation_mismatch\n")
+            for row in rows:
+                cells = (row.parameter, row.error, row.observed_order, row.dissipation_mismatch)
+                fh.write(",".join(map(_cell, cells)) + "\n")
     return rows
+
+
+@dataclass(frozen=True)
+class CompareResult:
+    """Paired full-vs-normal-only time series and the two ordering claims.
+
+    ``energy_ordered``: the fully coupled run has energy at or below the
+    normal-only run at every recorded time past the transient window.
+    ``final_range_smaller``: the density extrema spread at the final time
+    is no larger for the fully coupled run.
+    """
+
+    records_full: list[DiagnosticsRecord]
+    records_normal: list[DiagnosticsRecord]
+    energy_ordered: bool
+    final_range_smaller: bool
+    transient_window: float
+
+
+def compare_variants(
+    base_config: RunConfig,
+    transient_window: float = 0.05,
+    out_dir: str | Path | None = None,
+) -> CompareResult:
+    """Run FULL_COUPLED and NORMAL_ONLY from identical initial data; with
+    ``out_dir``, write both series and ``compare.txt`` there."""
+    full = simulate(replace(base_config, variant=ModelVariant.FULL_COUPLED))
+    normal = simulate(replace(base_config, variant=ModelVariant.NORMAL_ONLY))
+
+    tol = 1e-10 * abs(full.records[0].energy)
+    energy_ordered = all(
+        rf.energy <= rn.energy + tol
+        for rf, rn in zip(full.records, normal.records)
+        if rf.t >= transient_window
+    )
+    rf, rn = full.records[-1], normal.records[-1]
+    final_range_smaller = (rf.psi_max - rf.psi_min) <= (rn.psi_max - rn.psi_min)
+
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_series_csv(full.records, out / "series_full.csv")
+        write_series_csv(normal.records, out / "series_normal.csv")
+        text = [
+            f"transient_window = {transient_window!r}",
+            f"energy_ordered = {'true' if energy_ordered else 'false'}",
+            f"final_range_smaller = {'true' if final_range_smaller else 'false'}",
+        ]
+        (out / "compare.txt").write_text("\n".join(text) + "\n")
+    return CompareResult(
+        records_full=full.records,
+        records_normal=normal.records,
+        energy_ordered=energy_ordered,
+        final_range_smaller=final_range_smaller,
+        transient_window=transient_window,
+    )

@@ -180,12 +180,11 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, n: int, out: np.ndarray | None = None,
-    half: int | None = None,
+    g: "Grid", values: np.ndarray, out: np.ndarray | None = None, half: int | None = None
 ) -> np.ndarray:
-    """``(f_x, f_y)`` (``n = 2``) or ``(f_x, f_y, f_xx, f_xy, f_yy)`` (``n =
-    5``) of the samples ``values`` on ``g`` as one stack, from one forward
-    transform, written to ``out`` (new if absent) and returned.
+    """``(f_x, f_y, f_xx, f_xy, f_yy)`` of the samples ``values`` on ``g`` as
+    one stack, from one forward transform, written to ``out`` (new if
+    absent) and returned.
 
     Each row of the grid's half spectra (:meth:`Grid._spectral_work`) is the
     spectrum times a per-axis factor of :attr:`Grid.deriv_factors`; the mixed
@@ -194,18 +193,13 @@ def _derivative_stack(
     ``half`` = 0 or 1 names a stack that :func:`_pair` may form beside
     another: where :func:`_pairs` holds for ``g``, it then works in three
     half spectra, the first three for ``half = 0`` and the last three for
-    ``half = 1``, and ``n = 5`` inverts the slopes and the second
-    derivatives in two rounds.
+    ``half = 1``, and inverts the slopes and the second derivatives in two
+    rounds.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
     split = half is not None and _pairs(g)
     work = g._spectral_work()
-    work = work[3 * half : 3 * half + 3] if split else work[:n]
-    if n == 2:
-        spec = _rfft2(values, out=work[1])
-        np.multiply(ikx, spec, out=work[0])
-        spec *= iky
-        return _irfft2(work[:2], g.ny, out=out)
+    work = work[3 * half : 3 * half + 3] if split else work[:5]
     if out is None:
         out = np.empty((5, g.nx, g.ny))
     spec = _rfft2(values, out=work[-1])
@@ -332,14 +326,6 @@ class Grid:
     def cell_area(self) -> float:
         return (self.lx * self.ly) / (self.nx * self.ny)
 
-    def compatible(self, other: "Grid") -> bool:
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and self.lx == other.lx
-            and self.ly == other.ly
-        )
-
 
 @dataclass
 class ScalarField:
@@ -363,8 +349,7 @@ class ScalarField:
 
 def gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
-    f_x, f_y = _derivative_stack(f.grid, f.values, 2)
-    return f_x, f_y
+    return derivatives(f)[:2]
 
 
 def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
@@ -373,7 +358,7 @@ def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     One forward transform and one batched inverse transform; ``f_xy`` is
     symmetric by construction (a single spectral multiplier).
     """
-    out = _derivative_stack(f.grid, f.values, 5)
+    out = _derivative_stack(f.grid, f.values)
     # The slopes are copied out of the stack, so that a caller that keeps
     # them and drops the second derivatives frees the stack.
     return (*out[:2].copy(), *out[2:])

@@ -11,11 +11,13 @@ import pytest
 from gradflow import (
     ConfigError,
     Constant,
+    EnergyModel,
     FloryHuggins,
     FlowState,
     Grid,
     InitialDensity,
     InitialHeight,
+    Linear,
     ModelVariant,
     Quadratic,
     Scheme,
@@ -105,8 +107,36 @@ def test_format_parse_roundtrip():
             initial_psi=InitialDensity("file", 0.0, "state.sgf"),
         ),
     ]
+    # Each energy kind, and the lines it formats to: ``energy.kind`` and one
+    # line per field of the preset, between the grid and the mobilities.
+    energy_lines = {
+        Constant(2.0): ["energy.kind = constant", "energy.c = 2.0"],
+        Linear(-0.5): ["energy.kind = linear", "energy.c = -0.5"],
+        Quadratic(2.5): ["energy.kind = quadratic", "energy.c = 2.5"],
+        FloryHuggins(1.5, 0.5, chi=0.3): [
+            "energy.kind = flory_huggins",
+            "energy.sigma0 = 1.5",
+            "energy.beta = 0.5",
+            "energy.chi = 0.3",
+        ],
+    }
+    for energy, expected in energy_lines.items():
+        cfg = replace(parse_config(MINIMAL), energy=energy)
+        samples.append(cfg)
+        lines = format_config(cfg).splitlines()
+        assert lines[3].startswith("grid.ly = ")
+        assert lines[4 : 4 + len(expected)] == expected
+        assert lines[4 + len(expected)].startswith("mobility.m_x = ")
     for cfg in samples:
         assert parse_config(format_config(cfg)) == cfg
+
+
+def test_format_config_rejects_a_model_without_a_kind():
+    class Custom(EnergyModel):
+        pass
+
+    with pytest.raises(TypeError, match="unknown energy model Custom"):
+        format_config(replace(parse_config(MINIMAL), energy=Custom()))
 
 
 def test_snapshot_times_parsed_as_tuple():

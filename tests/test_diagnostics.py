@@ -28,6 +28,7 @@ from gradflow import (
     surface_integral,
     total_energy,
 )
+from gradflow.runner import CSV_HEADER, _csv_row
 
 BASE_DOC = """
 grid.nx = 16
@@ -244,6 +245,42 @@ def test_compare_variants_records_cover_the_run():
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(cfg.t_end, rel=1e-9)
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Harness outputs
+
+
+def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfgs = [make_config(dt=d) for d in (1e-3, 5e-4, 2.5e-4)]
+
+    rows = convergence_sweep(cfgs, out_dir=tmp_path / "sweep")
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "dt,mass_error,observed_order,dissipation_mismatch"
+    written = [tuple(float(c) if c else None for c in line.split(",")) for line in lines[1:]]
+    assert written == [
+        (r.parameter, r.error, r.observed_order, r.dissipation_mismatch) for r in rows
+    ]
+    assert written[0][2] is None and None not in written[1]
+
+    result = compare_variants(cfgs[0], out_dir=tmp_path / "compare")
+    out = tmp_path / "compare"
+    for name, records in (("full", result.records_full), ("normal", result.records_normal)):
+        lines = (out / f"series_{name}.csv").read_text().splitlines()
+        assert lines == [CSV_HEADER, *map(_csv_row, records)]
+    assert (out / "compare.txt").read_text() == (
+        "transient_window = 0.05\n"
+        f"energy_ordered = {str(result.energy_ordered).lower()}\n"
+        f"final_range_smaller = {str(result.final_range_smaller).lower()}\n"
+    )
+
+    # Without an output directory neither harness writes anything.
+    assert convergence_sweep(cfgs) == rows
+    assert compare_variants(cfgs[0]) == result
+    assert list(cwd.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
