@@ -22,10 +22,10 @@ print(f"running both variants of the {config.nx}x{config.ny} relaxation to t = {
 result = compare_variants(config, transient_window=0.05)
 
 print(f"\n{'t':>6} {'U (coupled)':>14} {'U (normal-only)':>16} {'difference':>12}")
-for rf, rn in zip(result.records_full, result.records_normal):
+for rf, rn in zip(result.full.records, result.normal.records):
     print(f"{rf.t:6.3f} {rf.energy:14.8f} {rn.energy:16.8f} {rf.energy - rn.energy:12.3e}")
 
-rf, rn = result.records_full[-1], result.records_normal[-1]
+rf, rn = result.full.records[-1], result.normal.records[-1]
 print(f"\nenergy ordered past t = {result.transient_window}: {result.energy_ordered}")
 print(
     f"final density range: {rf.psi_max - rf.psi_min:.4e} (coupled) vs "

@@ -7,10 +7,12 @@ Usage, from the root of a gradflow source tree::
 For each workload and seed, the config document that
 ``perfbench/workloads.config_text`` generates is run by
 ``gradflow.runner.simulate`` in a temporary directory, and each output file
-gives one line ``<workload> <seed> <file> <sha256>``: ``series.csv``,
-``final.sgf`` (``last_valid.sgf`` after an abort) and every
-``snapshot_NNN.sgf``.  ``report.txt``, which holds the wall time, and the
-echoed ``config.cfg`` are left out.
+gives one line ``<workload> <seed> <file> <sha256>``: the echoed
+``config.cfg``, ``series.csv``, ``final.sgf`` (``last_valid.sgf`` after an
+abort) and every ``snapshot_NNN.sgf``.  ``config.cfg`` holds the config's own
+``run.output_dir``, not the temporary directory, so its line shows whether
+``gradflow.config.format_config`` kept its bytes.  ``report.txt``, which
+holds the wall time, is left out.
 
 The two harnesses then run through the command line on a small inline
 16x16 config (:data:`HARNESS_CONFIG`): ``gradflow compare``,
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(workloads.config_text(name, seed))
             with tempfile.TemporaryDirectory() as tmp:
                 simulate(config, out_dir=tmp)
-                outputs = (p for p in Path(tmp).iterdir() if p.suffix in (".csv", ".sgf"))
+                outputs = (p for p in Path(tmp).iterdir() if p.name != "report.txt")
                 for path in sorted(outputs):
                     print(f"{name} {seed} {path.name} {_digest(path.read_bytes())}", flush=True)
     harness_digests()

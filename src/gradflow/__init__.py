@@ -25,8 +25,6 @@ Quick start::
 
 from .config import (
     ConfigError,
-    InitialDensity,
-    InitialHeight,
     RunConfig,
     build_grid,
     format_config,
@@ -127,8 +125,6 @@ __all__ = [
     "record",
     # config
     "ConfigError",
-    "InitialHeight",
-    "InitialDensity",
     "RunConfig",
     "parse_config",
     "format_config",

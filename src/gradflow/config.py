@@ -2,9 +2,10 @@
 
 The configuration grammar is deliberately minimal so any language can
 parse it: one ``section.key = value`` assignment per line, ``#`` starts a
-full-line comment, blank lines are ignored.  Unknown keys and malformed
-values, a non-finite number (``inf``, ``nan``) included, are hard errors
-that name the offending key; silent typos are not possible.
+full-line comment, blank lines are ignored.  Unknown keys, ``energy.*``
+keys that the chosen ``energy.kind`` does not use, and malformed values, a
+non-finite number (``inf``, ``nan``) included, are hard errors that name the
+offending key; silent typos are not possible.
 
 Example (the bundled reference experiment)::
 
@@ -19,13 +20,15 @@ Example (the bundled reference experiment)::
     run.t_end = 0.8
     initial.psi = 0.25
 
-Every omitted key takes the documented default; :func:`format_config`
-emits the fully explicit document, and ``parse_config(format_config(c))``
-reproduces ``c`` exactly.
+One table, :data:`_SCHEMA`, gives each key its :class:`RunConfig` field, its
+type and its default.  Every omitted key takes that default;
+:func:`format_config` emits the fully explicit document in the table's
+order, and ``parse_config(format_config(c))`` reproduces ``c`` exactly.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, fields
 
@@ -33,12 +36,11 @@ import numpy as np
 
 from .energy import Constant, EnergyModel, FloryHuggins, Linear, Quadratic
 from .flow import FlowState, ModelVariant, Scheme
+from .snapshot import SnapshotError, read_snapshot
 from .spectral import Grid, ScalarField
 
 __all__ = [
     "ConfigError",
-    "InitialHeight",
-    "InitialDensity",
     "RunConfig",
     "parse_config",
     "format_config",
@@ -47,36 +49,20 @@ __all__ = [
     "initial_state",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 
 class ConfigError(ValueError):
     """Configuration document rejected; the message names the keys at fault."""
 
 
 @dataclass(frozen=True)
-class InitialHeight:
-    """Initial height field: preset ``sin2x_sin2y`` (scaled by ``amplitude``),
-    ``zero``, or the height slot of a snapshot file."""
-
-    kind: str = "sin2x_sin2y"
-    amplitude: float = 1.0
-    path: str = ""
-
-
-@dataclass(frozen=True)
-class InitialDensity:
-    """Initial density field: uniform ``value`` or the density slot of a
-    snapshot file."""
-
-    kind: str = "constant"
-    value: float = 0.0
-    path: str = ""
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description; immutable and value-comparable."""
+    """Fully validated run description; immutable and value-comparable.
+
+    ``initial_h`` is a height preset (``sin2x_sin2y``, scaled by
+    ``h_amplitude``, or ``zero``) or ``file:<path>``, the height slot of a
+    snapshot.  ``initial_psi`` is a uniform density value or ``file:<path>``,
+    the density slot of a snapshot.
+    """
 
     nx: int
     ny: int
@@ -91,9 +77,10 @@ class RunConfig:
     t_end: float
     record_every: int
     snapshot_times: tuple[float, ...]
-    initial_h: InitialHeight
-    initial_psi: InitialDensity
     output_dir: str
+    initial_h: str
+    h_amplitude: float
+    initial_psi: float | str
 
 
 # -- schema -----------------------------------------------------------------
@@ -104,28 +91,31 @@ _ENERGIES = {
 }
 _H_PRESETS = ("sin2x_sin2y", "zero")
 
-# key -> (type tag, default); required keys have default _REQUIRED.
+# key -> (RunConfig field, type, default), in the order format_config writes
+# the keys; required keys have default _REQUIRED.  ``energy.kind`` fills the
+# ``energy`` field, and ``energy.<field>`` names the field of the preset.
 _REQUIRED = object()
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "grid.nx": ("int", _REQUIRED),
-    "grid.ny": ("int", None),  # defaults to grid.nx
-    "grid.lx": ("float", TWO_PI),
-    "grid.ly": ("float", TWO_PI),
-    "energy.kind": ("str", _REQUIRED),
-    **{f"energy.{f.name}": ("float", f.default) for e in _ENERGIES.values() for f in fields(e)},
-    "mobility.m_x": ("float", 1.0),
-    "mobility.m_psi": ("float", 1.0),
-    "model.variant": ("str", "full"),
-    "stepper.dt": ("float", _REQUIRED),
-    "stepper.scheme": ("str", "imex1"),
-    "run.t_end": ("float", _REQUIRED),
-    "run.record_every": ("int", 100),
-    "run.snapshot_times": ("floats", ()),
-    "run.output_dir": ("str", "out"),
-    "initial.h": ("str", "sin2x_sin2y"),
-    "initial.h_amplitude": ("float", 1.0),
-    "initial.psi": ("str", _REQUIRED),
+_SCHEMA: dict[str, tuple[str, type, object]] = {
+    "grid.nx": ("nx", int, _REQUIRED),
+    "grid.ny": ("ny", int, None),  # defaults to grid.nx
+    "grid.lx": ("lx", float, 2.0 * math.pi),
+    "grid.ly": ("ly", float, 2.0 * math.pi),
+    "energy.kind": ("energy", str, _REQUIRED),
+    **{f"energy.{f.name}": (f.name, float, f.default) for e in _ENERGIES.values() for f in fields(e)},
+    "mobility.m_x": ("m_x", float, 1.0),
+    "mobility.m_psi": ("m_psi", float, 1.0),
+    "model.variant": ("variant", ModelVariant, ModelVariant.FULL_COUPLED),
+    "stepper.dt": ("dt", float, _REQUIRED),
+    "stepper.scheme": ("scheme", Scheme, Scheme.IMEX1),
+    "run.t_end": ("t_end", float, _REQUIRED),
+    "run.record_every": ("record_every", int, 100),
+    "run.snapshot_times": ("snapshot_times", tuple, ()),
+    "run.output_dir": ("output_dir", str, "out"),
+    "initial.h": ("initial_h", str, "sin2x_sin2y"),
+    "initial.h_amplitude": ("h_amplitude", float, 1.0),
+    "initial.psi": ("initial_psi", str, _REQUIRED),  # a number or file:<path>
 }
+_POSITIVE = ("grid.lx", "grid.ly", "mobility.m_x", "mobility.m_psi", "run.t_end", "run.record_every")
 
 
 def _finite_float(raw: str) -> float:
@@ -135,39 +125,45 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _convert(key: str, tag: str, raw: str):
+def _one_of(key: str, names: str, raw: str) -> ConfigError:
+    return ConfigError(f"key '{key}' must be one of {names}; got '{raw}'")
+
+
+def _convert(key: str, cls: type, raw: str):
+    """The value of ``raw`` as the schema type ``cls`` of ``key``."""
+    if issubclass(cls, enum.Enum):
+        try:
+            return cls(raw)
+        except ValueError:
+            raise _one_of(key, ", ".join(m.value for m in cls), raw) from None
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return _finite_float(raw)
-        if tag == "floats":
-            raw = raw.strip()
-            if not raw:
-                return ()
-            return tuple(_finite_float(part) for part in raw.split(","))
-        return raw
+        if cls is tuple:
+            return tuple(map(_finite_float, raw.split(","))) if raw else ()
+        return _finite_float(raw) if cls is float else cls(raw)
     except ValueError as exc:
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
 
 
-def _choice(enum, key: str, raw: str):
-    """The member of ``enum`` whose value is ``raw``."""
-    try:
-        return enum(raw)
-    except ValueError:
-        raise ConfigError(
-            f"key '{key}' must be one of {', '.join(m.value for m in enum)}; got '{raw}'"
-        ) from None
+def _text(value) -> str:
+    """The document text of a config value; inverse of :func:`_convert`."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def check_dt(dt: float, t_end: float, name: str) -> None:
-    """The time-step rule: ``dt`` is finite, > 0 and <= ``t_end``.  ``name``
-    says in the error where ``dt`` came from."""
+    """The time-step rule: ``dt`` is finite, > 0, <= ``t_end``, and divides
+    ``t_end`` into whole steps (to the 1e-9 that the run's step count
+    allows).  ``name`` says in the error where ``dt`` came from."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"{name} must be > 0 and finite, got {dt}")
     if dt > t_end:
         raise ConfigError(f"{name} must be <= run.t_end ({dt} > {t_end})")
+    steps = t_end / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(f"{name} must divide run.t_end ({t_end} / {dt} = {steps!r} steps)")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -188,108 +184,61 @@ def parse_config(text: str) -> RunConfig:
             continue
         if key in values:
             raise ConfigError(f"duplicate key '{key}' (line {lineno})")
-        values[key] = _convert(key, _SCHEMA[key][0], raw)
+        values[key] = _convert(key, _SCHEMA[key][1], raw)
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(sorted(unknown)))
 
-    missing = [k for k, (_, default) in _SCHEMA.items() if default is _REQUIRED and k not in values]
+    missing = [k for k, (_, _, default) in _SCHEMA.items() if default is _REQUIRED and k not in values]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(sorted(missing)))
 
-    def get(key: str):
-        if key in values:
-            return values[key]
-        return _SCHEMA[key][1]
-
-    def require_positive(key: str, value: float) -> None:
-        if not (value > 0):
-            raise ConfigError(f"key '{key}' must be > 0, got {value}")
-
-    nx = get("grid.nx")
-    ny = get("grid.ny")
-    if ny is None:
-        ny = nx
-    for key, n in (("grid.nx", nx), ("grid.ny", ny)):
-        if n % 2 != 0 or n < 8:
-            raise ConfigError(f"key '{key}' must be even and >= 8, got {n}")
-    lx, ly = get("grid.lx"), get("grid.ly")
-    require_positive("grid.lx", lx)
-    require_positive("grid.ly", ly)
-
-    kind = get("energy.kind")
+    kind = values["energy.kind"]
     if kind not in _ENERGIES:
-        raise ConfigError(
-            f"key 'energy.kind' must be one of {', '.join(_ENERGIES)}; got '{kind}'"
-        )
+        raise _one_of("energy.kind", ", ".join(_ENERGIES), kind)
     keys = [f"energy.{f.name}" for f in fields(_ENERGIES[kind])]
+    foreign = sorted(k for k in values if k.startswith("energy.") and k not in ("energy.kind", *keys))
+    if foreign:
+        raise ConfigError(f"keys not used by energy.kind = {kind}: {', '.join(foreign)}")
+
+    values.setdefault("grid.ny", values["grid.nx"])
+    values = {key: values.get(key, default) for key, (_, _, default) in _SCHEMA.items()}
+    for key in ("grid.nx", "grid.ny"):
+        if values[key] % 2 != 0 or values[key] < 8:
+            raise ConfigError(f"key '{key}' must be even and >= 8, got {values[key]}")
+    for key in _POSITIVE:
+        if not (values[key] > 0):
+            raise ConfigError(f"key '{key}' must be > 0, got {values[key]}")
+
     try:
-        energy = _ENERGIES[kind](*map(get, keys))
+        energy = _ENERGIES[kind](*(values[k] for k in keys))
     except ValueError as exc:
         raise ConfigError(f"invalid energy parameters ({'/'.join(keys)}): {exc}") from None
 
-    m_x, m_psi = get("mobility.m_x"), get("mobility.m_psi")
-    require_positive("mobility.m_x", m_x)
-    require_positive("mobility.m_psi", m_psi)
-
-    variant = _choice(ModelVariant, "model.variant", get("model.variant"))
-    if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC and kind != "quadratic":
+    if values["model.variant"] is ModelVariant.MATERIAL_GAUGE_QUADRATIC and kind != "quadratic":
         raise ConfigError(
             "key 'model.variant': material_gauge_quadratic requires energy.kind = quadratic"
         )
-
-    dt = get("stepper.dt")
-    scheme = _choice(Scheme, "stepper.scheme", get("stepper.scheme"))
-
-    t_end = get("run.t_end")
-    require_positive("run.t_end", t_end)
-    check_dt(dt, t_end, "key 'stepper.dt'")
-    record_every = get("run.record_every")
-    require_positive("run.record_every", record_every)
-    snapshot_times = get("run.snapshot_times")
-    for s in snapshot_times:
+    t_end = values["run.t_end"]
+    check_dt(values["stepper.dt"], t_end, "key 'stepper.dt'")
+    for s in values["run.snapshot_times"]:
         if not (0.0 <= s <= t_end):
-            raise ConfigError(
-                f"key 'run.snapshot_times': time {s} outside [0, t_end={t_end}]"
-            )
+            raise ConfigError(f"key 'run.snapshot_times': time {s} outside [0, t_end={t_end}]")
 
-    h_raw = get("initial.h")
-    if h_raw.startswith("file:"):
-        initial_h = InitialHeight("file", get("initial.h_amplitude"), h_raw[5:])
-    elif h_raw in _H_PRESETS:
-        initial_h = InitialHeight(h_raw, get("initial.h_amplitude"), "")
-    else:
-        raise ConfigError(
-            f"key 'initial.h' must be one of {', '.join(_H_PRESETS)} or file:<path>; got '{h_raw}'"
-        )
-
-    psi_raw = get("initial.psi")
-    if psi_raw.startswith("file:"):
-        initial_psi = InitialDensity("file", 0.0, psi_raw[5:])
-    else:
+    h_raw = values["initial.h"]
+    if not (h_raw.startswith("file:") or h_raw in _H_PRESETS):
+        raise _one_of("initial.h", f"{', '.join(_H_PRESETS)} or file:<path>", h_raw)
+    psi_raw = values["initial.psi"]
+    if not psi_raw.startswith("file:"):
         try:
-            initial_psi = InitialDensity("constant", _finite_float(psi_raw), "")
+            values["initial.psi"] = _finite_float(psi_raw)
         except ValueError:
             raise ConfigError(
                 f"key 'initial.psi' must be a number or file:<path>; got '{psi_raw}'"
             ) from None
 
     return RunConfig(
-        nx=nx,
-        ny=ny,
-        lx=lx,
-        ly=ly,
         energy=energy,
-        m_x=m_x,
-        m_psi=m_psi,
-        variant=variant,
-        dt=dt,
-        scheme=scheme,
-        t_end=t_end,
-        record_every=record_every,
-        snapshot_times=tuple(snapshot_times),
-        initial_h=initial_h,
-        initial_psi=initial_psi,
-        output_dir=get("run.output_dir"),
+        **{name: values[key] for key, (name, _, _) in _SCHEMA.items() if not key.startswith("energy.")},
     )
 
 
@@ -299,39 +248,13 @@ def format_config(config: RunConfig) -> str:
     kind = next((k for k, preset in _ENERGIES.items() if type(e) is preset), None)
     if kind is None:
         raise TypeError(f"unknown energy model {type(e).__name__}")
-    energy_lines = [
-        f"energy.kind = {kind}",
-        *(f"energy.{f.name} = {getattr(e, f.name)!r}" for f in fields(e)),
-    ]
-
-    if config.initial_h.kind == "file":
-        h_line = f"initial.h = file:{config.initial_h.path}"
-    else:
-        h_line = f"initial.h = {config.initial_h.kind}"
-    if config.initial_psi.kind == "file":
-        psi_line = f"initial.psi = file:{config.initial_psi.path}"
-    else:
-        psi_line = f"initial.psi = {config.initial_psi.value!r}"
-
-    lines = [
-        f"grid.nx = {config.nx}",
-        f"grid.ny = {config.ny}",
-        f"grid.lx = {config.lx!r}",
-        f"grid.ly = {config.ly!r}",
-        *energy_lines,
-        f"mobility.m_x = {config.m_x!r}",
-        f"mobility.m_psi = {config.m_psi!r}",
-        f"model.variant = {config.variant.value}",
-        f"stepper.dt = {config.dt!r}",
-        f"stepper.scheme = {config.scheme.value}",
-        f"run.t_end = {config.t_end!r}",
-        f"run.record_every = {config.record_every}",
-        f"run.snapshot_times = {', '.join(repr(s) for s in config.snapshot_times)}",
-        f"run.output_dir = {config.output_dir}",
-        h_line,
-        f"initial.h_amplitude = {config.initial_h.amplitude!r}",
-        psi_line,
-    ]
+    energy = {"energy": kind, **{f.name: getattr(e, f.name) for f in fields(e)}}
+    lines = []
+    for key, (name, _, _) in _SCHEMA.items():
+        if not key.startswith("energy."):
+            lines.append(f"{key} = {_text(getattr(config, name))}")
+        elif name in energy:
+            lines.append(f"{key} = {_text(energy[name])}")
     return "\n".join(lines) + "\n"
 
 
@@ -346,9 +269,9 @@ def _describe(grid: Grid) -> str:
     return f"{grid.nx}x{grid.ny} on {grid.lx!r} x {grid.ly!r}"
 
 
-def _field_from_snapshot(path: str, which: str, grid: Grid, key: str) -> ScalarField:
-    from .snapshot import SnapshotError, read_snapshot
-
+def _field_from_snapshot(value: str, which: str, grid: Grid) -> ScalarField:
+    """The ``which`` slot ("h" or "psi") of the snapshot named by ``file:<path>``."""
+    path, key = value.removeprefix("file:"), f"initial.{which}"
     try:
         loaded = read_snapshot(path)
     except (OSError, SnapshotError) as exc:
@@ -373,20 +296,16 @@ def initial_state(config: RunConfig, grid: Grid | None = None) -> FlowState:
     if grid is None:
         grid = build_grid(config)
 
-    ih = config.initial_h
-    if ih.kind == "zero":
+    if config.initial_h == "zero":
         h = grid.zeros()
-    elif ih.kind == "sin2x_sin2y":
-        h = grid.from_function(
-            lambda x, y: ih.amplitude * np.sin(2.0 * x) * np.sin(2.0 * y)
-        )
+    elif config.initial_h == "sin2x_sin2y":
+        h = grid.from_function(lambda x, y: config.h_amplitude * np.sin(2.0 * x) * np.sin(2.0 * y))
     else:
-        h = _field_from_snapshot(ih.path, "h", grid, "initial.h")
+        h = _field_from_snapshot(config.initial_h, "h", grid)
 
-    ip = config.initial_psi
-    if ip.kind == "constant":
-        psi = grid.constant(ip.value)
+    if isinstance(config.initial_psi, str):
+        psi = _field_from_snapshot(config.initial_psi, "psi", grid)
     else:
-        psi = _field_from_snapshot(ip.path, "psi", grid, "initial.psi")
+        psi = grid.constant(config.initial_psi)
 
     return FlowState(t=0.0, h=h, psi=psi, step_index=0)

@@ -351,7 +351,7 @@ def convergence_sweep(
 
 @dataclass(frozen=True)
 class CompareResult:
-    """Paired full-vs-normal-only time series and the two ordering claims.
+    """The full and normal-only runs and the two ordering claims.
 
     ``energy_ordered``: the fully coupled run has energy at or below the
     normal-only run at every recorded time past the transient window.
@@ -359,8 +359,8 @@ class CompareResult:
     is no larger for the fully coupled run.
     """
 
-    records_full: list[DiagnosticsRecord]
-    records_normal: list[DiagnosticsRecord]
+    full: RunResult
+    normal: RunResult
     energy_ordered: bool
     final_range_smaller: bool
     transient_window: float
@@ -397,8 +397,8 @@ def compare_variants(
         ]
         (out / "compare.txt").write_text("\n".join(text) + "\n")
     return CompareResult(
-        records_full=full.records,
-        records_normal=normal.records,
+        full=full,
+        normal=normal,
         energy_ordered=energy_ordered,
         final_range_smaller=final_range_smaller,
         transient_window=transient_window,

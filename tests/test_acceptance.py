@@ -75,8 +75,10 @@ def load_config(name):
 
 
 @pytest.fixture(scope="module")
-def relaxation_64():
-    return simulate(load_config("relaxation_64.cfg"))
+def compare_64():
+    # Its fully coupled run is the run of relaxation_64.cfg itself (the
+    # config's variant), byte for byte: acceptance 1 checks that run.
+    return compare_variants(load_config("relaxation_64.cfg"), transient_window=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +107,9 @@ def assert_relaxation_properties(result):
 # 1. Reference relaxation experiment
 
 
-def test_relaxation_dissipates_conserves_and_flattens(relaxation_64):
+def test_relaxation_dissipates_conserves_and_flattens(compare_64):
+    relaxation_64 = compare_64.full
+    assert relaxation_64.config == load_config("relaxation_64.cfg")
     assert_relaxation_properties(relaxation_64)
     assert relaxation_64.wall_time < 60.0
     print(
@@ -130,11 +134,11 @@ def test_relaxation_reference_resolution():
 # 2. Fully coupled relaxes at least as fast as normal-only
 
 
-def test_full_coupling_accelerates_relaxation():
-    result = compare_variants(load_config("relaxation_64.cfg"), transient_window=0.05)
+def test_full_coupling_accelerates_relaxation(compare_64):
+    result = compare_64
     assert result.energy_ordered
     assert result.final_range_smaller
-    rf, rn = result.records_full[-1], result.records_normal[-1]
+    rf, rn = result.full.records[-1], result.normal.records[-1]
     print(
         "ACCEPTANCE 2 PASS: coupled energy below normal-only past the "
         f"transient; final density ranges {rf.psi_max - rf.psi_min:.3e} (full) "

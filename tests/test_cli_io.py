@@ -15,8 +15,6 @@ from gradflow import (
     FloryHuggins,
     FlowState,
     Grid,
-    InitialDensity,
-    InitialHeight,
     Linear,
     ModelVariant,
     Quadratic,
@@ -77,8 +75,8 @@ def test_defaults_from_minimal_document():
     assert cfg.scheme is Scheme.IMEX1
     assert cfg.record_every == 100
     assert cfg.snapshot_times == ()
-    assert cfg.initial_h == InitialHeight("sin2x_sin2y", 1.0, "")
-    assert cfg.initial_psi == InitialDensity("constant", 0.25, "")
+    assert cfg.initial_h == "sin2x_sin2y" and cfg.h_amplitude == 1.0
+    assert cfg.initial_psi == 0.25
     assert cfg.output_dir == "out"
 
 
@@ -103,8 +101,8 @@ def test_format_parse_roundtrip():
         ),
         replace(
             parse_config(MINIMAL),
-            initial_h=InitialHeight("file", 1.0, "state.sgf"),
-            initial_psi=InitialDensity("file", 0.0, "state.sgf"),
+            initial_h="file:state.sgf",
+            initial_psi="file:state.sgf",
         ),
     ]
     # Each energy kind, and the lines it formats to: ``energy.kind`` and one
@@ -137,6 +135,15 @@ def test_format_config_rejects_a_model_without_a_kind():
 
     with pytest.raises(TypeError, match="unknown energy model Custom"):
         format_config(replace(parse_config(MINIMAL), energy=Custom()))
+
+
+def test_dt_that_divides_t_end_to_the_step_count_tolerance_is_accepted():
+    # In floating point 0.3 / 0.1 is 2.9999999999999996 and 0.02 / 4e-5 is
+    # 499.99999999999994: whole step counts to the 1e-9 that simulate allows.
+    for dt, t_end in ((0.1, 0.3), (4e-5, 0.02), (7e-3, 7e-3)):
+        doc = MINIMAL.replace("stepper.dt = 1e-3", f"stepper.dt = {dt!r}")
+        cfg = parse_config(doc.replace("run.t_end = 1e-2", f"run.t_end = {t_end!r}"))
+        assert (cfg.dt, cfg.t_end) == (dt, t_end)
 
 
 def test_snapshot_times_parsed_as_tuple():
@@ -185,6 +192,13 @@ def test_snapshot_times_parsed_as_tuple():
         (MINIMAL.replace("initial.psi = 0.25", "initial.psi = nan"), "key 'initial.psi'"),
         (MINIMAL + "grid.lx = inf\n", "key 'grid.lx'"),
         (MINIMAL + "initial.h_amplitude = inf\n", "key 'initial.h_amplitude'"),
+        # An energy key of another kind would be ignored: it is an error.
+        (MINIMAL + "energy.c = 7\n", "keys not used by energy.kind = flory_huggins: energy.c"),
+        (MINIMAL.replace("flory_huggins", "quadratic") + "energy.beta = 1\nenergy.chi = 2\n",
+         "keys not used by energy.kind = quadratic: energy.beta, energy.chi"),
+        # A dt that does not divide t_end would end the run early.
+        (MINIMAL.replace("stepper.dt = 1e-3", "stepper.dt = 3e-3"),
+         "key 'stepper.dt' must divide run.t_end (0.01 / 0.003 = 3.33"),
     ],
 )
 def test_rejections_name_the_offending_key(doc, fragment):
@@ -206,7 +220,7 @@ def test_initial_state_presets():
     assert np.all(state.psi.values == 0.25)
     assert state.t == 0.0
 
-    flat = initial_state(replace(cfg, initial_h=InitialHeight("zero", 1.0, "")))
+    flat = initial_state(replace(cfg, initial_h="zero"))
     assert np.all(flat.h.values == 0.0)
 
 
@@ -223,8 +237,8 @@ def test_initial_state_from_snapshot_file(tmp_path):
 
     cfg = replace(
         parse_config(MINIMAL),
-        initial_h=InitialHeight("file", 1.0, str(path)),
-        initial_psi=InitialDensity("file", 0.0, str(path)),
+        initial_h=f"file:{path}",
+        initial_psi=f"file:{path}",
     )
     state = initial_state(cfg)
     assert np.array_equal(state.h.values, donor.h.values)
@@ -239,7 +253,7 @@ def test_initial_state_from_snapshot_file(tmp_path):
         initial_state(replace(cfg, lx=3.0))
     assert f"16x16 on {2 * math.pi!r} x {2 * math.pi!r} does not match" in str(excinfo.value)
     assert f"grid 16x16 on 3.0 x {2 * math.pi!r}" in str(excinfo.value)
-    missing = replace(cfg, initial_h=InitialHeight("file", 1.0, str(tmp_path / "no.sgf")))
+    missing = replace(cfg, initial_h=f"file:{tmp_path / 'no.sgf'}")
     with pytest.raises(ConfigError, match="cannot read snapshot"):
         initial_state(missing)
 
@@ -636,4 +650,8 @@ def test_cli_sweep_bad_ladder(tmp_path, capsys):
     for ladder in ("0.5,0.25,0.125", "inf,1e-3,5e-4", "1e-3,nan,2.5e-4", "1e-3,0,-1e-3"):
         assert main(["sweep", cfg, "--out", str(tmp_path / "y"), "--dt-ladder", ladder]) == 2
         assert "--dt-ladder" in capsys.readouterr().err
+    # ... and divides run.t_end (5e-3) into whole steps, as 3e-4 does not.
+    assert main(["sweep", cfg, "--out", str(tmp_path / "y"), "--dt-ladder", "1e-3,5e-4,3e-4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dt-ladder entry must divide run.t_end (0.005 / 0.0003 = ")
     assert not (tmp_path / "y").exists()

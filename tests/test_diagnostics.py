@@ -231,8 +231,8 @@ def test_compare_variants_degenerate_equality():
     result = compare_variants(cfg, transient_window=0.002)
     assert result.energy_ordered
     assert result.final_range_smaller
-    assert len(result.records_full) == len(result.records_normal)
-    for rf, rn in zip(result.records_full, result.records_normal):
+    assert len(result.full.records) == len(result.normal.records)
+    for rf, rn in zip(result.full.records, result.normal.records):
         assert rf.t == rn.t
         assert rf.energy == pytest.approx(rn.energy, rel=1e-14)
     assert result.transient_window == 0.002
@@ -241,7 +241,7 @@ def test_compare_variants_degenerate_equality():
 def test_compare_variants_records_cover_the_run():
     cfg = make_config(energy=Constant(1.0), dt=1e-3, record_every=3)
     result = compare_variants(cfg)
-    times = [r.t for r in result.records_full]
+    times = [r.t for r in result.full.records]
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(cfg.t_end, rel=1e-9)
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -268,7 +268,7 @@ def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
 
     result = compare_variants(cfgs[0], out_dir=tmp_path / "compare")
     out = tmp_path / "compare"
-    for name, records in (("full", result.records_full), ("normal", result.records_normal)):
+    for name, records in (("full", result.full.records), ("normal", result.normal.records)):
         lines = (out / f"series_{name}.csv").read_text().splitlines()
         assert lines == [CSV_HEADER, *map(_csv_row, records)]
     assert (out / "compare.txt").read_text() == (
@@ -279,7 +279,11 @@ def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
 
     # Without an output directory neither harness writes anything.
     assert convergence_sweep(cfgs) == rows
-    assert compare_variants(cfgs[0]) == result
+    again = compare_variants(cfgs[0])
+    assert (again.full.records, again.normal.records) == (result.full.records, result.normal.records)
+    assert (again.energy_ordered, again.final_range_smaller, again.transient_window) == (
+        result.energy_ordered, result.final_range_smaller, result.transient_window
+    )
     assert list(cwd.iterdir()) == []
 
 
