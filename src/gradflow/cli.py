@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, check_dt, parse_config
+from .flow import SolverAbort
 from .runner import compare_variants, convergence_sweep, simulate
 
 __all__ = ["main"]
@@ -72,10 +73,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _dispatch(args, parse_config(text))
-    except ConfigError as exc:
-        # Raised by parsing and by reading the initial state, in any command.
+    except (ConfigError, SolverAbort) as exc:
+        # Bad input (exit 2), raised by parsing and by reading the initial
+        # state in any command, or an aborted run of a harness (exit 1).
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:

@@ -34,7 +34,7 @@ velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
 psi`` in the surface metric, formed pointwise from the derivatives of
 ``psi``.  A step therefore makes three transform pairs: the derivatives of
 ``h``, those of ``psi``, and both damped increments in one stack (one pair
-each when paired, see below).
+each when split, see below).
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
@@ -43,13 +43,13 @@ arrays it keeps and forms its intermediates in the grid's five work arrays,
 so a step's working set does not grow with the number of terms.  The state
 holds the two fields; everything evaluated from it is a plain array.
 
-The two halves of the system are independent within a step, and on large
-grids (:func:`gradflow.spectral._pairs`) they run as pairs on the caller's
-thread and one helper thread (:func:`gradflow.spectral._pair`): the
-derivatives of ``psi`` beside the geometry of ``h``, the pointwise rate
-algebra on the two halves of the rows, and the two damped increments.
-Each element and each one-dimensional FFT line is computed as it is on
-one thread, so the output bytes do not depend on the pairing.
+The two halves of the system are independent within a step.  The
+derivatives of ``psi`` are formed beside the geometry of ``h``
+(:func:`gradflow.spectral._pair`), and the pointwise rate algebra and the
+two damped increments are each split by :func:`gradflow.spectral._halves`,
+which alone decides whether a grid's work runs on two threads.  Each
+element and each one-dimensional FFT line is computed as it is on one
+thread, so the output bytes do not depend on the split.
 
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
@@ -81,8 +81,8 @@ from .spectral import (
     ScalarField,
     _dealias_solve_stack,
     _derivative_stack,
+    _halves,
     _pair,
-    _pairs,
 )
 
 __all__ = [
@@ -248,9 +248,9 @@ def evaluate(
     work arrays (:meth:`Grid._work`), which the next evaluation or step
     overwrites.
 
-    Paired (see the module docstring), the derivatives of ``psi`` are
-    transformed on the helper thread while this one builds the geometry, and
-    the rate algebra runs on the two halves of the rows at once.
+    The derivatives of ``psi`` are transformed beside the geometry, and the
+    rate algebra runs on the row halves that :func:`gradflow.spectral._halves`
+    gives (see the module docstring).
     """
     _require_quadratic(variant, energy)
     grid = state.grid
@@ -365,13 +365,9 @@ def evaluate(
                 )
             return peak_sigma, peak_amp_fpp
 
-        if _pairs(grid):
-            mid = grid.nx // 2
-            halves = _pair(grid, lambda: rates(slice(0, mid)), lambda: rates(slice(mid, None)))
-            # A NaN-propagating maximum, as the peaks of the whole grid are.
-            peak_sigma, peak_amp_fpp = np.max(halves, axis=0)
-        else:
-            peak_sigma, peak_amp_fpp = rates(slice(None))
+        # A NaN-propagating maximum over the halves, as the peaks of the
+        # whole grid are.
+        peak_sigma, peak_amp_fpp = np.max(_halves(grid, grid.nx, rates), axis=0)
 
     return Evaluation(
         state=state,
@@ -419,13 +415,13 @@ def stabilization_coefficients(
 def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     """Advance ``ev.state`` by one time step of ``stepper``.
 
-    One transform pair updates both fields from the rates of ``ev``; on
-    grids where :func:`gradflow.spectral._pairs` holds, each field has its
-    own, and the two run at once on this thread and the helper thread.  Each
-    increment ``dt * rhs`` is dealiased and, for IMEX1, damped mode by mode
-    by ``1/(1 + dt * a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``:
-    the solution of ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit
-    Euler applies no damping.  A zero right-hand side gives a zero increment.
+    The two rates of ``ev`` are solved as one stack, split by
+    :func:`gradflow.spectral._halves`: one transform pair for both fields,
+    or one per field with the two on two threads.  Each increment ``dt *
+    rhs`` is dealiased and, for IMEX1, damped mode by mode by ``1/(1 + dt *
+    a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``: the solution of
+    ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit Euler applies no
+    damping.  A zero right-hand side gives a zero increment.
 
     Raises
     ------
@@ -436,16 +432,10 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     state = ev.state
     grid = state.grid
     dt = stepper.dt
+    rates = (ev.dth, ev.rhs_psi)
     coefficients = [dt * a for a in _damping(ev, stepper)]
     with np.errstate(**_QUIET):
-        if _pairs(grid):
-            _pair(
-                grid,
-                lambda: _dealias_solve_stack(grid, (ev.dth,), coefficients[:1]),
-                lambda: _dealias_solve_stack(grid, (ev.rhs_psi,), coefficients[1:], half=1),
-            )
-        else:
-            _dealias_solve_stack(grid, (ev.dth, ev.rhs_psi), coefficients)
+        _halves(grid, 2, lambda s: _dealias_solve_stack(grid, rates[s], coefficients[s], s.start))
         inc = grid._work()[:2]
         inc *= dt
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]

@@ -81,9 +81,9 @@ def write_series_csv(records: list[DiagnosticsRecord], path: str | Path) -> None
             fh.write(_csv_row(r) + "\n")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    """Outcome of one simulation."""
+    """Outcome of one simulation; compared by identity, as it holds arrays."""
 
     config: RunConfig
     records: list[DiagnosticsRecord]
@@ -259,17 +259,23 @@ class ConvergenceRow:
     dissipation_mismatch: float | None
 
 
-def _final_step_mismatch(records: list[DiagnosticsRecord], dt: float) -> float | None:
+def _final_step_mismatch(records: list[DiagnosticsRecord]) -> float | None:
+    # The last two records of a completed sweep run are one dt apart.
     if len(records) < 2:
         return None
-    last, prev = records[-1], records[-2]
-    if not math.isclose(last.t - prev.t, dt, rel_tol=1e-6):
-        return None
-    lhs = (last.energy - prev.energy) / (last.t - prev.t)
-    rhs = prev.dissipation_rhs
+    lhs, rhs = records[-1].dissipation_lhs, records[-2].dissipation_rhs
     if rhs == 0.0:
         return None
     return abs(lhs - rhs) / abs(rhs)
+
+
+def _completed(config: RunConfig, run: str, **options) -> RunResult:
+    """:func:`simulate` of ``config``; if the run aborts, :class:`SolverAbort`
+    naming ``run`` and carrying its state."""
+    result = simulate(config, **options)
+    if result.aborted:
+        raise SolverAbort(f"{run} aborted: {result.abort_message}", last_valid=result.state)
+    return result
 
 
 def convergence_sweep(
@@ -290,6 +296,11 @@ def convergence_sweep(
         quarter of the smallest ladder dt.
     out_dir : path, optional
         Where ``sweep.csv`` is written once the ladder has run.
+
+    Raises
+    ------
+    SolverAbort
+        If a run aborts, naming the run; nothing is written then.
     """
     if len(configs) < 3:
         raise ValueError(f"convergence sweep needs >= 3 ladder points, got {len(configs)}")
@@ -305,12 +316,13 @@ def convergence_sweep(
             f"{sorted(grids)}"
         )
 
-    results = [simulate(c, record_final_pair=True) for c in configs]
+    results = [_completed(c, f"the run at dt = {c.dt!r}", record_final_pair=True) for c in configs]
 
     reference = None
     if quantity == "trajectory_error":
         finest = min(configs, key=lambda c: c.dt)
-        reference = simulate(replace(finest, dt=finest.dt / 4.0))
+        dt = finest.dt / 4.0
+        reference = _completed(replace(finest, dt=dt), f"the trajectory reference at dt = {dt!r}")
 
     rows: list[ConvergenceRow] = []
     for config, result in zip(configs, results):
@@ -334,7 +346,7 @@ def convergence_sweep(
                 parameter=config.dt,
                 error=error,
                 observed_order=order,
-                dissipation_mismatch=_final_step_mismatch(result.records, config.dt),
+                dissipation_mismatch=_final_step_mismatch(result.records),
             )
         )
 
@@ -349,9 +361,10 @@ def convergence_sweep(
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompareResult:
-    """The full and normal-only runs and the two ordering claims.
+    """The full and normal-only runs and the two ordering claims; compared by
+    identity.
 
     ``energy_ordered``: the fully coupled run has energy at or below the
     normal-only run at every recorded time past the transient window.
@@ -372,9 +385,13 @@ def compare_variants(
     out_dir: str | Path | None = None,
 ) -> CompareResult:
     """Run FULL_COUPLED and NORMAL_ONLY from identical initial data; with
-    ``out_dir``, write both series and ``compare.txt`` there."""
-    full = simulate(replace(base_config, variant=ModelVariant.FULL_COUPLED))
-    normal = simulate(replace(base_config, variant=ModelVariant.NORMAL_ONLY))
+    ``out_dir``, write both series and ``compare.txt`` there.  A run that
+    aborts raises :class:`SolverAbort` naming its variant, before anything
+    is written."""
+    full, normal = (
+        _completed(replace(base_config, variant=v), f"the {v.value} variant")
+        for v in (ModelVariant.FULL_COUPLED, ModelVariant.NORMAL_ONLY)
+    )
 
     tol = 1e-10 * abs(full.records[0].energy)
     energy_ordered = all(

@@ -19,14 +19,16 @@ Conventions
   sizes are required for the same reason.
 * The 2/3-rule mask of :func:`dealias_solve` acts per axis: mode ``m``
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
+* This module alone splits a step's work between threads (:func:`_halves`,
+  :func:`_pair`), and only on grids where :func:`_pairs` holds.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +45,8 @@ __all__ = [
 
 def get_fft_workers() -> int:
     """The number of threads one transform runs on: always 1, numpy's FFT
-    is single-threaded.  On large grids two transforms can run at once, one
-    on a helper thread (see :func:`_pair`), but each is still one thread.
+    is single-threaded.  On large grids :func:`_pair` and :func:`_halves`
+    run two transforms at once, each still on one thread.
 
     Kept because ``perfbench/worker.py`` imports it to record the setting.
     """
@@ -71,8 +73,8 @@ _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-_requests: queue.SimpleQueue | None = None  # of the helper thread, started on first use
-_requests_lock = threading.Lock()
+_helper = None  # the one-thread executor of :func:`_pair`, made on first use
+_helper_lock = threading.Lock()
 
 
 def _pairs(g: "Grid") -> bool:
@@ -80,65 +82,20 @@ def _pairs(g: "Grid") -> bool:
     return g.nx * g.ny >= _PAIR_POINTS and _CORES >= 2
 
 
-def _serve(requests: queue.SimpleQueue) -> None:
-    with np.errstate(**_QUIET):
-        while True:
-            _run(*requests.get())
-
-
-def _run(fn, done: threading.Event, reply: list) -> None:
-    # The call is dropped before the reply is sent: the helper holds no
-    # reference to the caller's arrays while it waits for the next call.
-    try:
-        result = fn(), None
-    except BaseException as exc:  # handed to the caller, which re-raises it
-        result = None, exc
-    del fn
-    reply.append(result)
-    done.set()
-
-
-def _helper_requests() -> queue.SimpleQueue:
-    """The request queue of the helper thread, which starts on first use."""
-    global _requests
-    with _requests_lock:
-        if _requests is None:
-            _requests = queue.SimpleQueue()
-            threading.Thread(
-                target=_serve, args=(_requests,), name="gradflow-pair", daemon=True
-            ).start()
-        return _requests
-
-
 def _forget_helper() -> None:
-    # A forked child has no helper thread; it starts its own on first use.
-    global _requests, _requests_lock
-    _requests, _requests_lock = None, threading.Lock()
+    # A forked child has no helper thread; it makes its own on first use.
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _wait(done: threading.Event) -> None:
-    """Return once ``done`` is set, also when an exception such as
-    ``KeyboardInterrupt`` arrives meanwhile: until then the helper may still
-    write to the grid's work arrays.  The exception is raised afterwards."""
-    interrupted = None
-    while True:
-        try:
-            done.wait()  # returns at once when set, so a retry cannot block
-            break
-        except BaseException as exc:
-            interrupted = exc
-    if interrupted is not None:
-        raise interrupted
-
-
 def _pair(g: "Grid", fa, fb) -> tuple:
-    """``(fa(), fb())``: ``fb`` on the helper thread while ``fa`` runs on
-    this one when :func:`_pairs` holds for ``g``, else ``fa`` and then ``fb``
-    here.
+    """``(fa(), fb())``: ``fb`` on the helper thread, a one-thread
+    executor made on the first paired call, while ``fa`` runs on this one
+    when :func:`_pairs` holds for ``g``, else ``fa`` and then ``fb`` here.
 
     The two calls must touch disjoint arrays, and ``fb`` must not call
     :func:`_pair`.  An exception of either is raised here once both have
@@ -147,18 +104,44 @@ def _pair(g: "Grid", fa, fb) -> tuple:
     it (``perfbench/spans.py`` rebinds ``flow.build_cache``, the energy's
     ``clamp`` and the runner's calls), as such wrappers are not thread-safe.
     """
+    global _helper
     if not _pairs(g):
         return fa(), fb()
-    done, reply = threading.Event(), []
-    _helper_requests().put((fb, done, reply))
+    with _helper_lock:
+        if _helper is None:
+            # Imported on first use: the import costs about 7 ms and 0.45 MB,
+            # which processes whose grids never pair should not pay.
+            import concurrent.futures
+
+            _helper = concurrent.futures.ThreadPoolExecutor(
+                1, "gradflow-pair", initializer=partial(np.seterr, **_QUIET)
+            )
+        future = _helper.submit(fb)
     try:
         a = fa()
     finally:
-        _wait(done)
-    b, exc = reply[0]
-    if exc is not None:
-        raise exc
-    return a, b
+        # Until ``fb`` has ended it may still write to the grid's work arrays,
+        # so an exception that arrives meanwhile, such as KeyboardInterrupt,
+        # is raised only afterwards.
+        interrupted = None
+        while True:
+            try:
+                future.exception()  # returns at once when ended: a retry cannot block
+                break
+            except BaseException as exc:
+                interrupted = exc
+        if interrupted is not None:
+            raise interrupted
+    return a, future.result()
+
+
+def _halves(g: "Grid", n: int, fn) -> list | tuple:
+    """``[fn(slice(0, n))]`` where :func:`_pairs` is false for ``g``, else
+    ``fn`` of the two halves of ``range(n)``, run as a :func:`_pair`."""
+    if not _pairs(g):
+        return [fn(slice(0, n))]
+    mid = n // 2
+    return _pair(g, lambda: fn(slice(0, mid)), lambda: fn(slice(mid, n)))
 
 
 # Both transforms run as two one-dimensional passes of ``numpy.fft``, the
@@ -239,9 +222,9 @@ class Grid:
     (:meth:`_work`) in which the stacked solve, the geometry, the evaluation
     and the record form every intermediate.  A state's evaluation and step
     therefore allocate only the arrays they return.  Where :func:`_pairs`
-    holds, the solver shares this work with one helper thread
-    (:func:`_pair`), each thread on its own rows of the stacks; a grid is
-    still not for use from several threads of the caller at once.
+    holds, :func:`_pair` and :func:`_halves` share this work with one helper
+    thread, each thread on its own rows of the stacks; a grid is still not
+    for use from several threads of the caller at once.
     """
 
     nx: int
@@ -385,15 +368,20 @@ def _dealias_solve_stack(g: Grid, arrays, coefficients, half: int = 0) -> np.nda
     """:func:`dealias_solve` of one or two arrays on ``g``, each with its own
     coefficient, in one transform pair; the solutions are rows of the grid's
     real work arrays from row ``half`` on, which the next use overwrites.
-    The transform uses the half spectra from row ``3 * half`` on, so that
-    ``half = 0`` and ``half = 1`` may each solve one field at once (see
-    :func:`_derivative_stack`)."""
+    The transform uses the half spectra from row ``3 * half`` on, and the
+    next one for the damping factor, so that ``half = 0`` and ``half = 1``
+    may each solve one field at once (see :func:`_derivative_stack`) without
+    a grid-sized temporary."""
     m = len(arrays)
     real = g._work()[half : half + m]
     np.stack(arrays, out=real)
-    spec = _rfft2(real, out=g._spectral_work()[3 * half : 3 * half + m])
+    work = g._spectral_work()[3 * half : 3 * half + m + 1]
+    spec, factor, scale = _rfft2(real, out=work[:m]), work[m], work[m].real
     spec *= g.dealias_mask
+    factor.imag = 0.0  # as a real factor would be cast for the division
     for row, a in zip(spec, coefficients):
         if a != 0.0:
-            row /= 1.0 + a * g.k2
+            np.multiply(a, g.k2, out=scale)
+            scale += 1.0
+            row /= factor
     return _irfft2(spec, g.ny, out=real)

@@ -79,6 +79,7 @@ class Pairing:
             return pair(grid, fa, counted_fb)
 
         monkeypatch.setattr(gradflow.flow, "_pair", spied)
+        monkeypatch.setattr(gradflow.spectral, "_pair", spied)
 
     def __call__(self, on: bool) -> None:
         self.monkeypatch.setattr(gradflow.spectral, "_PAIR_POINTS", 0 if on else 2**62)

@@ -156,6 +156,22 @@ def fd_flat_diffusion(
     return (fpp * lap + fppp * (px * px + py * py)) / m_psi
 
 
+def fourier_interpolate(values: np.ndarray, n: int) -> np.ndarray:
+    """Band-limited interpolation of periodic samples onto the ``n x n`` grid
+    of the same domain (``n`` above each sample count), by zero-padding
+    the spectrum; a Nyquist mode is split evenly between ``+-n/2``."""
+    spec = np.fft.fft2(values)
+    for axis, m in enumerate(values.shape):
+        spec = np.moveaxis(spec, axis, 0)
+        padded = np.zeros((n,) + spec.shape[1:], complex)
+        half = m // 2
+        padded[:half] = spec[:half]
+        padded[n - half + 1 :] = spec[half + 1 :]
+        padded[half] = padded[n - half] = 0.5 * spec[half]
+        spec = np.moveaxis(padded, 0, axis)
+    return np.fft.ifft2(spec).real * (n * n / values.size)
+
+
 # ---------------------------------------------------------------------------
 # Fixed band-limited analytic fields for refinement ladders.
 #

@@ -23,6 +23,8 @@ One test per advertised guarantee of the solver, each printing a PASS line
 8.  The density variation matches central differences of the energy for
     every preset, and the substituted single-equation form reproduces the
     coupled trajectory.
+9.  A whole run converges spectrally in space: the final fields of a 16^2
+    to 64^2 ladder approach a 96^2 run by a set factor per refinement.
 
 The heavier reference-resolution (128^2) runs are marked ``slow``; enable
 them with ``pytest --runslow``.
@@ -474,4 +476,58 @@ def test_density_variation_and_trajectory_equivalence():
         f"for all presets (log-preset ratios {errors[0]/errors[1]:.2f}, "
         f"{errors[1]/errors[2]:.2f}); substituted-form trajectory agrees to "
         f"h {h_diff:.2e}, psi {p_diff:.2e} relative"
+    )
+
+
+# ---------------------------------------------------------------------------
+# 9. Whole-run spatial convergence
+
+SPATIAL_DOC = """
+grid.nx = {n}
+energy.kind = flory_huggins
+mobility.m_x = 5.0
+stepper.dt = 6.25e-5
+run.t_end = 0.02
+run.record_every = 1000
+initial.h_amplitude = 0.5
+initial.psi = 0.25
+"""
+
+
+def test_whole_run_converges_spectrally_in_space():
+    # The interpolation is exact on band-limited fields, Nyquist modes included.
+    def band_limited(x, y):
+        return oracles.h_fn(x, y) + 0.1 * np.cos(8.0 * x) * np.cos(8.0 * y)
+
+    exact = Grid(96, 96).from_function(band_limited).values
+    coarse = oracles.fourier_interpolate(Grid(16, 16).from_function(band_limited).values, 96)
+    assert np.abs(coarse - exact).max() < 1e-14
+
+    # The 16^2 problem of scripts/output_digests.py, 320 steps at every nx.
+    def final(n):
+        result = simulate(parse_config(SPATIAL_DOC.format(n=n)))
+        assert not result.aborted and result.state.step_index == 320
+        return result.state
+
+    reference = final(96)
+    sizes = (16, 24, 32, 48, 64)
+    errors = {"h": [], "psi": []}
+    for n in sizes:
+        state = final(n)
+        for name, errs in errors.items():
+            fine = oracles.fourier_interpolate(getattr(state, name).values, 96)
+            errs.append(float(np.abs(fine - getattr(reference, name).values).max()))
+    # Measured factors per refinement: h 5.2, 7.2, 10.9, 15.1; psi 14.2, 1.7,
+    # 57, 12.6 (psi falls least from 24^2 to 32^2).  Each bound is about two
+    # thirds of its measured factor.
+    minimum = {"h": (3.5, 5.0, 7.0, 10.0), "psi": (9.0, 1.2, 35.0, 8.0)}
+    for name, errs in errors.items():
+        factors = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(f >= m for f, m in zip(factors, minimum[name])), (name, errs)
+    # Measured at 64^2: h 1.6e-7, psi 1.4e-8.
+    assert errors["h"][-1] < 3e-7 and errors["psi"][-1] < 3e-8, errors
+    print(
+        "ACCEPTANCE 9 PASS: final-field errors against 96^2 at nx = "
+        f"{', '.join(map(str, sizes))}: "
+        + "; ".join(f"{k} " + ", ".join(f"{e:.1e}" for e in v) for k, v in errors.items())
     )

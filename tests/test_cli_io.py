@@ -626,6 +626,28 @@ def test_cli_compare(tmp_path, capsys):
     assert "energy_ordered = true" in (out / "compare.txt").read_text()
 
 
+def test_cli_compare_with_an_aborted_run_exits_1(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", write_cfg(tmp_path, ABORTING), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the full variant aborted: non-finite fields after step 7 (t = 0.35); aborting\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_sweep_with_an_aborted_run_exits_1(tmp_path, capsys):
+    out = tmp_path / "swp"
+    args = ["sweep", write_cfg(tmp_path, ABORTING), "--out", str(out)]
+    assert main([*args, "--dt-ladder", "0.05,0.025,0.0125"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the run at dt = 0.05 aborted: non-finite fields")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CHEAP)
     out = tmp_path / "swp"

@@ -16,6 +16,7 @@ from gradflow import (
     ModelVariant,
     Quadratic,
     Scheme,
+    SolverAbort,
     StepperConfig,
     build_cache,
     compare_variants,
@@ -24,6 +25,7 @@ from gradflow import (
     evaluate,
     parse_config,
     record,
+    simulate,
     step,
     surface_integral,
     total_energy,
@@ -245,6 +247,35 @@ def test_compare_variants_records_cover_the_run():
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(cfg.t_end, rel=1e-9)
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_harnesses_refuse_an_aborted_run(tmp_path):
+    # Explicit Euler at dt = 0.05 blows up on this problem after step 6.
+    cfg = make_config(
+        m_x=5.0, scheme=Scheme.EXPLICIT_EULER, dt=0.05, t_end=0.5, record_every=1
+    )
+    aborted = simulate(cfg)
+    assert aborted.aborted
+    out = tmp_path / "out"
+    with pytest.raises(SolverAbort) as info:
+        compare_variants(cfg, out_dir=out)
+    assert str(info.value) == f"the full variant aborted: {aborted.abort_message}"
+    last = info.value.last_valid
+    assert (last.step_index, last.t) == (aborted.state.step_index, aborted.state.t)
+    assert last.h.values.tobytes() == aborted.state.h.values.tobytes()
+    ladder = [replace(cfg, dt=d) for d in (0.05, 0.025, 0.0125)]
+    with pytest.raises(SolverAbort, match=r"^the run at dt = 0\.05 aborted: non-finite"):
+        convergence_sweep(ladder, "trajectory_error", out_dir=out)
+    assert not out.exists()
+
+
+def test_run_results_compare_by_identity():
+    # Two runs are unequal objects; comparing them must not compare arrays.
+    cfg = make_config(energy=Constant(1.0))
+    first, second = simulate(cfg), simulate(cfg)
+    assert first == first and first != second
+    result = compare_variants(cfg)
+    assert result == result and result != compare_variants(cfg)
 
 
 # ---------------------------------------------------------------------------
