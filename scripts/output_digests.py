@@ -2,7 +2,8 @@
 
 Usage, from the root of a gradflow source tree::
 
-    python3 scripts/output_digests.py [--root DIR] [--seeds 0 7] [--workloads NAME ...]
+    python3 scripts/output_digests.py [--root DIR] [--against DIR] [--seeds 0 7]
+                                      [--workloads NAME ...]
 
 For each workload and seed, the config document that
 ``perfbench/workloads.config_text`` generates is run by
@@ -23,12 +24,12 @@ stdout <sha256>``.
 
 ``--root`` names the source tree whose ``src/gradflow`` and
 ``perfbench/workloads.py`` are used (default: the tree holding this script).
-Running the script on two trees and comparing the outputs shows whether a
-change kept the output bytes, e.g.::
+``--against DIR`` shows whether a change kept the output bytes: the same
+digests are also made for the tree at ``DIR``, in a second process, and only
+the lines that differ are printed, ``- `` for ``DIR``'s and ``+ `` for this
+tree's; the exit status is 1 if any line differs, e.g.::
 
-    python3 scripts/output_digests.py --root ../parent > before.txt
-    python3 scripts/output_digests.py > after.txt
-    diff before.txt after.txt
+    python3 scripts/output_digests.py --against ../parent
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -64,9 +66,9 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def harness_digests() -> None:
+def harness_digests():
     """Run each of :data:`HARNESS_RUNS` through ``gradflow.cli.main`` and
-    print the digests of its files and its standard output."""
+    yield the digest lines of its files and its standard output."""
     from gradflow.cli import main as gradflow
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,32 +82,56 @@ def harness_digests() -> None:
             if code != 0:
                 raise SystemExit(f"gradflow {' '.join(args)} exited with {code}")
             for path in sorted(out.iterdir()):
-                print(f"harness {name} {path.name} {_digest(path.read_bytes())}", flush=True)
-            print(f"harness {name} stdout {_digest(stdout.getvalue().encode())}", flush=True)
+                yield f"harness {name} {path.name} {_digest(path.read_bytes())}"
+            yield f"harness {name} stdout {_digest(stdout.getvalue().encode())}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    parser.add_argument("--workloads", nargs="+", default=None)
-    args = parser.parse_args(argv)
-
-    root = args.root.resolve()
+def digests(root: Path, seeds: list[int], names: list[str] | None):
+    """Yield every digest line of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from gradflow import parse_config, simulate
 
-    for name in args.workloads or list(workloads.OVERRIDES):
-        for seed in args.seeds:
+    for name in names or list(workloads.OVERRIDES):
+        for seed in seeds:
             config = parse_config(workloads.config_text(name, seed))
             with tempfile.TemporaryDirectory() as tmp:
                 simulate(config, out_dir=tmp)
                 outputs = (p for p in Path(tmp).iterdir() if p.name != "report.txt")
                 for path in sorted(outputs):
-                    print(f"{name} {seed} {path.name} {_digest(path.read_bytes())}", flush=True)
-    harness_digests()
-    return 0
+                    yield f"{name} {seed} {path.name} {_digest(path.read_bytes())}"
+    yield from harness_digests()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--against", type=Path, default=None)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
+    parser.add_argument("--workloads", nargs="+", default=None)
+    args = parser.parse_args(argv)
+
+    lines = digests(args.root.resolve(), args.seeds, args.workloads)
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+
+    command = [sys.executable, str(Path(__file__).resolve()), "--root", str(args.against)]
+    command += ["--seeds", *map(str, args.seeds)]
+    if args.workloads:
+        command += ["--workloads", *args.workloads]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, text=True) as other:
+        ours = list(lines)
+        theirs = other.stdout.read().splitlines()
+    if other.returncode != 0:
+        raise SystemExit(f"the digests of {args.against} exited with {other.returncode}")
+    kept_ours, kept_theirs = set(ours), set(theirs)
+    differ = [f"- {line}" for line in theirs if line not in kept_ours]
+    differ += [f"+ {line}" for line in ours if line not in kept_theirs]
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

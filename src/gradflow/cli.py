@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, check_dt, parse_config
@@ -107,8 +106,7 @@ def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         for dt in ladder:
             check_dt(dt, config.t_end, "--dt-ladder entry")
-        configs = [replace(config, dt=dt) for dt in ladder]
-        rows = convergence_sweep(configs, args.quantity, out_dir=out)
+        rows = convergence_sweep(config, ladder, args.quantity, out_dir=out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

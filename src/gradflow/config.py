@@ -5,7 +5,10 @@ parse it: one ``section.key = value`` assignment per line, ``#`` starts a
 full-line comment, blank lines are ignored.  Unknown keys, ``energy.*``
 keys that the chosen ``energy.kind`` does not use, and malformed values, a
 non-finite number (``inf``, ``nan``) included, are hard errors that name the
-offending key; silent typos are not possible.
+offending key; silent typos are not possible.  The value rules (grid sizes,
+positive keys, the ``stepper.dt`` rule, snapshot times, the initial data)
+are :class:`RunConfig`'s own: a config made in code or by
+``dataclasses.replace`` obeys them as a parsed one does.
 
 Example (the bundled reference experiment)::
 
@@ -28,6 +31,7 @@ order, and ``parse_config(format_config(c))`` reproduces ``c`` exactly.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, fields
@@ -56,12 +60,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description; immutable and value-comparable.
+    """Run description; immutable, value-comparable, and valid however made.
 
     ``initial_h`` is a height preset (``sin2x_sin2y``, scaled by
     ``h_amplitude``, or ``zero``) or ``file:<path>``, the height slot of a
     snapshot.  ``initial_psi`` is a uniform density value or ``file:<path>``,
     the density slot of a snapshot.
+
+    Construction, ``dataclasses.replace`` included, checks the document's
+    value rules and raises the :class:`ConfigError` that parsing the same
+    values gives, naming the key: ``replace(config, dt=3e-3)`` on a run to
+    ``t_end = 0.01`` raises ``key 'stepper.dt' must divide run.t_end ...``.
     """
 
     nx: int
@@ -81,6 +90,32 @@ class RunConfig:
     initial_h: str
     h_amplitude: float
     initial_psi: float | str
+
+    def __post_init__(self) -> None:
+        """Check the document's value rules, in parsing's order and words."""
+        values = {key: getattr(self, name) for key, (name, _, _) in _FIELDS.items()}
+        for key, value in values.items():
+            if _FIELDS[key][1] is float and not math.isfinite(value):
+                raise ConfigError(f"type mismatch for key '{key}': expected a finite number, got '{value}'")
+        for key in ("grid.nx", "grid.ny"):
+            if values[key] % 2 != 0 or values[key] < 8:
+                raise ConfigError(f"key '{key}' must be even and >= 8, got {values[key]}")
+        for key in _POSITIVE:
+            if not (values[key] > 0):
+                raise ConfigError(f"key '{key}' must be > 0, got {values[key]}")
+        if self.variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC and type(self.energy) is not Quadratic:
+            raise ConfigError(
+                "key 'model.variant': material_gauge_quadratic requires energy.kind = quadratic"
+            )
+        check_dt(self.dt, self.t_end, "key 'stepper.dt'")
+        for s in self.snapshot_times:
+            if not (0.0 <= s <= self.t_end):
+                raise ConfigError(f"key 'run.snapshot_times': time {s} outside [0, t_end={self.t_end}]")
+        if not (self.initial_h.startswith("file:") or self.initial_h in _H_PRESETS):
+            raise _one_of("initial.h", f"{', '.join(_H_PRESETS)} or file:<path>", self.initial_h)
+        psi = self.initial_psi
+        if not (psi.startswith("file:") if isinstance(psi, str) else math.isfinite(psi)):
+            raise ConfigError(f"key 'initial.psi' must be a number or file:<path>; got '{psi}'")
 
 
 # -- schema -----------------------------------------------------------------
@@ -115,6 +150,8 @@ _SCHEMA: dict[str, tuple[str, type, object]] = {
     "initial.h_amplitude": ("h_amplitude", float, 1.0),
     "initial.psi": ("initial_psi", str, _REQUIRED),  # a number or file:<path>
 }
+# The keys of RunConfig's fields other than ``energy``.
+_FIELDS = {key: spec for key, spec in _SCHEMA.items() if not key.startswith("energy.")}
 _POSITIVE = ("grid.lx", "grid.ly", "mobility.m_x", "mobility.m_psi", "run.t_end", "run.record_every")
 
 
@@ -167,7 +204,13 @@ def check_dt(dt: float, t_end: float, name: str) -> None:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a configuration document into a validated :class:`RunConfig`."""
+    """Parse a configuration document into a :class:`RunConfig`.
+
+    Parsing owns what belongs to the document: its syntax, unknown,
+    duplicate, missing and foreign ``energy.*`` keys, the conversion of each
+    value to its type, and building the energy preset.  The value rules are
+    checked by :class:`RunConfig` itself.
+    """
     values: dict[str, object] = {}
     unknown: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -202,44 +245,16 @@ def parse_config(text: str) -> RunConfig:
 
     values.setdefault("grid.ny", values["grid.nx"])
     values = {key: values.get(key, default) for key, (_, _, default) in _SCHEMA.items()}
-    for key in ("grid.nx", "grid.ny"):
-        if values[key] % 2 != 0 or values[key] < 8:
-            raise ConfigError(f"key '{key}' must be even and >= 8, got {values[key]}")
-    for key in _POSITIVE:
-        if not (values[key] > 0):
-            raise ConfigError(f"key '{key}' must be > 0, got {values[key]}")
-
     try:
         energy = _ENERGIES[kind](*(values[k] for k in keys))
     except ValueError as exc:
         raise ConfigError(f"invalid energy parameters ({'/'.join(keys)}): {exc}") from None
-
-    if values["model.variant"] is ModelVariant.MATERIAL_GAUGE_QUADRATIC and kind != "quadratic":
-        raise ConfigError(
-            "key 'model.variant': material_gauge_quadratic requires energy.kind = quadratic"
-        )
-    t_end = values["run.t_end"]
-    check_dt(values["stepper.dt"], t_end, "key 'stepper.dt'")
-    for s in values["run.snapshot_times"]:
-        if not (0.0 <= s <= t_end):
-            raise ConfigError(f"key 'run.snapshot_times': time {s} outside [0, t_end={t_end}]")
-
-    h_raw = values["initial.h"]
-    if not (h_raw.startswith("file:") or h_raw in _H_PRESETS):
-        raise _one_of("initial.h", f"{', '.join(_H_PRESETS)} or file:<path>", h_raw)
-    psi_raw = values["initial.psi"]
-    if not psi_raw.startswith("file:"):
-        try:
-            values["initial.psi"] = _finite_float(psi_raw)
-        except ValueError:
-            raise ConfigError(
-                f"key 'initial.psi' must be a number or file:<path>; got '{psi_raw}'"
-            ) from None
-
-    return RunConfig(
-        energy=energy,
-        **{name: values[key] for key, (name, _, _) in _SCHEMA.items() if not key.startswith("energy.")},
-    )
+    psi = values["initial.psi"]
+    if not psi.startswith("file:"):
+        # Not a number: RunConfig rejects the text, naming the key.
+        with contextlib.suppress(ValueError):
+            values["initial.psi"] = _finite_float(psi)
+    return RunConfig(energy=energy, **{name: values[key] for key, (name, _, _) in _FIELDS.items()})
 
 
 def format_config(config: RunConfig) -> str:

@@ -94,15 +94,6 @@ class RunResult:
     wall_time: float
 
 
-def _snapshot_steps(config: RunConfig, n_steps: int) -> dict[int, list[int]]:
-    """Map step index -> configured snapshot indices hit at that step."""
-    table: dict[int, list[int]] = {}
-    for idx, t_snap in enumerate(config.snapshot_times):
-        step_idx = min(n_steps, max(0, math.ceil(t_snap / config.dt - 1e-9)))
-        table.setdefault(step_idx, []).append(idx)
-    return table
-
-
 def simulate(
     config: RunConfig,
     out_dir: str | Path | None = None,
@@ -144,7 +135,9 @@ def simulate(
         (out / "config.cfg").write_text(format_config(config))
 
     n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
-    snapshot_at = _snapshot_steps(config, n_steps)
+    snapshot_at: dict[int, list[int]] = {}  # step index -> snapshot indices
+    for idx, t_snap in enumerate(config.snapshot_times):
+        snapshot_at.setdefault(math.ceil(t_snap / config.dt - 1e-9), []).append(idx)
 
     def should_record(i: int) -> bool:
         if i == 0 or i == n_steps:
@@ -261,8 +254,6 @@ class ConvergenceRow:
 
 def _final_step_mismatch(records: list[DiagnosticsRecord]) -> float | None:
     # The last two records of a completed sweep run are one dt apart.
-    if len(records) < 2:
-        return None
     lhs, rhs = records[-1].dissipation_lhs, records[-2].dissipation_rhs
     if rhs == 0.0:
         return None
@@ -279,17 +270,21 @@ def _completed(config: RunConfig, run: str, **options) -> RunResult:
 
 
 def convergence_sweep(
-    configs: list[RunConfig],
+    config: RunConfig,
+    dts: list[float],
     quantity: str = "mass_error",
     out_dir: str | Path | None = None,
 ) -> list[ConvergenceRow]:
-    """Run a ladder of configurations and report errors with observed orders.
+    """Run ``config`` at each of ``dts`` and report errors with observed orders.
 
     Parameters
     ----------
-    configs : list of RunConfig
-        At least three configurations of the same physical problem on the
-        same grid to the same final time, differing in ``dt``.
+    config : RunConfig
+        The problem; its ``dt`` is replaced by each ladder point in turn.
+    dts : list of float
+        At least three time steps, each obeying the ``stepper.dt`` rule for
+        the config's ``t_end``; a ladder point that breaks it raises
+        :class:`~gradflow.config.ConfigError` before anything runs.
     quantity : {"mass_error", "trajectory_error"}
         The error measure driving the observed order.  ``trajectory_error``
         measures the final (h, psi) fields against a reference run at a
@@ -302,48 +297,33 @@ def convergence_sweep(
     SolverAbort
         If a run aborts, naming the run; nothing is written then.
     """
-    if len(configs) < 3:
-        raise ValueError(f"convergence sweep needs >= 3 ladder points, got {len(configs)}")
+    if len(dts) < 3:
+        raise ValueError(f"convergence sweep needs >= 3 ladder points, got {len(dts)}")
     if quantity not in ("mass_error", "trajectory_error"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
-    t_ends = {c.t_end for c in configs}
-    if len(t_ends) > 1:
-        raise ValueError(f"ladder configurations disagree on t_end: {sorted(t_ends)}")
-    grids = {(c.nx, c.ny, c.lx, c.ly) for c in configs}
-    if len(grids) > 1:
-        raise ValueError(
-            "ladder configurations disagree on the grid (nx, ny, lx, ly): "
-            f"{sorted(grids)}"
-        )
-
-    results = [_completed(c, f"the run at dt = {c.dt!r}", record_final_pair=True) for c in configs]
-
-    reference = None
-    if quantity == "trajectory_error":
-        finest = min(configs, key=lambda c: c.dt)
-        dt = finest.dt / 4.0
-        reference = _completed(replace(finest, dt=dt), f"the trajectory reference at dt = {dt!r}")
+    # Every run is configured, and so checked, before the first one starts.
+    ladder = [replace(config, dt=dt) for dt in dts]
+    finer = replace(config, dt=min(dts) / 4.0) if quantity == "trajectory_error" else None
+    results = [_completed(c, f"the run at dt = {c.dt!r}", record_final_pair=True) for c in ladder]
+    if finer is not None:
+        reference = _completed(finer, f"the trajectory reference at dt = {finer.dt!r}").state
 
     rows: list[ConvergenceRow] = []
-    for config, result in zip(configs, results):
+    for dt, result in zip(dts, results):
         if quantity == "mass_error":
             error = abs(result.records[-1].mass_error)
         else:
-            err_h = float(
-                abs(result.state.h.values - reference.state.h.values).max()
-            )
-            err_psi = float(
-                abs(result.state.psi.values - reference.state.psi.values).max()
-            )
+            err_h = float(abs(result.state.h.values - reference.h.values).max())
+            err_psi = float(abs(result.state.psi.values - reference.psi.values).max())
             error = max(err_h, err_psi)
         order = None
         if rows:
             prev = rows[-1]
-            if prev.error > 0.0 and error > 0.0 and prev.parameter != config.dt:
-                order = math.log(prev.error / error) / math.log(prev.parameter / config.dt)
+            if prev.error > 0.0 and error > 0.0 and prev.parameter != dt:
+                order = math.log(prev.error / error) / math.log(prev.parameter / dt)
         rows.append(
             ConvergenceRow(
-                parameter=config.dt,
+                parameter=dt,
                 error=error,
                 observed_order=order,
                 dissipation_mismatch=_final_step_mismatch(result.records),

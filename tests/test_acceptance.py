@@ -25,6 +25,8 @@ One test per advertised guarantee of the solver, each printing a PASS line
     coupled trajectory.
 9.  A whole run converges spectrally in space: the final fields of a 16^2
     to 64^2 ladder approach a 96^2 run by a set factor per refinement.
+    The mass error has a spatial floor at 16^2 that a smaller dt does not
+    move, and at 32^2 it is first order in dt down to far below that floor.
 
 The heavier reference-resolution (128^2) runs are marked ``slow``; enable
 them with ``pytest --runslow``.
@@ -86,8 +88,7 @@ def compare_64():
 @pytest.fixture(scope="module")
 def ladder_128():
     base = replace(load_config("relaxation_128.cfg"), t_end=0.05, record_every=10**9)
-    configs = [replace(base, dt=dt) for dt in (4e-5, 2e-5, 1e-5)]
-    return convergence_sweep(configs, quantity="mass_error")
+    return convergence_sweep(base, [4e-5, 2e-5, 1e-5], quantity="mass_error")
 
 
 def assert_relaxation_properties(result):
@@ -530,4 +531,30 @@ def test_whole_run_converges_spectrally_in_space():
         "ACCEPTANCE 9 PASS: final-field errors against 96^2 at nx = "
         f"{', '.join(map(str, sizes))}: "
         + "; ".join(f"{k} " + ", ".join(f"{e:.1e}" for e in v) for k, v in errors.items())
+    )
+
+
+def test_mass_error_floor_is_spatial_at_16_and_gone_at_32():
+    # The same problem, a 16x dt ladder at two resolutions.  Measured
+    # |mass_error|/mass: 16^2 1.73e-4, 1.43e-4, 1.35e-4 (orders 0.14, 0.04);
+    # 32^2 3.67e-5, 9.37e-6, 2.42e-6 (orders 0.98, 0.98).
+    dts = [1e-3, 2.5e-4, 6.25e-5]
+    relative = {}
+    for n in (16, 32):
+        config = parse_config(SPATIAL_DOC.format(n=n))
+        mass = simulate(replace(config, t_end=config.dt)).records[0].mass
+        rows = convergence_sweep(config, dts)
+        relative[n] = [row.error / mass for row in rows]
+        orders = [row.observed_order for row in rows[1:]]
+        if n == 16:
+            # A 16x smaller dt barely moves the error: the floor is spatial.
+            assert all(order < 0.3 for order in orders), (orders, relative)
+            assert min(relative[n]) > 1e-4, relative
+        else:
+            assert all(0.85 <= order <= 1.15 for order in orders), (orders, relative)
+    # At 32^2 the finest error is far below the 16^2 floor.
+    assert relative[32][-1] < relative[16][-1] / 20, relative
+    print(
+        "ACCEPTANCE 9 PASS (mass floor): |mass_error|/mass at dt = 1e-3, 2.5e-4, 6.25e-5: "
+        + "; ".join(f"{n}^2 " + ", ".join(f"{e:.2e}" for e in v) for n, v in relative.items())
     )

@@ -207,6 +207,49 @@ def test_rejections_name_the_offending_key(doc, fragment):
     assert fragment in str(excinfo.value)
 
 
+# The value rows of the table above: (key, document text, field value).
+VALUE_FAULTS = [
+    ("grid.nx", "15", 15),
+    ("grid.nx", "4", 4),
+    ("grid.lx", "-1.0", -1.0),
+    ("mobility.m_x", "0", 0.0),
+    ("model.variant", "material_gauge_quadratic", ModelVariant.MATERIAL_GAUGE_QUADRATIC),
+    ("stepper.dt", "-1e-3", -1e-3),
+    ("stepper.dt", "0.5", 0.5),
+    ("run.record_every", "0", 0),
+    ("run.snapshot_times", "0.5", (0.5,)),
+    ("initial.h", "bumps", "bumps"),
+    ("initial.psi", "lots", "lots"),
+    ("run.t_end", "inf", math.inf),
+    ("mobility.m_x", "inf", math.inf),
+    ("initial.psi", "nan", math.nan),
+    ("grid.lx", "inf", math.inf),
+    ("initial.h_amplitude", "inf", math.inf),
+    ("stepper.dt", "3e-3", 3e-3),
+]
+
+
+@pytest.mark.parametrize("key, text, value", VALUE_FAULTS)
+def test_replace_raises_the_message_parsing_gives(key, text, value):
+    from gradflow.config import _SCHEMA
+
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ")]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("\n".join(lines) + f"\n{key} = {text}\n")
+    with pytest.raises(ConfigError) as replaced:
+        replace(parse_config(MINIMAL), **{_SCHEMA[key][0]: value})
+    assert str(replaced.value) == str(parsed.value)
+
+
+def test_a_run_of_an_invalid_replaced_config_never_starts():
+    # The config is refused where it is made, before simulate is called.
+    cfg = parse_config(MINIMAL)  # to t_end = 0.01
+    with pytest.raises(ConfigError, match="key 'stepper.dt' must divide run.t_end"):
+        simulate(replace(cfg, dt=3e-3))
+    with pytest.raises(ConfigError, match="key 'run.record_every' must be > 0"):
+        simulate(replace(cfg, record_every=0))
+
+
 # ---------------------------------------------------------------------------
 # Initial conditions
 

@@ -2,14 +2,16 @@
 the quick demos and the README's examples run, and the README documents
 exactly the config keys the parser accepts.
 
-Every demo is parsed for its imports.  The demos that exercise the field API
-and take about a second (01, 02 and 05) are also run, each in its own
+Every demo is parsed for its imports, and each call of an imported gradflow
+name is bound to that name's signature.  The demos that exercise the field
+API and take about a second (01, 02 and 05) are also run, each in its own
 process; the three longer runs (03, 04 and 06, 5-11 s each) are only parsed.
 The ``python`` blocks of README.md are short, and they are also run.
 """
 
 import ast
 import importlib
+import inspect
 import math
 import os
 import re
@@ -51,6 +53,30 @@ def test_demo_imports_exist(name, source):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, f"{name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("name, source", SOURCES, ids=[name for name, _ in SOURCES])
+def test_demo_calls_bind_to_the_signatures(name, source):
+    # A call's positional count and keyword names must fit the callee, so a
+    # signature change shows in the demos that are only parsed.
+    called = {
+        attr: getattr(importlib.import_module(module), attr, None)
+        for module, attr in gradflow_imports(source, name)
+    }
+    wrong = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        fn = called.get(node.func.id)
+        if fn is None or any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: None for k in node.keywords})
+        except TypeError as exc:
+            wrong.append(f"line {node.lineno}: {node.func.id}: {exc}")
+    assert not wrong, f"{name}: {wrong}"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradflow import (
+    ConfigError,
     Constant,
     FloryHuggins,
     FlowState,
@@ -160,39 +161,32 @@ def test_record_clamp_count_passthrough():
 
 
 def test_sweep_rejects_short_ladders():
-    cfgs = [make_config(dt=1e-3), make_config(dt=5e-4)]
     with pytest.raises(ValueError, match=">= 3"):
-        convergence_sweep(cfgs)
+        convergence_sweep(make_config(), [1e-3, 5e-4])
 
 
-def test_sweep_rejects_mismatched_t_end():
-    cfgs = [make_config(dt=1e-3), make_config(dt=5e-4), make_config(dt=2.5e-4, t_end=0.02)]
-    with pytest.raises(ValueError, match="t_end"):
-        convergence_sweep(cfgs)
+def test_sweep_checks_every_ladder_point_before_the_first_run(tmp_path, monkeypatch):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match=r"^key 'stepper.dt' must divide run.t_end \(0.01 / 0.003 "):
+        convergence_sweep(make_config(), [3e-3, 1.5e-3, 7e-4], out_dir=out)
 
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
 
-def test_sweep_rejects_mismatched_grids():
-    cfgs = [
-        make_config(nx=8, ny=8, dt=1e-3),
-        make_config(nx=16, ny=16, dt=5e-4),
-        make_config(nx=8, ny=8, dt=2.5e-4),
-    ]
-    with pytest.raises(ValueError, match=r"grid.*\(8, 8, .*\(16, 16, "):
-        convergence_sweep(cfgs, "trajectory_error")
+    monkeypatch.setattr("gradflow.runner.simulate", no_run)
+    with pytest.raises(ConfigError, match=r"\(0.01 / 0.0007 = "):
+        convergence_sweep(make_config(), [1e-3, 5e-4, 7e-4], out_dir=out)
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_quantity():
-    cfgs = [make_config(dt=1e-3), make_config(dt=5e-4), make_config(dt=2.5e-4)]
     with pytest.raises(ValueError, match="quantity"):
-        convergence_sweep(cfgs, "psi_range")
+        convergence_sweep(make_config(), [1e-3, 5e-4, 2.5e-4], "psi_range")
 
 
 def test_sweep_static_flow_reports_exact_zeros():
-    cfgs = [
-        make_config(energy=Linear(1.0), dt=d, record_every=2)
-        for d in (1e-3, 5e-4, 2.5e-4)
-    ]
-    rows = convergence_sweep(cfgs, "mass_error")
+    cfg = make_config(energy=Linear(1.0), record_every=2)
+    rows = convergence_sweep(cfg, [1e-3, 5e-4, 2.5e-4], "mass_error")
     assert [r.parameter for r in rows] == [1e-3, 5e-4, 2.5e-4]
     for row in rows:
         assert row.error == 0.0
@@ -214,8 +208,7 @@ def test_sweep_trajectory_error_is_first_order():
         initial.psi = 0.25
         """
     )
-    cfgs = [replace(base, dt=d) for d in (8e-5, 4e-5, 2e-5)]
-    rows = convergence_sweep(cfgs, "trajectory_error")
+    rows = convergence_sweep(base, [8e-5, 4e-5, 2e-5], "trajectory_error")
     assert rows[0].observed_order is None
     for row in rows[1:]:
         # first order in dt; the finite reference run biases the ratio high
@@ -263,9 +256,8 @@ def test_harnesses_refuse_an_aborted_run(tmp_path):
     last = info.value.last_valid
     assert (last.step_index, last.t) == (aborted.state.step_index, aborted.state.t)
     assert last.h.values.tobytes() == aborted.state.h.values.tobytes()
-    ladder = [replace(cfg, dt=d) for d in (0.05, 0.025, 0.0125)]
     with pytest.raises(SolverAbort, match=r"^the run at dt = 0\.05 aborted: non-finite"):
-        convergence_sweep(ladder, "trajectory_error", out_dir=out)
+        convergence_sweep(cfg, [0.05, 0.025, 0.0125], "trajectory_error", out_dir=out)
     assert not out.exists()
 
 
@@ -286,9 +278,9 @@ def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
-    cfgs = [make_config(dt=d) for d in (1e-3, 5e-4, 2.5e-4)]
+    cfg, dts = make_config(), [1e-3, 5e-4, 2.5e-4]
 
-    rows = convergence_sweep(cfgs, out_dir=tmp_path / "sweep")
+    rows = convergence_sweep(cfg, dts, out_dir=tmp_path / "sweep")
     lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "dt,mass_error,observed_order,dissipation_mismatch"
     written = [tuple(float(c) if c else None for c in line.split(",")) for line in lines[1:]]
@@ -297,7 +289,7 @@ def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
     ]
     assert written[0][2] is None and None not in written[1]
 
-    result = compare_variants(cfgs[0], out_dir=tmp_path / "compare")
+    result = compare_variants(cfg, out_dir=tmp_path / "compare")
     out = tmp_path / "compare"
     for name, records in (("full", result.full.records), ("normal", result.normal.records)):
         lines = (out / f"series_{name}.csv").read_text().splitlines()
@@ -309,8 +301,8 @@ def test_harnesses_write_their_results_only_to_out_dir(tmp_path, monkeypatch):
     )
 
     # Without an output directory neither harness writes anything.
-    assert convergence_sweep(cfgs) == rows
-    again = compare_variants(cfgs[0])
+    assert convergence_sweep(cfg, dts) == rows
+    again = compare_variants(cfg)
     assert (again.full.records, again.normal.records) == (result.full.records, result.normal.records)
     assert (again.energy_ordered, again.final_range_smaller, again.transient_window) == (
         result.energy_ordered, result.final_range_smaller, result.transient_window
