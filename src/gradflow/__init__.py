@@ -10,7 +10,7 @@ stabilized semi-implicit).
 Samples enter as a :class:`ScalarField` (an array with its grid): the grid's
 constructors, a state's ``h`` and ``psi``, and a snapshot.  Everything
 computed from them -- derivatives, the geometry cache, an evaluation's
-rates, the operators' results -- is a plain array.
+rates -- is a plain array.
 
 Quick start::
 
@@ -56,11 +56,7 @@ from .geometry import (
     GeometryCache,
     build_cache,
     covariant_norm_sq,
-    div_comp_material,
-    laplace_beltrami,
-    reconstruct_velocity,
     surface_integral,
-    truesdell_rate,
 )
 from .runner import (
     CompareResult,
@@ -96,11 +92,7 @@ __all__ = [
     # geometry
     "GeometryCache",
     "build_cache",
-    "laplace_beltrami",
     "covariant_norm_sq",
-    "div_comp_material",
-    "truesdell_rate",
-    "reconstruct_velocity",
     "surface_integral",
     # energy
     "CLAMP_EPS",

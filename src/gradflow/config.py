@@ -92,8 +92,15 @@ class RunConfig:
     initial_psi: float | str
 
     def __post_init__(self) -> None:
-        """Check the document's value rules, in parsing's order and words."""
+        """Check each field's type, then the document's value rules, in
+        parsing's order and words."""
         values = {key: getattr(self, name) for key, (name, _, _) in _FIELDS.items()}
+        if not isinstance(self.energy, EnergyModel):
+            raise _mismatch("energy.kind", EnergyModel, self.energy)
+        for key, value in values.items():
+            cls = _FIELDS[key][1]
+            if not (_is(cls, value) or key == "initial.psi" and _is(float, value)):
+                raise _type_error(key, cls, value)
         for key, value in values.items():
             if _FIELDS[key][1] is float and not math.isfinite(value):
                 raise ConfigError(f"type mismatch for key '{key}': expected a finite number, got '{value}'")
@@ -179,6 +186,35 @@ def _convert(key: str, cls: type, raw: str):
         return _finite_float(raw) if cls is float else cls(raw)
     except ValueError as exc:
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
+
+
+def _is(cls: type, value) -> bool:
+    """Whether ``value`` has the schema type ``cls``: an ``int`` field takes
+    an ``int``, a ``float`` field an ``int`` or ``float``, a ``tuple`` field
+    a tuple of those; no field takes a ``bool``."""
+    if isinstance(value, bool):
+        return False
+    if cls is float:
+        return isinstance(value, (int, float))
+    if cls is tuple:
+        return isinstance(value, tuple) and all(_is(float, s) for s in value)
+    return isinstance(value, cls)
+
+
+def _type_error(key: str, cls: type, value) -> ConfigError:
+    """The error parsing gives for the text of ``value``, or one naming the
+    key where parsing accepts that text."""
+    try:
+        _convert(key, cls, _text(value))
+    except ConfigError as exc:
+        return exc
+    return _mismatch(key, cls, value)
+
+
+def _mismatch(key: str, cls: type, value) -> ConfigError:
+    return ConfigError(
+        f"type mismatch for key '{key}': expected {cls.__name__}, got {type(value).__name__} {value!r}"
+    )
 
 
 def _text(value) -> str:

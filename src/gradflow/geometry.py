@@ -1,8 +1,8 @@
 """Differential geometry of graph surfaces z = h(x, y) over a periodic base.
 
 Every surface quantity is expressed through flat partial derivatives of the
-height field and of scalars carried on the surface, so all operators reduce
-to pointwise algebra on spectrally computed derivatives.  The conventions:
+height field and of scalars carried on the surface, so all of it reduces to
+pointwise algebra on spectrally computed derivatives.  The conventions:
 
 * metric determinant ``|g| = 1 + |dh|^2``,
 * scaled mean curvature ``hfrak = (div dh - dh.d2h.dh / |g|) / |g|``,
@@ -11,15 +11,14 @@ to pointwise algebra on spectrally computed derivatives.  The conventions:
 * upward unit normal ``nu = (-h_x, -h_y, 1) / sqrt(|g|)``.
 
 Vector fields on the surface are handled through their flat (component)
-representation ``v = (v_x, v_y)``; the corresponding ambient tangent vector
-is recovered by :func:`reconstruct_velocity`.
+representation ``v = (v_x, v_y)``, as a ``(2, nx, ny)`` stack.
 
 The pointwise kernels write into an ``out`` array with caller-supplied work
-arrays, so that :func:`build_cache` and :func:`gradflow.flow.evaluate` form
-their intermediates in the grid's five work arrays; the operators let them
-allocate.  Only :func:`build_cache` takes a field, the height; the cache and
-every operator hold and return plain ``(nx, ny)`` arrays, and a tangent
-vector is its ``(2, nx, ny)`` stack of flat components.
+arrays, so that :func:`build_cache`, :func:`gradflow.flow.evaluate` and
+:func:`gradflow.diagnostics.record` form their intermediates in the grid's
+five work arrays.  Only :func:`build_cache` takes a field, the height; the
+cache and every function here hold and return plain ``(nx, ny)`` arrays.
+The solver's runs call every function here.
 """
 
 from __future__ import annotations
@@ -33,15 +32,10 @@ from .spectral import Grid, ScalarField, _derivative_stack
 __all__ = [
     "hessian_trace",
     "covariant_square",
-    "tangential_divergence",
     "truesdell_solve",
     "GeometryCache",
     "build_cache",
-    "laplace_beltrami",
     "covariant_norm_sq",
-    "div_comp_material",
-    "truesdell_rate",
-    "reconstruct_velocity",
     "surface_integral",
 ]
 
@@ -51,8 +45,9 @@ __all__ = [
 #
 # Each surface formula is written once, here, on arrays of one grid: flat
 # derivatives the caller already holds, the height slopes ``hx, hy`` and the
-# metric determinant ``g``.  The operators below and ``flow.evaluate`` call
-# them, so the oracle tests of the operators check the solver's arithmetic.
+# metric determinant ``g``.  ``build_cache``, ``covariant_norm_sq`` and
+# ``flow.evaluate`` call them, so the oracle tests of the kernels check the
+# solver's arithmetic.
 # Each kernel writes its result to ``out`` and uses the arrays of ``work``
 # for its intermediates; either is new when not given, and neither may be an
 # input unless the kernel says so.  Each expression keeps its operation
@@ -98,22 +93,6 @@ def covariant_square(ax, ay, a_dh, g, out=None, work=None):
     return np.subtract(out, t, out=out)
 
 
-def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g, out=None, work=None):
-    """Surface divergence of the tangent field with flat components ``v``,
-    from their flat gradients: ``vx_x + vy_y - dh.Dv.dh / |g|``; one work
-    array."""
-    out, (t,) = _buffers(g, out, work, 1)
-    np.multiply(hx, vx_x, out=out)
-    out *= hx
-    for a, b, c in ((hx, vy_x, hy), (hy, vx_y, hx), (hy, vy_y, hy)):
-        np.multiply(a, b, out=t)
-        t *= c
-        out += t
-    out /= g
-    np.add(vx_x, vy_y, out=t)
-    return np.subtract(t, out, out=out)
-
-
 def truesdell_solve(
     rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_t=None, out=None, work=None
 ):
@@ -123,8 +102,8 @@ def truesdell_solve(
     with the transport coefficient ``T = psi hfrak + p_dh / |g|``; this
     solves it for ``dtpsi``.  ``px, py`` are the flat gradient of ``psi`` and
     ``p_dh`` its projection on ``dh``; ``dth`` is the height rate.  ``v``
-    holds the flat tangential velocity and ``div_t`` its
-    :func:`tangential_divergence`; without them the velocity terms vanish.
+    holds the flat tangential velocity and ``div_t`` its surface divergence;
+    without them the velocity terms vanish.
     Three work arrays; ``out`` may be ``rate``.
     """
     out, (transport, t, u) = _buffers(psi, out, work, 3)
@@ -147,7 +126,7 @@ def truesdell_solve(
 
 
 # ---------------------------------------------------------------------------
-# Surface cache and operators
+# Surface cache, covariant norm and surface integral
 
 
 @dataclass
@@ -155,10 +134,9 @@ class GeometryCache:
     """Slopes of the height field and derived metric quantities, as arrays.
 
     Built once per height field (typically once per time step) and shared by
-    every geometric operator evaluated against that surface.  It stores the
-    slopes ``hx, hy``, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the
-    mean curvature and the normal are computed on demand, as only the surface
-    integrals of a record and the operators read them.
+    the evaluation and the record of that surface.  It stores the slopes
+    ``hx, hy``, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the mean
+    curvature and the normal are computed on demand, as no step reads them.
     """
 
     grid: Grid
@@ -211,14 +189,6 @@ def build_cache(h: ScalarField) -> GeometryCache:
     return GeometryCache(grid, hx, hy, g_det, hfrak)
 
 
-def laplace_beltrami(f: np.ndarray, cache: GeometryCache) -> np.ndarray:
-    """Surface Laplacian of the scalar samples ``f`` on the cached surface."""
-    fx, fy, fxx, fxy, fyy = _derivative_stack(cache.grid, f)
-    hx, hy = cache.hx, cache.hy
-    trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det)
-    return trace - (fx * hx + fy * hy) * cache.hfrak
-
-
 def covariant_norm_sq(
     v: np.ndarray, cache: GeometryCache, out: np.ndarray | None = None, work=None
 ) -> np.ndarray:
@@ -230,55 +200,6 @@ def covariant_norm_sq(
     np.multiply(vx, cache.hx, out=v_dh)
     v_dh += np.multiply(vy, cache.hy, out=t)
     return covariant_square(vx, vy, v_dh, cache.g_det, out=out, work=(t,))
-
-
-def _velocity_gradients(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(vx_x, vx_y, vy_x, vy_y)``."""
-    return tuple(d for c in v for d in _derivative_stack(grid, c)[:2])
-
-
-def div_comp_material(v: np.ndarray, dth: np.ndarray, cache: GeometryCache) -> np.ndarray:
-    """Surface divergence of the material velocity with flat part ``v`` and
-    height rate ``dth``."""
-    (vx, vy), hx, hy = v, cache.hx, cache.hy
-    div_t = tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, cache.g_det)
-    return div_t - (dth + (vx * hx + vy * hy)) * cache.hfrak
-
-
-def truesdell_rate(
-    psi: np.ndarray,
-    dtpsi: np.ndarray,
-    v: np.ndarray,
-    dth: np.ndarray,
-    cache: GeometryCache,
-) -> np.ndarray:
-    """Truesdell rate of a surface density: material rate plus dilution.
-
-    Vanishing Truesdell rate (up to a surface-divergence flux) is the
-    statement that the integral of the density over the moving surface is
-    conserved.  It is ``dtpsi`` minus the rate :func:`truesdell_solve`
-    gives for a vanishing Truesdell rate.
-    """
-    px, py = _derivative_stack(cache.grid, psi)[:2]
-    hx, hy, g = cache.hx, cache.hy, cache.g_det
-    still = truesdell_solve(
-        0.0, psi, px, py, px * hx + py * hy, dth, hx, hy, g, cache.hfrak, v=v,
-        div_t=tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, g),
-    )
-    return dtpsi - still
-
-
-def reconstruct_velocity(
-    v: np.ndarray, dth: np.ndarray, cache: GeometryCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ambient coordinates of the material velocity of the surface.
-
-    The returned vector is the sum of the tangential velocity with flat
-    components ``v`` and the normal velocity implied by the height rate.
-    """
-    (vx, vy), hx, hy = v, cache.hx, cache.hy
-    s = (dth + vx * hx + vy * hy) / cache.g_det
-    return vx - s * hx, vy - s * hy, s
 
 
 def surface_integral(

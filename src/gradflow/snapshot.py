@@ -36,14 +36,14 @@ class SnapshotError(ValueError):
 
 
 def write_snapshot(state: FlowState, path: str | PathLike) -> None:
+    """Write ``state`` to ``path``, each field from its own buffer: a field
+    is copied only where it is not contiguous little-endian ``f8``."""
     grid = state.grid
     header = _HEADER.pack(MAGIC, grid.nx, grid.ny, grid.lx, grid.ly, state.t)
-    h = np.ascontiguousarray(state.h.values, dtype="<f8")
-    psi = np.ascontiguousarray(state.psi.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(h.tobytes())
-        fh.write(psi.tobytes())
+        for field in (state.h, state.psi):
+            fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
 
 
 def read_snapshot(path: str | PathLike) -> FlowState:

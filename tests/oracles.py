@@ -69,8 +69,8 @@ class FdGeometry:
         return d1(f, 0, self.dx), d1(f, 1, self.dy)
 
 
-def fd_laplace_beltrami(f: np.ndarray, geo: FdGeometry) -> np.ndarray:
-    fx, fy = geo.grad(f)
+def fd_hessian_trace(f: np.ndarray, geo: FdGeometry) -> np.ndarray:
+    """Metric trace of the flat Hessian of ``f``, ``fxx + fyy - dh.D2f.dh / |g|``."""
     fxx = d2(f, 0, geo.dx)
     fyy = d2(f, 1, geo.dy)
     fxy = d_cross(f, geo.dx, geo.dy)
@@ -79,8 +79,13 @@ def fd_laplace_beltrami(f: np.ndarray, geo: FdGeometry) -> np.ndarray:
         + 2.0 * geo.hx * geo.hy * fxy
         + geo.hy * geo.hy * fyy
     )
+    return fxx + fyy - quad / geo.g
+
+
+def fd_laplace_beltrami(f: np.ndarray, geo: FdGeometry) -> np.ndarray:
+    fx, fy = geo.grad(f)
     f_dh = fx * geo.hx + fy * geo.hy
-    return fxx + fyy - quad / geo.g - f_dh * geo.hfrak
+    return fd_hessian_trace(f, geo) - f_dh * geo.hfrak
 
 
 def fd_covariant_grad_sq(f: np.ndarray, geo: FdGeometry) -> np.ndarray:

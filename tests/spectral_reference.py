@@ -1,0 +1,87 @@
+"""Spectral reference compositions of the surface operators.
+
+The solver forms the divergence of its tangential velocity analytically
+(see :func:`gradflow.flow.evaluate`), so no run calls the operators below.
+The tests use them as a second, independent composition of the same
+surface calculus: each operator differentiates its arguments with the
+public :func:`gradflow.derivatives`/:func:`gradflow.gradient` and combines
+the results with the :mod:`gradflow.geometry` kernels, on a
+:class:`gradflow.GeometryCache`.  Vector fields are ``(2, nx, ny)`` stacks
+of flat components, as in the package.
+
+Unlike :mod:`oracles`, this module is built on the package's spectral
+machinery: the finite-difference oracle checks these operators, and they
+in turn cross-check what :func:`gradflow.flow.evaluate` forms.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gradflow import GeometryCache, Grid, ScalarField, derivatives, gradient
+from gradflow.geometry import hessian_trace, truesdell_solve
+
+
+def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g):
+    """Surface divergence of the tangent field with flat components ``v``,
+    from their flat gradients: ``vx_x + vy_y - dh.Dv.dh / |g|``."""
+    quad = hx * vx_x * hx + hx * vy_x * hy + hy * vx_y * hx + hy * vy_y * hy
+    return vx_x + vy_y - quad / g
+
+
+def _velocity_gradients(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(vx_x, vx_y, vy_x, vy_y)``."""
+    return tuple(d for c in v for d in gradient(ScalarField(grid, c)))
+
+
+def laplace_beltrami(f: np.ndarray, cache: GeometryCache) -> np.ndarray:
+    """Surface Laplacian of the scalar samples ``f`` on the cached surface."""
+    fx, fy, fxx, fxy, fyy = derivatives(ScalarField(cache.grid, f))
+    hx, hy = cache.hx, cache.hy
+    trace = hessian_trace(fxx, fxy, fyy, hx, hy, cache.g_det)
+    return trace - (fx * hx + fy * hy) * cache.hfrak
+
+
+def div_comp_material(v: np.ndarray, dth: np.ndarray, cache: GeometryCache) -> np.ndarray:
+    """Surface divergence of the material velocity with flat part ``v`` and
+    height rate ``dth``."""
+    (vx, vy), hx, hy = v, cache.hx, cache.hy
+    div_t = tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, cache.g_det)
+    return div_t - (dth + (vx * hx + vy * hy)) * cache.hfrak
+
+
+def truesdell_rate(
+    psi: np.ndarray,
+    dtpsi: np.ndarray,
+    v: np.ndarray,
+    dth: np.ndarray,
+    cache: GeometryCache,
+) -> np.ndarray:
+    """Truesdell rate of a surface density: material rate plus dilution.
+
+    Vanishing Truesdell rate (up to a surface-divergence flux) is the
+    statement that the integral of the density over the moving surface is
+    conserved.  It is ``dtpsi`` minus the rate
+    :func:`gradflow.geometry.truesdell_solve` gives for a vanishing
+    Truesdell rate.
+    """
+    px, py = gradient(ScalarField(cache.grid, psi))
+    hx, hy, g = cache.hx, cache.hy, cache.g_det
+    still = truesdell_solve(
+        0.0, psi, px, py, px * hx + py * hy, dth, hx, hy, g, cache.hfrak, v=v,
+        div_t=tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, g),
+    )
+    return dtpsi - still
+
+
+def reconstruct_velocity(
+    v: np.ndarray, dth: np.ndarray, cache: GeometryCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ambient coordinates of the material velocity of the surface.
+
+    The returned vector is the sum of the tangential velocity with flat
+    components ``v`` and the normal velocity implied by the height rate.
+    """
+    (vx, vy), hx, hy = v, cache.hx, cache.hy
+    s = (dth + vx * hx + vy * hy) / cache.g_det
+    return vx - s * hx, vy - s * hy, s

@@ -18,8 +18,10 @@ One test per advertised guarantee of the solver, each printing a PASS line
 6.  The material-gauge quadratic variant can raise the energy while its
     standard-gauge twin is monotone.
 7.  Every geometry operator converges at 4th order against an independent
-    finite-difference oracle and reduces exactly on a flat surface; so does
-    the density rate the stepper uses, for every variant.
+    finite-difference oracle and reduces exactly on a flat surface; so do
+    the kernels and the height rate and tangential velocity that the
+    stepper's evaluation forms, and the density rate it uses, for every
+    variant.
 8.  The density variation matches central differences of the energy for
     every preset, and the substituted single-equation form reproduces the
     coupled trajectory.
@@ -56,20 +58,19 @@ from gradflow import (
     convergence_sweep,
     covariant_norm_sq,
     derivatives,
-    div_comp_material,
     evaluate,
     gradient,
     integrate,
-    laplace_beltrami,
     parse_config,
     simulate,
     step,
     surface_integral,
     total_energy,
-    truesdell_rate,
 )
+from gradflow.geometry import covariant_square, hessian_trace
 
 import oracles
+from spectral_reference import div_comp_material, laplace_beltrami, truesdell_rate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -292,6 +293,9 @@ def test_material_gauge_can_raise_energy_while_twin_dissipates():
 
 
 def test_geometry_operators_converge_against_fd_oracle():
+    # The operators of spectral_reference, and what evaluate runs: its
+    # height rate and velocity, and its kernels on the derivatives it holds.
+    model, mob = FloryHuggins(1.0, 0.75, 0.4), Mobilities(m_x=2.0, m_psi=1.0)
     per_op_errors: dict[str, list[float]] = {}
     for n in (16, 32, 64, 128):
         g = Grid(n, n)
@@ -307,6 +311,15 @@ def test_geometry_operators_converge_against_fd_oracle():
 
         v = np.stack((vx, vy))
         cache = build_cache(g.from_function(oracles.h_fn))
+        psi_field = g.from_function(oracles.psi_fn)
+        ev = evaluate(
+            FlowState(0.0, g.from_function(oracles.h_fn), psi_field),
+            ModelVariant.FULL_COUPLED, mob, model,
+        )
+        f0, fp, fpp, _ = model.derivatives(psi)
+        sigma = f0 - psi * fp
+        px, py, pxx, pxy, pyy = derivatives(psi_field)
+        p_dh = px * cache.hx + py * cache.hy
 
         checks = {
             "metric_determinant": (cache.g_det, geo.g),
@@ -337,6 +350,19 @@ def test_geometry_operators_converge_against_fd_oracle():
                 surface_integral(f, cache),
                 oracles.fd_surface_integral(f, geo, g.lx, g.ly),
             ),
+            "height_rate": (ev.dth, geo.g * sigma * geo.hfrak / mob.m_x),
+            "tangential_velocity": (
+                ev.v,
+                -psi * fpp * np.stack(geo.grad(psi)) / mob.m_x,
+            ),
+            "hessian_trace": (
+                hessian_trace(pxx, pxy, pyy, cache.hx, cache.hy, cache.g_det),
+                oracles.fd_hessian_trace(psi, geo),
+            ),
+            "covariant_square": (
+                covariant_square(px, py, p_dh, cache.g_det),
+                oracles.fd_covariant_grad_sq(psi, geo),
+            ),
         }
         for name, (got, want) in checks.items():
             err = float(np.abs(np.asarray(got) - np.asarray(want)).max())
@@ -356,9 +382,11 @@ def test_geometry_operators_converge_against_fd_oracle():
     f = g.from_function(oracles.f_fn)
     vx, vy = g.from_function(oracles.vx_fn), g.from_function(oracles.vy_fn)
     v = np.stack((vx.values, vy.values))
-    _, _, fxx, _, fyy = derivatives(f)
+    _, _, fxx, fxy, fyy = derivatives(f)
     flat_lap = fxx + fyy
     assert np.abs(laplace_beltrami(f.values, cache) - flat_lap).max() < 1e-12
+    trace = hessian_trace(fxx, fxy, fyy, cache.hx, cache.hy, cache.g_det)
+    assert np.abs(trace - flat_lap).max() < 1e-12
     fx, fy = gradient(f)
     assert (
         np.abs(covariant_norm_sq(np.stack((fx, fy)), cache) - (fx**2 + fy**2)).max()

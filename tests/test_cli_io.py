@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -226,6 +228,9 @@ VALUE_FAULTS = [
     ("grid.lx", "inf", math.inf),
     ("initial.h_amplitude", "inf", math.inf),
     ("stepper.dt", "3e-3", 3e-3),
+    # A field of the wrong type gives the message its text gives.
+    ("run.record_every", "2.5", 2.5),
+    ("grid.nx", "16.0", 16.0),
 ]
 
 
@@ -239,6 +244,22 @@ def test_replace_raises_the_message_parsing_gives(key, text, value):
     with pytest.raises(ConfigError) as replaced:
         replace(parse_config(MINIMAL), **{_SCHEMA[key][0]: value})
     assert str(replaced.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("dt", "stepper.dt", "1e-3"),
+        ("record_every", "run.record_every", True),
+        ("scheme", "stepper.scheme", "imex1"),
+        ("energy", "energy.kind", "flory_huggins"),
+    ],
+)
+def test_replace_with_a_value_of_the_wrong_type_names_the_key(name, key, value):
+    # Parsing accepts the texts of dt and scheme; the field's type still
+    # refuses every one.
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        replace(parse_config(MINIMAL), **{name: value})
 
 
 def test_a_run_of_an_invalid_replaced_config_never_starts():
@@ -334,6 +355,22 @@ def test_snapshot_file_size_is_fixed(tmp_path):
     write_snapshot(state, path)
     # 36-byte header + two 8x8 float64 planes
     assert path.stat().st_size == 36 + 2 * 8 * 64 == 1060
+
+
+@pytest.mark.skipif(sys.byteorder == "big", reason="a big-endian field is converted to '<f8'")
+def test_snapshot_write_copies_no_field(tmp_path):
+    g = Grid(64, 64)
+    state = FlowState(0.0, g.from_function(lambda x, y: np.sin(x) * np.cos(y)), g.constant(0.5))
+    path = tmp_path / "state.sgf"
+    write_snapshot(state, path)  # the first call's imports and file objects
+    tracemalloc.start()
+    try:
+        write_snapshot(state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.h.values.nbytes == 32768, peak
+    assert path.stat().st_size == 36 + 2 * 32768
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):

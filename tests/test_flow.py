@@ -35,7 +35,6 @@ from gradflow import (
     derivatives,
     evaluate,
     gradient,
-    laplace_beltrami,
     parse_config,
     record,
     simulate,
@@ -44,7 +43,8 @@ from gradflow import (
 )
 
 import oracles
-from gradflow.geometry import tangential_divergence, truesdell_solve
+from gradflow.geometry import truesdell_solve
+from spectral_reference import laplace_beltrami, tangential_divergence
 
 
 def make_state(n=32, h_amp=0.3, psi_amp=0.1):
@@ -502,8 +502,8 @@ def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
 
 def _rhs_with_velocity_gradients(ev, model, dv):
     """``rhs_psi`` of the full/material-gauge density equation, rebuilt from
-    the geometry operators and the Truesdell solve with the tangential
-    divergence of the flat velocity gradients ``dv = (vx_x, vx_y, vy_x,
+    the reference operators of ``spectral_reference`` and the Truesdell
+    solve with the tangential divergence of the flat velocity gradients ``dv = (vx_x, vx_y, vy_x,
     vy_y)``."""
     psi, cache = ev.state.psi, ev.cache
     _, _, fpp, fppp = model.derivatives(model.clamp(psi.values)[0])

@@ -1,21 +1,34 @@
-"""Height-surface geometry: curvature, covariant operators, and identities."""
+"""Height-surface geometry: curvature, covariant operators, and identities.
 
+The operators no run calls (surface Laplacian, material divergence,
+Truesdell rate, velocity reconstruction) are the reference compositions of
+``spectral_reference``, on the package's cache and kernels."""
+
+import inspect
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gradflow.geometry
 import oracles
 from gradflow import (
     Grid,
+    ModelVariant,
     ScalarField,
     build_cache,
     covariant_norm_sq,
-    div_comp_material,
     gradient,
+    parse_config,
+    simulate,
+    surface_integral,
+)
+from spectral_reference import (
+    div_comp_material,
     laplace_beltrami,
     reconstruct_velocity,
-    surface_integral,
     truesdell_rate,
 )
 
@@ -261,3 +274,37 @@ def test_curved_area_exceeds_flat_and_converges():
         areas[n] = surface_integral(g.constant(1.0).values, cache)
     assert areas[128] > TWO_PI**2
     assert abs(areas[128] - areas[256]) / areas[256] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The module holds what the solver runs
+
+
+def test_the_solver_calls_every_exported_geometry_function():
+    # A short 16^2 run of each variant, recording every step, calls every
+    # function gradflow.geometry exports; an operator no run needs belongs
+    # in spectral_reference.
+    exported = {
+        fn.__code__: name
+        for name in gradflow.geometry.__all__
+        if inspect.isfunction(fn := getattr(gradflow.geometry, name))
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    config = parse_config(
+        "grid.nx = 16\nenergy.kind = quadratic\nstepper.dt = 1e-3\n"
+        "run.t_end = 3e-3\nrun.record_every = 1\ninitial.psi = 0.25\n"
+    )
+    for variant in ModelVariant:
+        sys.setprofile(profile)
+        try:
+            result = simulate(replace(config, variant=variant))
+        finally:
+            sys.setprofile(None)
+        assert len(result.records) == 4 and not result.aborted
+    assert exported
+    assert sorted(name for code, name in exported.items() if code not in called) == []
