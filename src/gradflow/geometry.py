@@ -6,9 +6,12 @@ pointwise algebra on spectrally computed derivatives.  The conventions:
 
 * metric determinant ``|g| = 1 + |dh|^2``,
 * scaled mean curvature ``hfrak = (div dh - dh.d2h.dh / |g|) / |g|``,
-  which is also the Laplace-Beltrami image of ``h`` itself,
-* mean curvature ``H = sqrt(|g|) * hfrak``,
-* upward unit normal ``nu = (-h_x, -h_y, 1) / sqrt(|g|)``.
+  which is also the Laplace-Beltrami image of ``h`` itself.
+
+The flow reads the surface only through the slopes ``dh``, ``|g|`` and
+``hfrak``; the mean curvature ``H = sqrt(|g|) * hfrak`` and the upward unit
+normal ``(-h_x, -h_y, 1) / sqrt(|g|)`` follow from them, and no run forms
+either.
 
 Vector fields on the surface are handled through their flat (component)
 representation ``v = (v_x, v_y)``, as a ``(2, nx, ny)`` stack.
@@ -131,12 +134,14 @@ def truesdell_solve(
 
 @dataclass
 class GeometryCache:
-    """Slopes of the height field and derived metric quantities, as arrays.
+    """What :func:`build_cache` makes of one height field: its ``grid``, the
+    slopes ``hx, hy``, the metric determinant ``g_det`` and ``hfrak``.
 
     Built once per height field (typically once per time step) and shared by
-    the evaluation and the record of that surface.  It stores the slopes
-    ``hx, hy``, ``|g|`` and ``hfrak``; the area element ``sqrt_g``, the mean
-    curvature and the normal are computed on demand, as no step reads them.
+    the evaluation and the record of that surface.  The flow reads the
+    surface only through these; the area element ``sqrt(|g|)``, the mean
+    curvature ``sqrt(|g|) hfrak`` and the normal are formed where they are
+    needed.
     """
 
     grid: Grid
@@ -144,22 +149,6 @@ class GeometryCache:
     hy: np.ndarray
     g_det: np.ndarray
     hfrak: np.ndarray
-
-    @property
-    def sqrt_g(self) -> np.ndarray:
-        """Area element ``sqrt(|g|)``."""
-        return np.sqrt(self.g_det)
-
-    @property
-    def mean_curv(self) -> np.ndarray:
-        """Mean curvature ``H = sqrt(|g|) * hfrak``."""
-        return self.sqrt_g * self.hfrak
-
-    @property
-    def normal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upward unit normal ``(-h_x, -h_y, 1) / sqrt(|g|)``."""
-        sqrt_g = self.sqrt_g
-        return -self.hx / sqrt_g, -self.hy / sqrt_g, 1.0 / sqrt_g
 
 
 def build_cache(h: ScalarField) -> GeometryCache:
@@ -212,9 +201,10 @@ def surface_integral(
     weight included), by the trapezoidal rule of
     :func:`gradflow.spectral.integrate`.
 
-    ``sqrt_g`` is the cache's area element, for a caller that integrates
-    several fields and forms it once; it is computed here when absent.  The
-    integrand ``f sqrt_g`` is formed in ``out``, new when absent.
+    ``sqrt_g`` is the area element ``sqrt(|g|)``, for a caller that
+    integrates several fields and forms it once; it is formed here from
+    ``cache.g_det`` when absent.  The integrand ``f sqrt_g`` is formed in
+    ``out``, new when absent.
     """
-    area = cache.sqrt_g if sqrt_g is None else sqrt_g
+    area = np.sqrt(cache.g_det) if sqrt_g is None else sqrt_g
     return float(np.multiply(f, area, out=out).sum() * cache.grid.cell_area)

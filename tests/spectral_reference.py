@@ -12,6 +12,10 @@ of flat components, as in the package.
 Unlike :mod:`oracles`, this module is built on the package's spectral
 machinery: the finite-difference oracle checks these operators, and they
 in turn cross-check what :func:`gradflow.flow.evaluate` forms.
+
+The area element, mean curvature and unit normal of a cache are formed
+here too, from the ``g_det`` and ``hfrak`` that :func:`gradflow.build_cache`
+makes, since no run reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,22 @@ import numpy as np
 
 from gradflow import GeometryCache, Grid, ScalarField, derivatives, gradient
 from gradflow.geometry import hessian_trace, truesdell_solve
+
+
+def area_element(cache: GeometryCache) -> np.ndarray:
+    """Area element ``sqrt(|g|)``."""
+    return np.sqrt(cache.g_det)
+
+
+def mean_curvature(cache: GeometryCache) -> np.ndarray:
+    """Mean curvature ``H = sqrt(|g|) * hfrak``."""
+    return area_element(cache) * cache.hfrak
+
+
+def unit_normal(cache: GeometryCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upward unit normal ``(-h_x, -h_y, 1) / sqrt(|g|)``."""
+    sqrt_g = area_element(cache)
+    return -cache.hx / sqrt_g, -cache.hy / sqrt_g, 1.0 / sqrt_g
 
 
 def tangential_divergence(vx_x, vx_y, vy_x, vy_y, hx, hy, g):

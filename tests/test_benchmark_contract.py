@@ -6,6 +6,11 @@
 without failing any other test.  Each run is a Flory-Huggins problem in a
 fresh process: 20 steps on 16x16, and, traced, 2 steps on 256x256, where the
 solver shares each step with its helper thread on two cores.
+
+``scripts/output_digests.py`` runs the benchmark workloads' configs from
+``perfbench/workloads.py``; compared against its own tree it must find the
+same bytes in a second process, so the tool that shows a change kept the
+output bytes runs here too.
 """
 
 import json
@@ -63,3 +68,16 @@ def test_traced_worker_runs_the_paired_path(tmp_path):
     assert report["layers"]["geometry.build_cache_calls_per_step"] == 1.5
     threads = 2 if gradflow.spectral._CORES >= 2 else 1
     assert f"threads = {threads}" in (tmp_path / "out" / "report.txt").read_text().splitlines()
+
+
+def test_output_digests_of_this_tree_match_themselves():
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "output_digests.py"),
+            "--workloads", "relax64", "--seeds", "0", "--against", str(ROOT),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stdout) == (0, ""), done.stderr

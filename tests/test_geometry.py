@@ -26,10 +26,13 @@ from gradflow import (
     surface_integral,
 )
 from spectral_reference import (
+    area_element,
     div_comp_material,
     laplace_beltrami,
+    mean_curvature,
     reconstruct_velocity,
     truesdell_rate,
+    unit_normal,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -58,10 +61,10 @@ def test_flat_surface_cache():
     g = Grid(32, 32)
     cache = build_cache(g.zeros())
     assert np.allclose(cache.g_det, 1.0, atol=1e-14)
-    assert np.allclose(cache.sqrt_g, 1.0, atol=1e-14)
+    assert np.allclose(area_element(cache), 1.0, atol=1e-14)
     assert np.abs(cache.hfrak).max() < 1e-13
-    assert np.abs(cache.mean_curv).max() < 1e-13
-    nx_, ny_, nz_ = cache.normal
+    assert np.abs(mean_curvature(cache)).max() < 1e-13
+    nx_, ny_, nz_ = unit_normal(cache)
     assert np.abs(nx_).max() < 1e-13
     assert np.abs(ny_).max() < 1e-13
     assert np.allclose(nz_, 1.0, atol=1e-14)
@@ -80,7 +83,7 @@ def test_curvature_density_at_extremum():
 def test_metric_determinant_bounds_and_unit_normal():
     _, cache = curved_cache()
     assert cache.g_det.min() >= 1.0
-    nx_, ny_, nz_ = cache.normal
+    nx_, ny_, nz_ = unit_normal(cache)
     norm = np.sqrt(nx_**2 + ny_**2 + nz_**2)
     assert np.abs(norm - 1.0).max() < 1e-12
 
@@ -88,8 +91,8 @@ def test_metric_determinant_bounds_and_unit_normal():
 def test_mean_curvature_consistent_with_laplace_beltrami():
     g, cache = curved_cache()
     lb_h = laplace_beltrami(g.from_function(oracles.h_fn).values, cache)
-    lhs = cache.mean_curv
-    rhs = cache.sqrt_g * lb_h
+    lhs = mean_curvature(cache)
+    rhs = area_element(cache) * lb_h
     assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-10
 
 
@@ -235,9 +238,9 @@ def test_reconstruct_velocity_normal_projection(smooth_field):
     v = vector(smooth_field(g, amplitude=0.5), smooth_field(g, amplitude=0.5))
     dth = smooth_field(g, amplitude=0.7).values
     vx, vy, vz = reconstruct_velocity(v, dth, cache)
-    n1, n2, n3 = cache.normal
+    n1, n2, n3 = unit_normal(cache)
     projected = vx * n1 + vy * n2 + vz * n3
-    expected = dth / cache.sqrt_g
+    expected = dth / area_element(cache)
     assert np.abs(projected - expected).max() < 1e-12
 
 
@@ -282,13 +285,18 @@ def test_curved_area_exceeds_flat_and_converges():
 
 def test_the_solver_calls_every_exported_geometry_function():
     # A short 16^2 run of each variant, recording every step, calls every
-    # function gradflow.geometry exports; an operator no run needs belongs
-    # in spectral_reference.
+    # function gradflow.geometry exports and every property of its cache;
+    # an operator or view no run needs belongs in spectral_reference.
     exported = {
         fn.__code__: name
         for name in gradflow.geometry.__all__
         if inspect.isfunction(fn := getattr(gradflow.geometry, name))
     }
+    exported.update(
+        (prop.fget.__code__, f"GeometryCache.{name}")
+        for name, prop in vars(gradflow.geometry.GeometryCache).items()
+        if isinstance(prop, property)
+    )
     called = set()
 
     def profile(frame, event, arg):
