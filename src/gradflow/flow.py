@@ -32,9 +32,9 @@ Four variants are provided:
 Spatial derivatives are spectral, except the divergence of the tangential
 velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
 psi`` in the surface metric, formed pointwise from the derivatives of
-``psi``.  A step therefore makes three transform pairs: the derivatives of
-``h``, those of ``psi``, and both damped increments in one stack (one pair
-each when split, see below).
+``psi``.  A step therefore transforms four fields forward and twelve back:
+for each of ``h`` and ``psi`` one forward transform and five derivatives,
+and for each damped increment one transform pair.
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
@@ -43,13 +43,16 @@ arrays it keeps and forms its intermediates in the grid's five work arrays,
 so a step's working set does not grow with the number of terms.  The state
 holds the two fields; everything evaluated from it is a plain array.
 
-The two halves of the system are independent within a step.  The
-derivatives of ``psi`` are formed beside the geometry of ``h``
-(:func:`gradflow.spectral._pair`), and the pointwise rate algebra and the
-two damped increments are each split by :func:`gradflow.spectral._halves`,
-which alone decides whether a grid's work runs on two threads.  Each
-element and each one-dimensional FFT line is computed as it is on one
-thread, so the output bytes do not depend on the split.
+The two halves of the system are independent within a step, and each
+field is transformed in its own half of the grid's spectral work.  The
+derivatives of ``psi`` are formed beside the geometry of ``h``, and the
+damped increment of ``psi`` beside that of ``h``, each as a
+:func:`gradflow.spectral._pair`; the pointwise rate algebra is split by
+rows with :func:`gradflow.spectral._halves`.  These two alone decide
+whether a grid's work runs on two threads, and every grid size makes the
+same transforms.  Each element and each one-dimensional FFT line is
+computed as it is on one thread, so the output bytes do not depend on the
+split.
 
 Time stepping is first-order: plain explicit Euler, or a stabilized
 semi-implicit variant (IMEX1) in which the update increment is damped by
@@ -79,7 +82,7 @@ from .spectral import (
     _QUIET,
     Grid,
     ScalarField,
-    _dealias_solve_stack,
+    _dealias_solve,
     _derivative_stack,
     _halves,
     _pair,
@@ -415,12 +418,11 @@ def stabilization_coefficients(
 def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     """Advance ``ev.state`` by one time step of ``stepper``.
 
-    The two rates of ``ev`` are solved as one stack, split by
-    :func:`gradflow.spectral._halves`: one transform pair for both fields,
-    or one per field with the two on two threads.  Each increment ``dt *
-    rhs`` is dealiased and, for IMEX1, damped mode by mode by ``1/(1 + dt *
-    a * |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``: the solution of
-    ``(I - dt a lap)(u_new - u_old) = dt * rhs``.  Explicit Euler applies no
+    The two rates of ``ev`` are solved in one transform pair each, as a
+    :func:`gradflow.spectral._pair`.  Each increment ``dt * rhs`` is
+    dealiased and, for IMEX1, damped mode by mode by ``1/(1 + dt * a *
+    |k|^2)`` with ``a`` = ``ev.a_h`` or ``ev.a_psi``: the solution of ``(I -
+    dt a lap)(u_new - u_old) = dt * rhs``.  Explicit Euler applies no
     damping.  A zero right-hand side gives a zero increment.
 
     Raises
@@ -432,11 +434,14 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     state = ev.state
     grid = state.grid
     dt = stepper.dt
-    rates = (ev.dth, ev.rhs_psi)
-    coefficients = [dt * a for a in _damping(ev, stepper)]
+    a_h, a_psi = (dt * a for a in _damping(ev, stepper))
     with np.errstate(**_QUIET):
-        _halves(grid, 2, lambda s: _dealias_solve_stack(grid, rates[s], coefficients[s], s.start))
-        inc = grid._work()[:2]
+        _pair(
+            grid,
+            lambda: _dealias_solve(grid, ev.dth, a_h, 0),
+            lambda: _dealias_solve(grid, ev.rhs_psi, a_psi, 1),
+        )
+        inc = grid._work()[:2]  # the two solutions
         inc *= dt
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
 

@@ -94,19 +94,16 @@ class RunResult:
     wall_time: float
 
 
-def simulate(
-    config: RunConfig,
-    out_dir: str | Path | None = None,
-    record_final_pair: bool = False,
-) -> RunResult:
+def _step_count(config: RunConfig) -> int:
+    return int(math.floor(config.t_end / config.dt + 1e-9))
+
+
+def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     """Advance the configured problem to ``t_end``.
 
     Records are taken at step 0, every ``record_every`` steps, and at the
-    final step; ``record_final_pair`` additionally records the penultimate
-    step so the last record interval spans exactly one dt (used by the
-    dissipation-identity sweep).  When ``out_dir`` is given, outputs are
-    written there incrementally so a solver abort still leaves the partial
-    series behind.
+    final step.  When ``out_dir`` is given, outputs are written there
+    incrementally so a solver abort still leaves the partial series behind.
 
     Raises
     ------
@@ -134,17 +131,10 @@ def simulate(
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.cfg").write_text(format_config(config))
 
-    n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
+    n_steps = _step_count(config)
     snapshot_at: dict[int, list[int]] = {}  # step index -> snapshot indices
     for idx, t_snap in enumerate(config.snapshot_times):
         snapshot_at.setdefault(math.ceil(t_snap / config.dt - 1e-9), []).append(idx)
-
-    def should_record(i: int) -> bool:
-        if i == 0 or i == n_steps:
-            return True
-        if record_final_pair and i == n_steps - 1:
-            return True
-        return i % config.record_every == 0
 
     csv_fh = open(out / "series.csv", "w", newline="") if out is not None else None
     records: list[DiagnosticsRecord] = []
@@ -188,7 +178,7 @@ def simulate(
                 if out is not None:
                     write_snapshot(state, out / "last_valid.sgf")
                 break
-            if should_record(i):
+            if i == n_steps or i % config.record_every == 0:
                 take_record(ev)
             take_snapshots(state, i)
     finally:
@@ -260,10 +250,10 @@ def _final_step_mismatch(records: list[DiagnosticsRecord]) -> float | None:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def _completed(config: RunConfig, run: str, **options) -> RunResult:
+def _completed(config: RunConfig, run: str) -> RunResult:
     """:func:`simulate` of ``config``; if the run aborts, :class:`SolverAbort`
     naming ``run`` and carrying its state."""
-    result = simulate(config, **options)
+    result = simulate(config)
     if result.aborted:
         raise SolverAbort(f"{run} aborted: {result.abort_message}", last_valid=result.state)
     return result
@@ -302,9 +292,12 @@ def convergence_sweep(
     if quantity not in ("mass_error", "trajectory_error"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
     # Every run is configured, and so checked, before the first one starts.
+    # A ladder run records its last two steps, one dt apart, which
+    # _final_step_mismatch reads.
     ladder = [replace(config, dt=dt) for dt in dts]
+    ladder = [replace(c, record_every=max(1, _step_count(c) - 1)) for c in ladder]
     finer = replace(config, dt=min(dts) / 4.0) if quantity == "trajectory_error" else None
-    results = [_completed(c, f"the run at dt = {c.dt!r}", record_final_pair=True) for c in ladder]
+    results = [_completed(c, f"the run at dt = {c.dt!r}") for c in ladder]
     if finer is not None:
         reference = _completed(finer, f"the trajectory reference at dt = {finer.dt!r}").state
 

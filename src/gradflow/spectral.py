@@ -45,8 +45,8 @@ __all__ = [
 
 def get_fft_workers() -> int:
     """The number of threads one transform runs on: always 1, numpy's FFT
-    is single-threaded.  On large grids :func:`_pair` and :func:`_halves`
-    run two transforms at once, each still on one thread.
+    is single-threaded.  On large grids :func:`_pair` runs two transforms
+    at once, each still on one thread.
 
     Kept because ``perfbench/worker.py`` imports it to record the setting.
     """
@@ -66,9 +66,9 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 # evaluation 35 % faster.
 _PAIR_POINTS = 256 * 256
 
-# The cores this process may run on, read once: every call then takes the
-# same paired or one-thread layout of the work stacks for a grid.  Where the
-# affinity mask cannot be read, all cores of the machine count.
+# The cores this process may run on, read once: every call then runs a
+# grid's work on the same threads.  Where the affinity mask cannot be read,
+# all cores of the machine count.
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -163,40 +163,33 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, out: np.ndarray | None = None, half: int | None = None
+    g: "Grid", values: np.ndarray, out: np.ndarray | None = None, half: int = 0
 ) -> np.ndarray:
     """``(f_x, f_y, f_xx, f_xy, f_yy)`` of the samples ``values`` on ``g`` as
     one stack, from one forward transform, written to ``out`` (new if
     absent) and returned.
 
-    Each row of the grid's half spectra (:meth:`Grid._spectral_work`) is the
-    spectrum times a per-axis factor of :attr:`Grid.deriv_factors`; the mixed
-    multiplier ``-kx ky`` is formed in its row.  The last row holds the
-    spectrum until its own turn, and one inverse transform gives the stack.
-    ``half`` = 0 or 1 names a stack that :func:`_pair` may form beside
-    another: where :func:`_pairs` holds for ``g``, it then works in three
-    half spectra, the first three for ``half = 0`` and the last three for
-    ``half = 1``, and inverts the slopes and the second derivatives in two
-    rounds.
+    The work is the three half spectra of :meth:`Grid._spectral_work` from
+    row ``3 * half`` on, so that :func:`_pair` may form a stack with ``half
+    = 0`` beside one with ``half = 1``.  The spectrum goes to the third row.
+    The slopes, the spectrum times a per-axis factor of
+    :attr:`Grid.deriv_factors` each, are inverted first, which frees their
+    two rows; then the second derivatives are, with the mixed multiplier
+    ``-kx ky`` formed in its row and ``f_yy`` in the spectrum's own.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
-    split = half is not None and _pairs(g)
-    work = g._spectral_work()
-    work = work[3 * half : 3 * half + 3] if split else work[:5]
+    work = g._spectral_work()[3 * half : 3 * half + 3]
     if out is None:
         out = np.empty((5, g.nx, g.ny))
-    spec = _rfft2(values, out=work[-1])
+    spec = _rfft2(values, out=work[2])
     np.multiply(ikx, spec, out=work[0])
     np.multiply(iky, spec, out=work[1])
-    target = out
-    if split:  # the slopes are inverted first, which frees their two rows
-        _irfft2(work[:2], g.ny, out=out[:2])
-        target = out[2:]
-    np.multiply(kxx, spec, out=work[-3])
-    np.multiply(-g.kx, g.ky, out=work[-2])
-    work[-2] *= spec
+    _irfft2(work[:2], g.ny, out=out[:2])
+    np.multiply(kxx, spec, out=work[0])
+    np.multiply(-g.kx, g.ky, out=work[1])
+    work[1] *= spec
     spec *= kyy
-    _irfft2(work, g.ny, out=target)
+    _irfft2(work, g.ny, out=out[2:])
     return out
 
 
@@ -218,8 +211,8 @@ class Grid:
 
     The grid owns two work stacks, allocated on first use: six half spectra
     for the transforms (:meth:`_spectral_work`), three for each of two
-    transforms that may run at once, and five real ``(nx, ny)`` arrays
-    (:meth:`_work`) in which the stacked solve, the geometry, the evaluation
+    fields that may be transformed at once, and five real ``(nx, ny)``
+    arrays (:meth:`_work`) in which the solves, the geometry, the evaluation
     and the record form every intermediate.  A state's evaluation and step
     therefore allocate only the arrays they return.  Where :func:`_pairs`
     holds, :func:`_pair` and :func:`_halves` share this work with one helper
@@ -289,7 +282,8 @@ class Grid:
         return self._scratch("_real_work", (5, self.nx, self.ny), float)
 
     def _spectral_work(self) -> np.ndarray:
-        """Six half spectra: rows 0-2 and 3-5 for two transforms at once."""
+        """Six half spectra: rows 0-2 for the field of ``half = 0``, 3-5 for
+        that of ``half = 1``."""
         return self._scratch("_spec_work", (6, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
@@ -338,8 +332,9 @@ def gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
 def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
-    One forward transform and one batched inverse transform; ``f_xy`` is
-    symmetric by construction (a single spectral multiplier).
+    One forward transform, and two batched inverse transforms: the slopes,
+    then the second derivatives.  ``f_xy`` is symmetric by construction (a
+    single spectral multiplier).
     """
     out = _derivative_stack(f.grid, f.values)
     # The slopes are copied out of the stack, so that a caller that keeps
@@ -361,27 +356,22 @@ def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
     """
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    return _dealias_solve_stack(rhs.grid, (rhs.values,), (a,))[0].copy()
+    return _dealias_solve(rhs.grid, rhs.values, a).copy()
 
 
-def _dealias_solve_stack(g: Grid, arrays, coefficients, half: int = 0) -> np.ndarray:
-    """:func:`dealias_solve` of one or two arrays on ``g``, each with its own
-    coefficient, in one transform pair; the solutions are rows of the grid's
-    real work arrays from row ``half`` on, which the next use overwrites.
-    The transform uses the half spectra from row ``3 * half`` on, and the
-    next one for the damping factor, so that ``half = 0`` and ``half = 1``
-    may each solve one field at once (see :func:`_derivative_stack`) without
-    a grid-sized temporary."""
-    m = len(arrays)
-    real = g._work()[half : half + m]
-    np.stack(arrays, out=real)
-    work = g._spectral_work()[3 * half : 3 * half + m + 1]
-    spec, factor, scale = _rfft2(real, out=work[:m]), work[m], work[m].real
+def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.ndarray:
+    """:func:`dealias_solve` of the array ``values`` on ``g``, in one
+    transform pair; the solution is row ``half`` of the grid's real work
+    arrays, which the next use overwrites.  The transform uses half spectrum
+    ``3 * half``, and the next one for the damping factor, so that ``half =
+    0`` and ``half = 1`` may each solve a field at once (see
+    :func:`_derivative_stack`) without a grid-sized temporary."""
+    work = g._spectral_work()[3 * half : 3 * half + 2]
+    spec, factor = _rfft2(values, out=work[0]), work[1]
     spec *= g.dealias_mask
-    factor.imag = 0.0  # as a real factor would be cast for the division
-    for row, a in zip(spec, coefficients):
-        if a != 0.0:
-            np.multiply(a, g.k2, out=scale)
-            scale += 1.0
-            row /= factor
-    return _irfft2(spec, g.ny, out=real)
+    if a != 0.0:
+        factor.imag = 0.0  # as a real factor would be cast for the division
+        scale = np.multiply(a, g.k2, out=factor.real)
+        scale += 1.0
+        spec /= factor
+    return _irfft2(spec, g.ny, out=g._work()[half])

@@ -7,6 +7,10 @@ without failing any other test.  Each run is a Flory-Huggins problem in a
 fresh process: 20 steps on 16x16, and, traced, 2 steps on 256x256, where the
 solver shares each step with its helper thread on two cores.
 
+Each benchmark workload also runs once at seed 0 through the worker, and must
+pass the benchmark's own correctness gate (``perfbench/run.py``'s
+``failures``): a final record within 1e-9 of ``perfbench/references.json``.
+
 ``scripts/output_digests.py`` runs the benchmark workloads' configs from
 ``perfbench/workloads.py``; compared against its own tree it must find the
 same bytes in a second process, so the tool that shows a change kept the
@@ -24,6 +28,10 @@ import pytest
 import gradflow.spectral
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run as bench  # noqa: E402  (perfbench/run.py)
+import workloads  # noqa: E402
 
 CONFIG = """
 grid.nx = 16
@@ -68,6 +76,13 @@ def test_traced_worker_runs_the_paired_path(tmp_path):
     assert report["layers"]["geometry.build_cache_calls_per_step"] == 1.5
     threads = 2 if gradflow.spectral._CORES >= 2 else 1
     assert f"threads = {threads}" in (tmp_path / "out" / "report.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.OVERRIDES))
+def test_workload_passes_the_benchmark_gate(tmp_path, workload):
+    report = run_worker(tmp_path, workloads.config_text(workload, 0), "0")
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    assert bench.failures(workload, 0, report, references) == []
 
 
 def test_output_digests_of_this_tree_match_themselves():

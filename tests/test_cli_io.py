@@ -453,12 +453,10 @@ def test_simulate_writes_complete_output_set(tmp_path):
     assert len(rate) == 1 and float(rate[0].split(" = ")[1]) > 0.0
 
 
-def test_simulate_record_cadence_and_final_pair():
+def test_simulate_record_cadence():
     cfg = replace(parse_config(CHEAP), record_every=4, t_end=1e-2)
     steps = [round(r.t / cfg.dt) for r in simulate(cfg).records]
     assert steps == [0, 4, 8, 10]
-    steps = [round(r.t / cfg.dt) for r in simulate(cfg, record_final_pair=True).records]
-    assert steps == [0, 4, 8, 9, 10]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -605,24 +605,31 @@ def test_clamped_points_drop_the_third_derivative_term():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of 2-D transforms and geometry builds, by rebinding the names
-    the solver looks up at call time."""
+    """Counts of 2-D transform calls (``fft``), of the fields they transform
+    (``forward``, ``inverse``: the leading dimensions of their inputs) and of
+    geometry builds, by rebinding the names the solver looks up at call time.
+    ``calls.transforms`` lists each transform as ``(kind, fields)``."""
     counts = collections.Counter()
+    counts.transforms = []
 
-    def counting(name, fn):
+    def counting(name, fn, kind=None):
         def wrapped(*args, **kwargs):
             counts[name] += 1
+            if kind is not None:
+                fields = int(np.prod(args[0].shape[:-2]))
+                counts[kind] += fields
+                counts.transforms.append((kind, fields))
             return fn(*args, **kwargs)
 
         return wrapped
 
-    for owner, attr, name in (
-        (gradflow.spectral, "_rfft2", "fft"),
-        (gradflow.spectral, "_irfft2", "fft"),
-        (gradflow.flow, "build_cache", "build_cache"),
-        (gradflow.diagnostics, "build_cache", "build_cache"),
+    for owner, attr, name, kind in (
+        (gradflow.spectral, "_rfft2", "fft", "forward"),
+        (gradflow.spectral, "_irfft2", "fft", "inverse"),
+        (gradflow.flow, "build_cache", "build_cache", None),
+        (gradflow.diagnostics, "build_cache", "build_cache", None),
     ):
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr), kind))
     return counts
 
 
@@ -670,13 +677,15 @@ def test_evaluation_keeps_no_second_derivatives():
 
 
 def test_full_imex_step_transform_budget(calls):
-    # One transform pair each for the derivatives of h and of psi, and one for
-    # both damped increments; the velocity divergence is analytic.
+    # The derivatives of h and of psi transform one field forward and five
+    # back each (slopes, then second derivatives), and each damped increment
+    # one field each way; the velocity divergence is analytic.
     state = make_state(16)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
     step(ev, StepperConfig(dt=1e-4))
     assert calls["build_cache"] == 1
-    assert calls["fft"] == 6
+    assert (calls["forward"], calls["inverse"]) == (4, 12)
+    assert calls["fft"] == 10
 
 
 def test_normal_only_explicit_step_transform_budget(calls):
@@ -684,7 +693,25 @@ def test_normal_only_explicit_step_transform_budget(calls):
     stepper = StepperConfig(dt=1e-4, scheme=Scheme.EXPLICIT_EULER)
     step(evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)), stepper)
     assert calls["build_cache"] == 1
-    assert calls["fft"] == 6
+    assert (calls["forward"], calls["inverse"]) == (4, 12)
+    assert calls["fft"] == 10
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.FULL_COUPLED, ModelVariant.NORMAL_ONLY])
+def test_paired_step_makes_the_same_transforms(calls, pairing, variant):
+    # Every grid size takes one layout: pairing only moves the second call of
+    # each pair to the helper thread, so a step transforms the same fields in
+    # the same calls on and off.
+    state = make_state(16)
+    model = FloryHuggins(1.0, 0.75, 0.0)
+    made = []
+    for on in (False, True):
+        pairing(on)
+        calls.transforms.clear()
+        step(evaluate(state, variant, MOB, model), StepperConfig(dt=1e-4))
+        made.append(sorted(calls.transforms))
+    assert made[0] == made[1]
+    assert pairing.helper_calls == 3
 
 
 # ---------------------------------------------------------------------------
