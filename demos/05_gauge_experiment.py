@@ -19,10 +19,9 @@ from gradflow import (
     ModelVariant,
     Quadratic,
     StepperConfig,
-    build_cache,
     evaluate,
+    record,
     step,
-    total_energy,
 )
 
 grid = Grid(64, 64)
@@ -34,12 +33,12 @@ stepper = StepperConfig(dt=1e-6)
 
 
 def trajectory(variant):
-    state = FlowState(0.0, h0, psi0)
-    energies = [total_energy(model, state.psi.values, build_cache(state.h))]
+    ev = evaluate(FlowState(0.0, h0, psi0), variant, mobilities, model)
+    energies = [record(ev).energy]
     for i in range(1, 201):
-        state = step(evaluate(state, variant, mobilities, model), stepper)
+        ev = evaluate(step(ev, stepper), variant, mobilities, model)
         if i % 20 == 0:
-            energies.append(total_energy(model, state.psi.values, build_cache(state.h)))
+            energies.append(record(ev).energy)
     return energies
 
 

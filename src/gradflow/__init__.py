@@ -10,7 +10,10 @@ stabilized semi-implicit).
 Samples enter as a :class:`ScalarField` (an array with its grid): the grid's
 constructors, a state's ``h`` and ``psi``, and a snapshot.  Everything
 computed from them -- derivatives, the geometry cache, an evaluation's
-rates -- is a plain array.
+rates -- is a plain array.  Every run takes one path, :func:`evaluate`
+then :func:`step` and :func:`record`, and the package exports what its runs
+call; only :func:`derivatives` and :func:`get_fft_workers` are kept for the
+benchmark in ``perfbench/``.
 
 Quick start::
 
@@ -39,7 +42,6 @@ from .energy import (
     FloryHuggins,
     Linear,
     Quadratic,
-    total_energy,
 )
 from .flow import (
     Evaluation,
@@ -72,9 +74,6 @@ from .spectral import (
     ScalarField,
     derivatives,
     get_fft_workers,
-    gradient,
-    integrate,
-    dealias_solve,
 )
 
 __version__ = "0.1.0"
@@ -84,10 +83,7 @@ __all__ = [
     # spectral
     "Grid",
     "ScalarField",
-    "gradient",
     "derivatives",
-    "integrate",
-    "dealias_solve",
     "get_fft_workers",
     # geometry
     "GeometryCache",
@@ -101,7 +97,6 @@ __all__ = [
     "Linear",
     "Quadratic",
     "FloryHuggins",
-    "total_energy",
     # flow
     "ModelVariant",
     "Scheme",

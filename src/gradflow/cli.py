@@ -7,6 +7,8 @@ Subcommands::
     gradflow sweep <config> --dt-ladder a,b,c  dt convergence ladder
 
 Common option: ``--out DIR`` overrides the configured output directory.
+Exit codes: 0 success, 1 solver abort, 2 bad input, which includes an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def main(argv: list[str] | None = None) -> int:
         # state in any command, or an aborted run of a harness (exit 1).
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except OSError as exc:
+        # An output that cannot be written, such as an --out path that is a
+        # file, is bad input too; the initial snapshots are read as config.
+        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:

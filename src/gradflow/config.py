@@ -65,7 +65,9 @@ class RunConfig:
     ``initial_h`` is a height preset (``sin2x_sin2y``, scaled by
     ``h_amplitude``, or ``zero``) or ``file:<path>``, the height slot of a
     snapshot.  ``initial_psi`` is a uniform density value or ``file:<path>``,
-    the density slot of a snapshot.
+    the density slot of a snapshot.  A string value is what one line of the
+    document can hold: it has no line break, and no leading or trailing
+    blank, which parsing would strip.
 
     Construction, ``dataclasses.replace`` included, checks the document's
     value rules and raises the :class:`ConfigError` that parsing the same
@@ -104,6 +106,10 @@ class RunConfig:
         for key, value in values.items():
             if _FIELDS[key][1] is float and not math.isfinite(value):
                 raise ConfigError(f"type mismatch for key '{key}': expected a finite number, got '{value}'")
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(
+                    f"key '{key}' must be one line without leading or trailing blanks; got {value!r}"
+                )
         for key in ("grid.nx", "grid.ny"):
             if values[key] % 2 != 0 or values[key] < 8:
                 raise ConfigError(f"key '{key}' must be even and >= 8, got {values[key]}")

@@ -1,6 +1,9 @@
 """Energy densities f(psi), their derivatives, and derived surface tension.
 
-The total surface energy is ``U = integral of f(psi) over the surface``.
+The total surface energy is ``U = integral of f(psi) over the surface``;
+:func:`gradflow.diagnostics.record` integrates the density that
+:func:`gradflow.flow.evaluate` forms.
+
 Four presets are provided; each knows its derivatives up to third order in
 closed form, so the flow assembly never needs numerical differentiation:
 
@@ -29,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryCache, surface_integral
-
 __all__ = [
     "CLAMP_EPS",
     "EnergyModel",
@@ -38,7 +39,6 @@ __all__ = [
     "Linear",
     "Quadratic",
     "FloryHuggins",
-    "total_energy",
 ]
 
 CLAMP_EPS = 1e-10
@@ -63,7 +63,9 @@ class EnergyModel:
         raise NotImplementedError
 
     def density(self, psi: np.ndarray, order: int) -> np.ndarray:
-        """``f`` (order 0) or its derivative of order 1..3 at in-domain values."""
+        """``f`` (order 0) or its derivative of order 1..3 at in-domain values.
+
+        No run calls it; kept because ``perfbench/spans.py`` binds it."""
         if not (0 <= order <= 3):
             raise ValueError(f"derivative order must be in 0..3, got {order}")
         return self.derivatives(psi)[order]
@@ -73,9 +75,6 @@ class EnergyModel:
         are ``psi`` itself where nothing is clamped, else written to ``out``
         (new when absent)."""
         return psi, 0
-
-    def count_violations(self, psi: np.ndarray) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,3 @@ class FloryHuggins(EnergyModel):
         np.divide(self.beta, pq, out=f2)
         f2 -= 2.0 * self.chi
         return f, f1, f2, f3
-
-
-def total_energy(model: EnergyModel, psi: np.ndarray, cache: GeometryCache) -> float:
-    """Total surface energy: integral of f(psi) with the area weight, taken
-    at the clamped density samples ``psi``."""
-    return surface_integral(model.derivatives(model.clamp(psi)[0])[0], cache)

@@ -198,8 +198,9 @@ def surface_integral(
     out: np.ndarray | None = None,
 ) -> float:
     """Integral of the scalar samples ``f`` over the curved surface (area
-    weight included), by the trapezoidal rule of
-    :func:`gradflow.spectral.integrate`.
+    weight included), by the trapezoidal rule: the sum of ``f sqrt_g`` times
+    the grid's ``cell_area``, which is spectrally exact on the periodic
+    domain.
 
     ``sqrt_g`` is the area element ``sqrt(|g|)``, for a caller that
     integrates several fields and forms it once; it is formed here from

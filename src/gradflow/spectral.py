@@ -8,7 +8,8 @@ rule afterwards.
 
 A :class:`ScalarField` pairs samples with their grid, and is made only where
 a field enters the program (the grid's constructors, a new state, a
-snapshot).  The helpers take one and return plain ``(nx, ny)`` arrays.
+snapshot).  The transforms the solver runs take the grid and plain
+``(nx, ny)`` arrays; all of them return arrays.
 
 Conventions
 -----------
@@ -17,7 +18,7 @@ Conventions
 * The Nyquist mode is zeroed in first-derivative multipliers, which keeps
   odd-order derivatives of real fields real and unambiguous.  Even grid
   sizes are required for the same reason.
-* The 2/3-rule mask of :func:`dealias_solve` acts per axis: mode ``m``
+* The 2/3-rule mask of :func:`_dealias_solve` acts per axis: mode ``m``
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
 * This module alone splits a step's work between threads (:func:`_halves`,
   :func:`_pair`), and only on grids where :func:`_pairs` holds.
@@ -35,10 +36,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "ScalarField",
-    "gradient",
     "derivatives",
-    "integrate",
-    "dealias_solve",
     "get_fft_workers",
 ]
 
@@ -204,7 +202,7 @@ class Grid:
     lx, ly : float
         Domain extents, finite and positive; default ``2 * pi`` each.
 
-    ``dealias_mask`` is the 2/3-rule mask of :func:`dealias_solve`; it is
+    ``dealias_mask`` is the 2/3-rule mask of :func:`_dealias_solve`; it is
     always on.  ``deriv_factors`` holds the per-axis derivative multipliers
     ``(1j kx, 1j ky, -kx^2, -ky^2)`` as vectors; no full multiplier array
     is stored.
@@ -324,17 +322,16 @@ class ScalarField:
 # -- spectral operators -----------------------------------------------------
 
 
-def gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
-    return derivatives(f)[:2]
-
-
 def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
     One forward transform, and two batched inverse transforms: the slopes,
     then the second derivatives.  ``f_xy`` is symmetric by construction (a
     single spectral multiplier).
+
+    The solver forms the same stack in the grid's work arrays
+    (:func:`_derivative_stack`); this copy is kept because
+    ``perfbench/test_harness.py`` imports it.
     """
     out = _derivative_stack(f.grid, f.values)
     # The slopes are copied out of the stack, so that a caller that keeps
@@ -342,26 +339,13 @@ def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     return (*out[:2].copy(), *out[2:])
 
 
-def integrate(f: ScalarField) -> float:
-    """Trapezoidal (= spectrally exact) integral over the periodic domain."""
-    return float(f.values.sum() * f.grid.cell_area)
-
-
-def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
-    """Solve ``(I - a * laplacian) u = rhs`` mode by mode on the modes the
-    grid's 2/3-rule mask keeps, in one transform pair.
+def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.ndarray:
+    """Solve ``(I - a * laplacian) u = values`` on ``g`` mode by mode on the
+    modes the grid's 2/3-rule mask keeps, in one transform pair.
 
     ``a`` must be nonnegative so the operator is positive definite; the mean
-    mode passes through unchanged.  ``a = 0`` gives the dealiased ``rhs``.
-    """
-    if a < 0.0:
-        raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    return _dealias_solve(rhs.grid, rhs.values, a).copy()
-
-
-def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.ndarray:
-    """:func:`dealias_solve` of the array ``values`` on ``g``, in one
-    transform pair; the solution is row ``half`` of the grid's real work
+    mode passes through unchanged.  ``a = 0`` gives the dealiased ``values``.
+    The solution is row ``half`` of the grid's real work
     arrays, which the next use overwrites.  The transform uses half spectrum
     ``3 * half``, and the next one for the damping factor, so that ``half =
     0`` and ``half = 1`` may each solve a field at once (see

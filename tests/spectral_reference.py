@@ -1,13 +1,22 @@
-"""Spectral reference compositions of the surface operators.
+"""Spectral reference compositions of the surface operators, and the
+field conveniences that no run calls.
 
 The solver forms the divergence of its tangential velocity analytically
 (see :func:`gradflow.flow.evaluate`), so no run calls the operators below.
 The tests use them as a second, independent composition of the same
-surface calculus: each operator differentiates its arguments with the
-public :func:`gradflow.derivatives`/:func:`gradflow.gradient` and combines
+surface calculus: each operator differentiates its arguments with
+:func:`gradflow.derivatives` (or :func:`gradient`, its slopes) and combines
 the results with the :mod:`gradflow.geometry` kernels, on a
 :class:`gradflow.GeometryCache`.  Vector fields are ``(2, nx, ny)`` stacks
 of flat components, as in the package.
+
+The field conveniences take a :class:`gradflow.ScalarField`: its slopes
+(:func:`gradient`), its integral over the flat domain (:func:`integrate`),
+and its dealiased, damped solve (:func:`dealias_solve`, a checking copy of
+the solve :func:`gradflow.flow.step` runs).  :func:`total_energy` integrates
+the energy density over a cached surface, as
+:func:`gradflow.diagnostics.record` does with the density its evaluation
+forms.
 
 Unlike :mod:`oracles`, this module is built on the package's spectral
 machinery: the finite-difference oracle checks these operators, and they
@@ -22,8 +31,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from gradflow import GeometryCache, Grid, ScalarField, derivatives, gradient
+from gradflow import EnergyModel, GeometryCache, Grid, ScalarField, derivatives, surface_integral
 from gradflow.geometry import hessian_trace, truesdell_solve
+from gradflow.spectral import _dealias_solve
+
+
+def gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Both first derivatives ``(f_x, f_y)`` from a single forward transform."""
+    return derivatives(f)[:2]
+
+
+def integrate(f: ScalarField) -> float:
+    """Trapezoidal (= spectrally exact) integral over the periodic domain."""
+    return float(f.values.sum() * f.grid.cell_area)
+
+
+def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
+    """Solve ``(I - a * laplacian) u = rhs`` on the modes the grid's 2/3-rule
+    mask keeps, as a new array; ``a`` must be nonnegative."""
+    if a < 0.0:
+        raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
+    return _dealias_solve(rhs.grid, rhs.values, a).copy()
+
+
+def total_energy(model: EnergyModel, psi: np.ndarray, cache: GeometryCache) -> float:
+    """Total surface energy: integral of f(psi) with the area weight, taken
+    at the clamped density samples ``psi``."""
+    return surface_integral(model.derivatives(model.clamp(psi)[0])[0], cache)
 
 
 def area_element(cache: GeometryCache) -> np.ndarray:

@@ -59,13 +59,10 @@ from gradflow import (
     covariant_norm_sq,
     derivatives,
     evaluate,
-    gradient,
-    integrate,
     parse_config,
     simulate,
     step,
     surface_integral,
-    total_energy,
 )
 from gradflow.geometry import covariant_square, hessian_trace
 
@@ -73,8 +70,11 @@ import oracles
 from spectral_reference import (
     area_element,
     div_comp_material,
+    gradient,
+    integrate,
     laplace_beltrami,
     mean_curvature,
+    total_energy,
     truesdell_rate,
     unit_normal,
 )

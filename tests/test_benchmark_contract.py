@@ -3,9 +3,11 @@
 ``perfbench/worker.py`` reads the final state's ``h.values``, calls
 ``get_fft_workers``, and its tracer rebinds solver names by
 ``owner.__dict__``; a rename in the package would break the benchmark
-without failing any other test.  Each run is a Flory-Huggins problem in a
-fresh process: 20 steps on 16x16, and, traced, 2 steps on 256x256, where the
-solver shares each step with its helper thread on two cores.
+without failing any other test.  So every name that a module of
+``perfbench/`` imports from the package must exist.  Each run is a
+Flory-Huggins problem in a fresh process: 20 steps on 16x16, and, traced, 2
+steps on 256x256, where the solver shares each step with its helper thread
+on two cores.
 
 Each benchmark workload also runs once at seed 0 through the worker, and must
 pass the benchmark's own correctness gate (``perfbench/run.py``'s
@@ -17,6 +19,7 @@ same bytes in a second process, so the tool that shows a change kept the
 output bytes runs here too.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import gradflow.spectral
+from test_demos import gradflow_imports
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -60,6 +64,24 @@ def run_worker(tmp_path, config, trace):
     if trace == "1":
         assert isinstance(report["layers"], dict) and report["layers"]
     return report
+
+
+def test_the_names_the_benchmark_imports_exist():
+    # perfbench/ is not in Tier-1's testpaths: without this check, a name
+    # removed from the package would break the benchmark at import and fail
+    # no test here.
+    imports = [
+        (path.name, module, name)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for module, name in gradflow_imports(path.read_text(), str(path))
+    ]
+    assert imports
+    missing = [
+        f"{file}: {module}.{name}"
+        for file, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

@@ -262,6 +262,41 @@ def test_replace_with_a_value_of_the_wrong_type_names_the_key(name, key, value):
         replace(parse_config(MINIMAL), **{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("output_dir", "run.output_dir", "a\nb"),
+        ("output_dir", "run.output_dir", "a\rb"),
+        ("output_dir", "run.output_dir", "a\u2028b"),
+        ("output_dir", "run.output_dir", " out"),
+        ("output_dir", "run.output_dir", "out\t"),
+        ("initial_h", "initial.h", "file:a\nb"),
+        ("initial_h", "initial.h", " zero"),
+        ("initial_psi", "initial.psi", "file:a\nb"),
+        ("initial_psi", "initial.psi", "file:start.sgf "),
+    ],
+)
+def test_a_string_no_document_line_can_hold_is_refused(name, key, value):
+    # config.cfg must parse back to the exact run: a line break would split
+    # the line, and parsing strips the blanks around a value.
+    with pytest.raises(ConfigError, match=f"key '{key}' must be one line"):
+        replace(parse_config(MINIMAL), **{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("output_dir", ""),
+        ("output_dir", "runs/a b"),
+        ("initial_h", "file:a b.sgf"),
+        ("initial_psi", "file: start.sgf"),
+    ],
+)
+def test_an_accepted_string_parses_back(name, value):
+    cfg = replace(parse_config(MINIMAL), **{name: value})
+    assert parse_config(format_config(cfg)) == cfg
+
+
 def test_a_run_of_an_invalid_replaced_config_never_starts():
     # The config is refused where it is made, before simulate is called.
     cfg = parse_config(MINIMAL)  # to t_end = 0.01
@@ -738,6 +773,25 @@ def test_cli_sweep(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "dt,mass_error,observed_order,dissipation_mismatch"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command, below):
+    # An --out path that is a file, or lies below one, ends the command with
+    # one line naming the path, and exit 2.
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    args = [command, write_cfg(tmp_path, CHEAP), "--out", str(out)]
+    if command == "sweep":
+        args += ["--dt-ladder", "1e-3,5e-4,2.5e-4"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith(f"error: cannot write '{out}': ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_sweep_bad_ladder(tmp_path, capsys):

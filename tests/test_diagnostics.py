@@ -29,9 +29,9 @@ from gradflow import (
     simulate,
     step,
     surface_integral,
-    total_energy,
 )
 from gradflow.runner import CSV_HEADER, _csv_row
+from spectral_reference import total_energy
 
 BASE_DOC = """
 grid.nx = 16

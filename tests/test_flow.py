@@ -31,10 +31,8 @@ from gradflow import (
     StepperConfig,
     build_cache,
     covariant_norm_sq,
-    dealias_solve,
     derivatives,
     evaluate,
-    gradient,
     parse_config,
     record,
     simulate,
@@ -44,7 +42,7 @@ from gradflow import (
 
 import oracles
 from gradflow.geometry import truesdell_solve
-from spectral_reference import laplace_beltrami, tangential_divergence
+from spectral_reference import dealias_solve, gradient, laplace_beltrami, tangential_divergence
 
 
 def make_state(n=32, h_amp=0.3, psi_amp=0.1):
@@ -136,8 +134,6 @@ def test_velocity_closed_form_quadratic():
     state = make_state()
     c = 1.5
     v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).v
-    from gradflow import gradient
-
     px, py = gradient(state.psi)
     expected_x = -c * state.psi.values * px / MOB.m_x
     expected_y = -c * state.psi.values * py / MOB.m_x
@@ -278,8 +274,6 @@ def test_flux_vector_closed_form():
     state = make_state()
     c = 1.5
     q = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).flux()
-    from gradflow import gradient
-
     px, py = gradient(state.psi)
     assert np.allclose(q[0], -c * px / MOB.m_psi, atol=1e-15)
     assert np.allclose(q[1], -c * py / MOB.m_psi, atol=1e-15)
