@@ -6,9 +6,9 @@ full-line comment, blank lines are ignored.  Unknown keys, ``energy.*``
 keys that the chosen ``energy.kind`` does not use, and malformed values, a
 non-finite number (``inf``, ``nan``) included, are hard errors that name the
 offending key; silent typos are not possible.  The value rules (grid sizes,
-positive keys, the ``stepper.dt`` rule, snapshot times, the initial data)
-are :class:`RunConfig`'s own: a config made in code or by
-``dataclasses.replace`` obeys them as a parsed one does.
+positive keys, the ``stepper.dt`` rule, snapshot times, the initial data,
+the Flory-Huggins spinodal) are :class:`RunConfig`'s own: a config made in
+code or by ``dataclasses.replace`` obeys them as a parsed one does.
 
 Example (the bundled reference experiment)::
 
@@ -31,7 +31,6 @@ order, and ``parse_config(format_config(c))`` reproduces ``c`` exactly.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass, fields
@@ -64,15 +63,16 @@ class RunConfig:
 
     ``initial_h`` is a height preset (``sin2x_sin2y``, scaled by
     ``h_amplitude``, or ``zero``) or ``file:<path>``, the height slot of a
-    snapshot.  ``initial_psi`` is a uniform density value or ``file:<path>``,
-    the density slot of a snapshot.  A string value is what one line of the
-    document can hold: it has no line break, and no leading or trailing
-    blank, which parsing would strip.
+    snapshot.  ``initial_psi`` is a uniform density value, in [0, 1] for
+    ``FloryHuggins``, or ``file:<path>``, the density slot of a snapshot.
 
-    Construction, ``dataclasses.replace`` included, checks the document's
-    value rules and raises the :class:`ConfigError` that parsing the same
-    values gives, naming the key: ``replace(config, dt=3e-3)`` on a run to
-    ``t_end = 0.01`` raises ``key 'stepper.dt' must divide run.t_end ...``.
+    Construction, ``dataclasses.replace`` included, checks that the text
+    :func:`format_config` writes for each value, the energy's fields
+    included, parses back to that value (so a numpy scalar is taken, and a
+    string that one line cannot hold is not), then the value rules.  It
+    raises the :class:`ConfigError` that parsing the same text gives, naming
+    the key: ``replace(config, dt=3e-3)`` on a run to ``t_end = 0.01``
+    raises ``key 'stepper.dt' must divide run.t_end ...``.
     """
 
     nx: int
@@ -94,22 +94,13 @@ class RunConfig:
     initial_psi: float | str
 
     def __post_init__(self) -> None:
-        """Check each field's type, then the document's value rules, in
-        parsing's order and words."""
-        values = {key: getattr(self, name) for key, (name, _, _) in _FIELDS.items()}
+        """Check each value's text, then the value rules, in parsing's words."""
         if not isinstance(self.energy, EnergyModel):
             raise _mismatch("energy.kind", EnergyModel, self.energy)
+        values = _entries(self)
         for key, value in values.items():
-            cls = _FIELDS[key][1]
-            if not (_is(cls, value) or key == "initial.psi" and _is(float, value)):
-                raise _type_error(key, cls, value)
-        for key, value in values.items():
-            if _FIELDS[key][1] is float and not math.isfinite(value):
-                raise ConfigError(f"type mismatch for key '{key}': expected a finite number, got '{value}'")
-            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
-                raise ConfigError(
-                    f"key '{key}' must be one line without leading or trailing blanks; got {value!r}"
-                )
+            if _convert(key, _SCHEMA[key][1], _text(value)) != value:
+                raise _mismatch(key, _SCHEMA[key][1], value)
         for key in ("grid.nx", "grid.ny"):
             if values[key] % 2 != 0 or values[key] < 8:
                 raise ConfigError(f"key '{key}' must be even and >= 8, got {values[key]}")
@@ -120,15 +111,22 @@ class RunConfig:
             raise ConfigError(
                 "key 'model.variant': material_gauge_quadratic requires energy.kind = quadratic"
             )
-        check_dt(self.dt, self.t_end, "key 'stepper.dt'")
-        for s in self.snapshot_times:
+        flory_huggins = values.get("energy.kind") == "flory_huggins"
+        if flory_huggins and values["energy.chi"] > 2.0 * values["energy.beta"]:
+            raise ConfigError(
+                f"key 'energy.chi' must be <= 2 * energy.beta = {2.0 * values['energy.beta']}, got "
+                f"{values['energy.chi']}: f'' < 0 somewhere in (0, 1), and the model has no "
+                "gradient energy to make the flow well-posed there"
+            )
+        check_dt(values["stepper.dt"], values["run.t_end"], "key 'stepper.dt'")
+        for s in values["run.snapshot_times"]:
             if not (0.0 <= s <= self.t_end):
                 raise ConfigError(f"key 'run.snapshot_times': time {s} outside [0, t_end={self.t_end}]")
         if not (self.initial_h.startswith("file:") or self.initial_h in _H_PRESETS):
             raise _one_of("initial.h", f"{', '.join(_H_PRESETS)} or file:<path>", self.initial_h)
-        psi = self.initial_psi
-        if not (psi.startswith("file:") if isinstance(psi, str) else math.isfinite(psi)):
-            raise ConfigError(f"key 'initial.psi' must be a number or file:<path>; got '{psi}'")
+        psi = values["initial.psi"]
+        if flory_huggins and not isinstance(psi, str) and not (0.0 <= psi <= 1.0):
+            raise ConfigError(f"key 'initial.psi' must be in [0, 1] for flory_huggins, got {psi}")
 
 
 # -- schema -----------------------------------------------------------------
@@ -161,10 +159,8 @@ _SCHEMA: dict[str, tuple[str, type, object]] = {
     "run.output_dir": ("output_dir", str, "out"),
     "initial.h": ("initial_h", str, "sin2x_sin2y"),
     "initial.h_amplitude": ("h_amplitude", float, 1.0),
-    "initial.psi": ("initial_psi", str, _REQUIRED),  # a number or file:<path>
+    "initial.psi": ("initial_psi", float, _REQUIRED),  # or file:<path>
 }
-# The keys of RunConfig's fields other than ``energy``.
-_FIELDS = {key: spec for key, spec in _SCHEMA.items() if not key.startswith("energy.")}
 _POSITIVE = ("grid.lx", "grid.ly", "mobility.m_x", "mobility.m_psi", "run.t_end", "run.record_every")
 
 
@@ -180,41 +176,22 @@ def _one_of(key: str, names: str, raw: str) -> ConfigError:
 
 
 def _convert(key: str, cls: type, raw: str):
-    """The value of ``raw`` as the schema type ``cls`` of ``key``."""
-    if issubclass(cls, enum.Enum):
-        try:
-            return cls(raw)
-        except ValueError:
-            raise _one_of(key, ", ".join(m.value for m in cls), raw) from None
+    """The value of the document text ``raw`` as the schema type ``cls`` of
+    ``key``; ``initial.psi`` also takes ``file:<path>``."""
+    if raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ConfigError(f"key '{key}' must be one line without leading or trailing blanks; got {raw!r}")
+    if key == "initial.psi" and raw.startswith("file:"):
+        return raw
     try:
         if cls is tuple:
             return tuple(map(_finite_float, raw.split(","))) if raw else ()
         return _finite_float(raw) if cls is float else cls(raw)
     except ValueError as exc:
+        if issubclass(cls, enum.Enum):
+            raise _one_of(key, ", ".join(m.value for m in cls), raw) from None
+        if key == "initial.psi":
+            raise ConfigError(f"key 'initial.psi' must be a number or file:<path>; got '{raw}'") from None
         raise ConfigError(f"type mismatch for key '{key}': {exc}") from None
-
-
-def _is(cls: type, value) -> bool:
-    """Whether ``value`` has the schema type ``cls``: an ``int`` field takes
-    an ``int``, a ``float`` field an ``int`` or ``float``, a ``tuple`` field
-    a tuple of those; no field takes a ``bool``."""
-    if isinstance(value, bool):
-        return False
-    if cls is float:
-        return isinstance(value, (int, float))
-    if cls is tuple:
-        return isinstance(value, tuple) and all(_is(float, s) for s in value)
-    return isinstance(value, cls)
-
-
-def _type_error(key: str, cls: type, value) -> ConfigError:
-    """The error parsing gives for the text of ``value``, or one naming the
-    key where parsing accepts that text."""
-    try:
-        _convert(key, cls, _text(value))
-    except ConfigError as exc:
-        return exc
-    return _mismatch(key, cls, value)
 
 
 def _mismatch(key: str, cls: type, value) -> ConfigError:
@@ -230,6 +207,27 @@ def _text(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(map(repr, value))
     return value if isinstance(value, str) else repr(value)
+
+
+def _plain(value):
+    """``value`` with each numpy scalar, in a tuple too, as its Python value."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _entries(config: RunConfig) -> dict[str, object]:
+    """``{key: value}`` for each key of the config's document, in the order
+    :func:`format_config` writes them, numpy scalars as Python values; an
+    energy that is not a preset has no ``energy.*`` keys."""
+    e = config.energy
+    kind = next((k for k, preset in _ENERGIES.items() if type(e) is preset), None)
+    energy = {} if kind is None else {"energy": kind, **{f.name: getattr(e, f.name) for f in fields(e)}}
+    return {
+        key: _plain(energy[name] if key.startswith("energy.") else getattr(config, name))
+        for key, (name, _, _) in _SCHEMA.items()
+        if not key.startswith("energy.") or name in energy
+    }
 
 
 def check_dt(dt: float, t_end: float, name: str) -> None:
@@ -291,28 +289,16 @@ def parse_config(text: str) -> RunConfig:
         energy = _ENERGIES[kind](*(values[k] for k in keys))
     except ValueError as exc:
         raise ConfigError(f"invalid energy parameters ({'/'.join(keys)}): {exc}") from None
-    psi = values["initial.psi"]
-    if not psi.startswith("file:"):
-        # Not a number: RunConfig rejects the text, naming the key.
-        with contextlib.suppress(ValueError):
-            values["initial.psi"] = _finite_float(psi)
-    return RunConfig(energy=energy, **{name: values[key] for key, (name, _, _) in _FIELDS.items()})
+    names = {key: name for key, (name, _, _) in _SCHEMA.items() if not key.startswith("energy.")}
+    return RunConfig(energy=energy, **{name: values[key] for key, name in names.items()})
 
 
 def format_config(config: RunConfig) -> str:
     """Emit the fully explicit document for a config; inverse of parsing."""
-    e = config.energy
-    kind = next((k for k, preset in _ENERGIES.items() if type(e) is preset), None)
-    if kind is None:
-        raise TypeError(f"unknown energy model {type(e).__name__}")
-    energy = {"energy": kind, **{f.name: getattr(e, f.name) for f in fields(e)}}
-    lines = []
-    for key, (name, _, _) in _SCHEMA.items():
-        if not key.startswith("energy."):
-            lines.append(f"{key} = {_text(getattr(config, name))}")
-        elif name in energy:
-            lines.append(f"{key} = {_text(energy[name])}")
-    return "\n".join(lines) + "\n"
+    entries = _entries(config)
+    if "energy.kind" not in entries:
+        raise TypeError(f"unknown energy model {type(config.energy).__name__}")
+    return "".join(f"{key} = {_text(value)}\n" for key, value in entries.items())
 
 
 # -- builders ---------------------------------------------------------------

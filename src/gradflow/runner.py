@@ -22,7 +22,9 @@ directory writes:
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -250,6 +252,14 @@ def _final_step_mismatch(records: list[DiagnosticsRecord]) -> float | None:
     return abs(lhs - rhs) / abs(rhs)
 
 
+def _output_dir(out_dir: str | Path) -> Path:
+    """``out_dir``, left uncreated; it, or else its nearest existing ancestor, must be a directory."""
+    out = Path(out_dir)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    return out
+
+
 def _completed(config: RunConfig, run: str) -> RunResult:
     """:func:`simulate` of ``config``; if the run aborts, :class:`SolverAbort`
     naming ``run`` and carrying its state."""
@@ -280,7 +290,8 @@ def convergence_sweep(
         measures the final (h, psi) fields against a reference run at a
         quarter of the smallest ladder dt.
     out_dir : path, optional
-        Where ``sweep.csv`` is written once the ladder has run.
+        Where ``sweep.csv`` is written once the ladder has run; a path that
+        cannot be made a directory raises ``OSError`` before the first run.
 
     Raises
     ------
@@ -297,6 +308,7 @@ def convergence_sweep(
     ladder = [replace(config, dt=dt) for dt in dts]
     ladder = [replace(c, record_every=max(1, _step_count(c) - 1)) for c in ladder]
     finer = replace(config, dt=min(dts) / 4.0) if quantity == "trajectory_error" else None
+    out = None if out_dir is None else _output_dir(out_dir)
     results = [_completed(c, f"the run at dt = {c.dt!r}") for c in ladder]
     if finer is not None:
         reference = _completed(finer, f"the trajectory reference at dt = {finer.dt!r}").state
@@ -323,8 +335,7 @@ def convergence_sweep(
             )
         )
 
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w", newline="") as fh:
             fh.write(f"dt,{quantity},observed_order,dissipation_mismatch\n")
@@ -360,7 +371,9 @@ def compare_variants(
     """Run FULL_COUPLED and NORMAL_ONLY from identical initial data; with
     ``out_dir``, write both series and ``compare.txt`` there.  A run that
     aborts raises :class:`SolverAbort` naming its variant, before anything
-    is written."""
+    is written; an ``out_dir`` that cannot be made a directory raises
+    ``OSError`` before the first run."""
+    out = None if out_dir is None else _output_dir(out_dir)
     full, normal = (
         _completed(replace(base_config, variant=v), f"the {v.value} variant")
         for v in (ModelVariant.FULL_COUPLED, ModelVariant.NORMAL_ONLY)
@@ -375,8 +388,7 @@ def compare_variants(
     rf, rn = full.records[-1], normal.records[-1]
     final_range_smaller = (rf.psi_max - rf.psi_min) <= (rn.psi_max - rn.psi_min)
 
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_series_csv(full.records, out / "series_full.csv")
         write_series_csv(normal.records, out / "series_normal.csv")

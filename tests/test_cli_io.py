@@ -31,6 +31,7 @@ from gradflow import (
     write_snapshot,
 )
 from gradflow.cli import main
+from gradflow.config import _SCHEMA
 from gradflow.runner import CSV_HEADER
 
 MINIMAL = """
@@ -201,6 +202,12 @@ def test_snapshot_times_parsed_as_tuple():
         # A dt that does not divide t_end would end the run early.
         (MINIMAL.replace("stepper.dt = 1e-3", "stepper.dt = 3e-3"),
          "key 'stepper.dt' must divide run.t_end (0.01 / 0.003 = 3.33"),
+        # Past chi = 2 * beta (beta = 0.75) f'' < 0 on part of (0, 1).
+        (MINIMAL + "energy.chi = 2.0\n", "key 'energy.chi' must be <= 2 * energy.beta = 1.5"),
+        (MINIMAL + "energy.chi = 1.6\n", "f'' < 0 somewhere in (0, 1)"),
+        # A uniform Flory-Huggins density lies in [0, 1].
+        (MINIMAL.replace("initial.psi = 0.25", "initial.psi = 1.5"), "key 'initial.psi' must be in [0, 1]"),
+        (MINIMAL.replace("initial.psi = 0.25", "initial.psi = -0.2"), "key 'initial.psi' must be in [0, 1]"),
     ],
 )
 def test_rejections_name_the_offending_key(doc, fragment):
@@ -231,19 +238,83 @@ VALUE_FAULTS = [
     # A field of the wrong type gives the message its text gives.
     ("run.record_every", "2.5", 2.5),
     ("grid.nx", "16.0", 16.0),
+    # The energy's fields are checked as the config's own are.
+    ("energy.chi", "nan", math.nan),
+    ("energy.beta", "inf", math.inf),
+    ("energy.chi", "2.0", 2.0),
+    ("energy.chi", "1.6", 1.6),
+    ("initial.psi", "1.5", 1.5),
+    ("initial.psi", "-0.2", -0.2),
 ]
+
+
+def _replaced(config, key, value):
+    """``config`` with the value of document key ``key`` replaced; an
+    ``energy.<field>`` key replaces that field of the energy."""
+    name = _SCHEMA[key][0]
+    if key.startswith("energy.") and key != "energy.kind":
+        return replace(config, energy=replace(config.energy, **{name: value}))
+    return replace(config, **{name: value})
 
 
 @pytest.mark.parametrize("key, text, value", VALUE_FAULTS)
 def test_replace_raises_the_message_parsing_gives(key, text, value):
-    from gradflow.config import _SCHEMA
-
     lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ")]
     with pytest.raises(ConfigError) as parsed:
         parse_config("\n".join(lines) + f"\n{key} = {text}\n")
     with pytest.raises(ConfigError) as replaced:
-        replace(parse_config(MINIMAL), **{_SCHEMA[key][0]: value})
+        _replaced(parse_config(MINIMAL), key, value)
     assert str(replaced.value) == str(parsed.value)
+
+
+def test_the_flory_huggins_bounds_are_closed():
+    # chi = 2 * beta keeps f'' >= 0 on (0, 1), and a uniform density of 0 or
+    # 1 lies in the closed domain; other energies take any uniform density.
+    docs = [
+        MINIMAL + "energy.chi = 1.5\n",
+        MINIMAL.replace("initial.psi = 0.25", "initial.psi = 0"),
+        MINIMAL.replace("initial.psi = 0.25", "initial.psi = 1"),
+        CHEAP.replace("initial.psi = 0.5", "initial.psi = 1.5"),
+    ]
+    for doc in docs:
+        cfg = parse_config(doc)
+        assert parse_config(format_config(cfg)) == cfg
+    assert parse_config(docs[0]).energy == FloryHuggins(1.0, 0.75, 1.5)
+
+
+# Values that code can pass for any key: numpy scalars, an int, a tuple of
+# numpy scalars, a bool, non-finite numbers and a string.
+ODD_VALUES = [
+    np.float64(0.5), np.float32(0.25), np.int64(16), 2, (np.float64(5e-3),),
+    True, math.inf, math.nan, "0.5",
+]
+
+
+def _preset_takes(key, value):
+    """Whether the energy preset is built with ``value`` for ``key``:
+    FloryHuggins itself refuses a sigma0 or beta that is not a number > 0."""
+    if key not in ("energy.sigma0", "energy.beta"):
+        return True
+    try:
+        return FloryHuggins(**{_SCHEMA[key][0]: value}) is not None
+    except (TypeError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in _SCHEMA for value in ODD_VALUES if _preset_takes(key, value)],
+    ids=lambda case: case if isinstance(case, str) else repr(case),
+)
+def test_a_value_is_refused_naming_its_key_or_parses_back(key, value):
+    # energy.c is tried on linear, which has no check of its own.
+    cfg = parse_config(MINIMAL.replace("flory_huggins", "linear") if key == "energy.c" else MINIMAL)
+    try:
+        changed = _replaced(cfg, key, value)
+    except ConfigError as exc:
+        assert f"key '{key}'" in str(exc)
+    else:
+        assert parse_config(format_config(changed)) == changed
 
 
 @pytest.mark.parametrize(
@@ -777,9 +848,20 @@ def test_cli_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
-def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command, below):
+def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, command, below):
     # An --out path that is a file, or lies below one, ends the command with
-    # one line naming the path, and exit 2.
+    # one line naming the path, and exit 2; the harnesses find it before
+    # their first run.
+    import gradflow.runner
+
+    runs = []
+    simulate = gradflow.runner.simulate
+
+    def spied(*args, **kwargs):
+        runs.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(gradflow.runner, "simulate", spied)
     blocker = tmp_path / "taken"
     blocker.write_text("")
     out = blocker / "sub" if below else blocker
@@ -792,6 +874,8 @@ def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command, below):
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.err.startswith(f"error: cannot write '{out}': ")
     assert "Traceback" not in captured.err
+    if command != "run":
+        assert runs == []
 
 
 def test_cli_sweep_bad_ladder(tmp_path, capsys):
