@@ -19,7 +19,7 @@ config_path = Path(__file__).resolve().parent.parent / "configs" / "relaxation_6
 config = replace(parse_config(config_path.read_text()), t_end=0.2)
 
 print(f"running both variants of the {config.nx}x{config.ny} relaxation to t = {config.t_end} ...")
-result = compare_variants(config, transient_window=0.05)
+result = compare_variants(config)
 
 print(f"\n{'t':>6} {'U (coupled)':>14} {'U (normal-only)':>16} {'difference':>12}")
 for rf, rn in zip(result.full.records, result.normal.records):

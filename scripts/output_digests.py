@@ -15,12 +15,14 @@ abort) and every ``snapshot_NNN.sgf``.  ``config.cfg`` holds the config's own
 ``gradflow.config.format_config`` kept its bytes.  ``report.txt``, which
 holds the wall time, is left out.
 
-The two harnesses then run through the command line on a small inline
-16x16 config (:data:`HARNESS_CONFIG`): ``gradflow compare``,
-and ``gradflow sweep`` over a 3-point ladder for each error quantity
-(:data:`HARNESS_RUNS`).  Each file a run writes gives one line ``harness
-<run> <file> <sha256>``, and its standard output one line ``harness <run>
-stdout <sha256>``.
+The command line then runs a small inline 16x16 config
+(:data:`HARNESS_CONFIG`) through the two harnesses, ``gradflow compare`` and
+``gradflow sweep`` over a 3-point ladder for each error quantity, and
+through ``gradflow run`` once for each model variant and scheme, with the
+Flory-Huggins and the quadratic energy (:data:`HARNESS_RUNS`).  Each file a
+run writes but ``report.txt`` gives one line ``harness <run> <file>
+<sha256>``, and its standard output one line ``harness <run> stdout
+<sha256>``.
 
 ``--root`` names the source tree whose ``src/gradflow`` and
 ``perfbench/workloads.py`` are used (default: the tree holding this script).
@@ -53,12 +55,28 @@ run.record_every = 2
 initial.h_amplitude = 0.5
 initial.psi = 0.25
 """
+_VARIANTS = {
+    "flory_huggins": ("full", "normal_only"),
+    "quadratic": ("full", "normal_only", "material_gauge_quadratic"),
+}
+# run name -> (config document, command and options)
 HARNESS_RUNS = {
-    "compare": ["compare"],
-    "sweep_mass_error": ["sweep", "--dt-ladder", "2e-3,1e-3,5e-4"],
-    "sweep_trajectory_error": [
-        "sweep", "--dt-ladder", "2e-3,1e-3,5e-4", "--quantity", "trajectory_error"
-    ],
+    "compare": (HARNESS_CONFIG, ["compare"]),
+    "sweep_mass_error": (HARNESS_CONFIG, ["sweep", "--dt-ladder", "2e-3,1e-3,5e-4"]),
+    "sweep_trajectory_error": (
+        HARNESS_CONFIG,
+        ["sweep", "--dt-ladder", "2e-3,1e-3,5e-4", "--quantity", "trajectory_error"],
+    ),
+    **{
+        f"run_{kind}_{variant}_{scheme}": (
+            HARNESS_CONFIG.replace("flory_huggins", kind)
+            + f"model.variant = {variant}\nstepper.scheme = {scheme}\n",
+            ["run"],
+        )
+        for kind, variants in _VARIANTS.items()
+        for variant in variants
+        for scheme in ("imex1", "explicit_euler")
+    },
 }
 
 
@@ -72,16 +90,16 @@ def harness_digests():
     from gradflow.cli import main as gradflow
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "harness.cfg"
-        config.write_text(HARNESS_CONFIG)
-        for name, args in HARNESS_RUNS.items():
+        for name, (text, args) in HARNESS_RUNS.items():
+            config = Path(tmp) / f"{name}.cfg"
+            config.write_text(text)
             out = Path(tmp) / name
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = gradflow([args[0], str(config), "--out", str(out), *args[1:]])
             if code != 0:
                 raise SystemExit(f"gradflow {' '.join(args)} exited with {code}")
-            for path in sorted(out.iterdir()):
+            for path in sorted(p for p in out.iterdir() if p.name != "report.txt"):
                 yield f"harness {name} {path.name} {_digest(path.read_bytes())}"
             yield f"harness {name} stdout {_digest(stdout.getvalue().encode())}"
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .energy import Constant, EnergyModel, FloryHuggins, Linear, Quadratic
+from .energy import Constant, EnergyModel, FloryHuggins, Linear, Quadratic, _escape
 from .flow import FlowState, ModelVariant, Scheme
 from .snapshot import SnapshotError, read_snapshot
 from .spectral import Grid, ScalarField
@@ -63,8 +63,9 @@ class RunConfig:
 
     ``initial_h`` is a height preset (``sin2x_sin2y``, scaled by
     ``h_amplitude``, or ``zero``) or ``file:<path>``, the height slot of a
-    snapshot.  ``initial_psi`` is a uniform density value, in [0, 1] for
-    ``FloryHuggins``, or ``file:<path>``, the density slot of a snapshot.
+    snapshot.  ``initial_psi`` is a uniform density value in the energy's
+    ``domain`` ([0, 1] for ``FloryHuggins``), or ``file:<path>``, the density
+    slot of a snapshot.
 
     Construction, ``dataclasses.replace`` included, checks that the text
     :func:`format_config` writes for each value, the energy's fields
@@ -124,9 +125,10 @@ class RunConfig:
                 raise ConfigError(f"key 'run.snapshot_times': time {s} outside [0, t_end={self.t_end}]")
         if not (self.initial_h.startswith("file:") or self.initial_h in _H_PRESETS):
             raise _one_of("initial.h", f"{', '.join(_H_PRESETS)} or file:<path>", self.initial_h)
-        psi = values["initial.psi"]
-        if flory_huggins and not isinstance(psi, str) and not (0.0 <= psi <= 1.0):
-            raise ConfigError(f"key 'initial.psi' must be in [0, 1] for flory_huggins, got {psi}")
+        psi, (lo, hi) = values["initial.psi"], self.energy.domain
+        if not isinstance(psi, str) and not (lo <= psi <= hi):
+            kind = values.get("energy.kind", type(self.energy).__name__)
+            raise ConfigError(f"key 'initial.psi' must be in [{lo:g}, {hi:g}] for {kind}, got {psi}")
 
 
 # -- schema -----------------------------------------------------------------
@@ -335,7 +337,8 @@ def _field_from_snapshot(value: str, which: str, grid: Grid) -> ScalarField:
 
 
 def initial_state(config: RunConfig, grid: Grid | None = None) -> FlowState:
-    """Materialize the initial (h, psi) fields at t = 0."""
+    """Materialize the initial (h, psi) fields at t = 0; a snapshot density
+    outside the energy's ``domain`` is refused."""
     if grid is None:
         grid = build_grid(config)
 
@@ -348,6 +351,10 @@ def initial_state(config: RunConfig, grid: Grid | None = None) -> FlowState:
 
     if isinstance(config.initial_psi, str):
         psi = _field_from_snapshot(config.initial_psi, "psi", grid)
+        escape = _escape(psi.values, config.energy.domain)
+        if escape:
+            path = config.initial_psi.removeprefix("file:")
+            raise ConfigError(f"key 'initial.psi': snapshot '{path}' holds {escape}")
     else:
         psi = grid.constant(config.initial_psi)
 

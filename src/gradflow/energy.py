@@ -18,9 +18,11 @@ The surface tension is the Legendre-type combination
 ``sigma = f - psi * f'``; it drives the normal motion of the surface while
 ``psi * f'' * grad psi`` drives the tangential motion.
 
-Out-of-domain FloryHuggins arguments are clamped to ``[eps, 1-eps]`` with
-``eps = 1e-10``; clamping is never silent -- :meth:`EnergyModel.clamp`
-returns the number of affected grid points with the clamped values.
+Each model has one closed ``domain``, ``[0, 1]`` for FloryHuggins and all
+reals otherwise; a density outside it is refused as initial data and ends a
+run.  FloryHuggins densities within ``eps = 1e-10`` of its ends are clamped
+to ``[eps, 1-eps]``, and never silently: :meth:`EnergyModel.clamp` returns
+the number of affected grid points with the clamped values.
 
 Both write to caller-supplied arrays when given them, so that the flow
 evaluation forms them in the grid's work arrays.
@@ -28,6 +30,7 @@ evaluation forms them in the grid's work arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,18 @@ __all__ = [
 CLAMP_EPS = 1e-10
 
 
+def _escape(psi: np.ndarray, domain: tuple[float, float]) -> str | None:
+    """``density <value> outside [lo, hi] at grid index (i, j)`` for the extreme
+    value of ``psi`` outside the closed ``domain``; None if there is none."""
+    lo, hi = domain
+    low, high = psi.min(), psi.max()
+    if lo <= low and high <= hi:
+        return None
+    at = psi.argmin() if low < lo else psi.argmax()
+    index = tuple(int(k) for k in np.unravel_index(at, psi.shape))
+    return f"density {float(psi.flat[at])} outside [{lo:g}, {hi:g}] at grid index {index}"
+
+
 def _outputs(psi, out) -> tuple[np.ndarray, ...]:
     """The four arrays of ``out``, new when it is absent."""
     return tuple(np.empty((4,) + np.shape(psi)) if out is None else out)
@@ -55,6 +70,9 @@ class EnergyModel:
     Subclasses implement :meth:`derivatives` in closed form on arrays that
     are already inside the model's domain.  Models are immutable values.
     """
+
+    # The closed interval (lo, hi) of valid densities.
+    domain = (-math.inf, math.inf)
 
     def derivatives(self, psi: np.ndarray, out=None, work=None) -> tuple[np.ndarray, ...]:
         """``(f, f', f'', f''')`` at in-domain values, written to the four
@@ -149,6 +167,8 @@ class FloryHuggins(EnergyModel):
             raise ValueError(f"FloryHuggins requires sigma0 > 0, got {self.sigma0}")
         if not (self.beta > 0.0):
             raise ValueError(f"FloryHuggins requires beta > 0, got {self.beta}")
+
+    domain = (0.0, 1.0)
 
     def clamp(self, psi: np.ndarray, out=None) -> tuple[np.ndarray, int]:
         n = self.count_violations(psi)

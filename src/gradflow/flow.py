@@ -10,15 +10,13 @@ descent (mobility ``1/m_x``) and the conserved density by H^-1 descent
 * density equation:     Truesdell rate of psi balanced by the surface
   diffusion ``(f'' lap psi + f''' |grad psi|^2) / m_psi``.
 
-Four variants are provided:
+Three variants are provided, each assembled once by :func:`evaluate`:
 
 ``FULL_COUPLED``
     The complete system above; the density equation is solved for
     ``d psi/dt`` with the transport terms moved to the right-hand side.
-``VELOCITY_SUBSTITUTED``
-    The same flow with the height rate substituted into the density
-    equation, leaving a single scalar equation (algebraically identical in
-    continuous time; a useful cross-check discretely).
+    With the height rate substituted it is one scalar equation, which
+    ``tests/spectral_reference.py`` keeps as a cross-check.
 ``NORMAL_ONLY``
     Tangential velocity constrained to zero; only normal motion and
     transport remain.
@@ -103,7 +101,6 @@ __all__ = [
 
 class ModelVariant(enum.Enum):
     FULL_COUPLED = "full"
-    VELOCITY_SUBSTITUTED = "velocity_substituted"
     NORMAL_ONLY = "normal_only"
     MATERIAL_GAUGE_QUADRATIC = "material_gauge_quadratic"
 
@@ -155,7 +152,8 @@ class FlowState:
 
 
 class SolverAbort(RuntimeError):
-    """Raised when a step produces non-finite fields.
+    """Raised when a step produces non-finite fields, or, in
+    :func:`gradflow.runner.simulate`, a density outside the energy's domain.
 
     Carries the last valid state so callers can dump it for post-mortem
     inspection.
@@ -167,12 +165,8 @@ class SolverAbort(RuntimeError):
 
 
 def _require_quadratic(variant: ModelVariant, energy: EnergyModel) -> None:
-    if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC and not isinstance(
-        energy, Quadratic
-    ):
-        raise ValueError(
-            "the material-gauge variant is defined for the Quadratic energy only"
-        )
+    if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC and not isinstance(energy, Quadratic):
+        raise ValueError("the material-gauge variant is defined for the Quadratic energy only")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +225,10 @@ def evaluate(
       material-gauge variant);
     * flat components of the tangential velocity, ``-psi f''(psi) grad psi
       / m_x`` in the Truesdell gauge (the sign flips for the material-gauge
-      variant), identically zero for NORMAL_ONLY; VELOCITY_SUBSTITUTED does
-      not evolve it but diagnostics read it;
-    * the density rate of the selected variant;
+      variant), identically zero for NORMAL_ONLY;
+    * the density rate of the selected variant: the diffusive rate, plus
+      the transport by ``v`` and its divergence unless NORMAL_ONLY, solved
+      for ``d psi/dt`` by :func:`gradflow.geometry.truesdell_solve`;
     * the IMEX1 damping coefficients of the state: the grid maxima of the
       linearized diffusion coefficients, ``max |sigma(psi)| / m_x`` and
       ``max (1 + psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero.
@@ -306,66 +301,37 @@ def evaluate(
             amp_fpp = np.multiply(amp, fpp, out=rhs)
             peak_amp_fpp = float(amp_fpp.max())
 
-            if variant is ModelVariant.VELOCITY_SUBSTITUTED:
-                # rhs = (amp f'' trace + (amp f''' + 2 psi r f'') grad_sq
-                #        + (r (sigma - psi^2 f'') - f'') p_dh hfrak
-                #        + g psi r sigma hfrak^2) / m_psi, summed term by term.
-                rhs *= trace
-                t, term = w[3], np.multiply(amp, fppp, out=fppp)
-                np.multiply(2.0, ps, out=t)
-                t *= r
-                t *= fpp
-                term += t
-                term *= grad_sq
-                rhs += term
-                np.multiply(ps, ps, out=t)
-                t *= fpp
-                np.subtract(sigma, t, out=t)
-                t *= r
-                t -= fpp
-                t *= p_dh
-                t *= hfrak
-                rhs += t
-                np.multiply(g, ps, out=t)
-                for factor in (r, sigma, hfrak, hfrak):
-                    t *= factor
-                rhs += t
-                rhs /= m_psi
-
             np.multiply(g, sigma, out=dth)
             dth *= hfrak
             dth *= sign / m_x
 
+            # The diffusive rate (f'' (trace - p_dh hfrak) + f''' grad_sq) / m_psi.
+            np.multiply(fppp, grad_sq, out=rhs)
+            t = np.multiply(p_dh, hfrak, out=w[4])
+            np.subtract(trace, t, out=t)
+            np.multiply(fpp, t, out=t)
+            np.add(t, rhs, out=rhs)
+            rhs /= m_psi
             div_t = None
-            if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-                # The diffusive rate (f'' (trace - p_dh hfrak) + f''' grad_sq) / m_psi.
-                np.multiply(fppp, grad_sq, out=rhs)
-                t = np.multiply(p_dh, hfrak, out=w[4])
-                np.subtract(trace, t, out=t)
-                np.multiply(fpp, t, out=t)
-                np.add(t, rhs, out=rhs)
-                rhs /= m_psi
             if variant is ModelVariant.NORMAL_ONLY:
                 vs.fill(0.0)
             else:
                 phi = np.multiply(ps, fpp, out=w[4])
                 phi *= -sign / m_x
-                if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-                    # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
-                    if n:
-                        np.copyto(fppp, 0.0, where=cl != ps)
-                    div_t = np.multiply(ps, fppp, out=fppp)
-                    np.add(fpp, div_t, out=div_t)
-                    div_t *= -sign / m_x
-                    div_t = np.multiply(div_t, grad_sq, out=grad_sq)
-                    div_t += np.multiply(phi, trace, out=trace)
+                # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
+                if n:
+                    np.copyto(fppp, 0.0, where=cl != ps)
+                div_t = np.multiply(ps, fppp, out=fppp)
+                np.add(fpp, div_t, out=div_t)
+                div_t *= -sign / m_x
+                div_t = np.multiply(div_t, grad_sq, out=grad_sq)
+                div_t += np.multiply(phi, trace, out=trace)
                 np.multiply(phi, px, out=vs[0])
                 np.multiply(phi, py, out=vs[1])
-            if variant is not ModelVariant.VELOCITY_SUBSTITUTED:
-                truesdell_solve(
-                    rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else vs,
-                    div_t, out=rhs, work=(w[0], w[3], w[4]),
-                )
+            truesdell_solve(
+                rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else vs,
+                div_t, out=rhs, work=(w[0], w[3], w[4]),
+            )
             return peak_sigma, peak_amp_fpp
 
         # A NaN-propagating maximum over the halves, as the peaks of the

@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_grid, format_config, initial_state
 from .diagnostics import DiagnosticsRecord, record
+from .energy import _escape
 from .flow import (
     Evaluation,
     FlowState,
@@ -106,6 +107,8 @@ def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     Records are taken at step 0, every ``record_every`` steps, and at the
     final step.  When ``out_dir`` is given, outputs are written there
     incrementally so a solver abort still leaves the partial series behind.
+    A step whose fields are not finite, or whose density leaves the energy's
+    ``domain``, ends the run as an abort at the state before it.
 
     Raises
     ------
@@ -166,6 +169,9 @@ def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
             last_valid = ev.state
             try:
                 state = step(ev, stepper)
+                escape = _escape(state.psi.values, energy.domain)
+                if escape:
+                    raise SolverAbort(f"{escape} after step {i} (t = {state.t:.6g}); aborting", last_valid)
                 ev = None  # release the old evaluation before the next is built
                 ev = evaluate(state, variant, mobilities, energy)
             except (SolverAbort, FloatingPointError) as exc:
@@ -363,11 +369,11 @@ class CompareResult:
     transient_window: float
 
 
-def compare_variants(
-    base_config: RunConfig,
-    transient_window: float = 0.05,
-    out_dir: str | Path | None = None,
-) -> CompareResult:
+# The energy ordering of compare_variants is judged past this time.
+TRANSIENT_WINDOW = 0.05
+
+
+def compare_variants(base_config: RunConfig, out_dir: str | Path | None = None) -> CompareResult:
     """Run FULL_COUPLED and NORMAL_ONLY from identical initial data; with
     ``out_dir``, write both series and ``compare.txt`` there.  A run that
     aborts raises :class:`SolverAbort` naming its variant, before anything
@@ -383,7 +389,7 @@ def compare_variants(
     energy_ordered = all(
         rf.energy <= rn.energy + tol
         for rf, rn in zip(full.records, normal.records)
-        if rf.t >= transient_window
+        if rf.t >= TRANSIENT_WINDOW
     )
     rf, rn = full.records[-1], normal.records[-1]
     final_range_smaller = (rf.psi_max - rf.psi_min) <= (rn.psi_max - rn.psi_min)
@@ -393,7 +399,7 @@ def compare_variants(
         write_series_csv(full.records, out / "series_full.csv")
         write_series_csv(normal.records, out / "series_normal.csv")
         text = [
-            f"transient_window = {transient_window!r}",
+            f"transient_window = {TRANSIENT_WINDOW!r}",
             f"energy_ordered = {'true' if energy_ordered else 'false'}",
             f"final_range_smaller = {'true' if final_range_smaller else 'false'}",
         ]
@@ -403,5 +409,5 @@ def compare_variants(
         normal=normal,
         energy_ordered=energy_ordered,
         final_range_smaller=final_range_smaller,
-        transient_window=transient_window,
+        transient_window=TRANSIENT_WINDOW,
     )

@@ -25,14 +25,29 @@ in turn cross-check what :func:`gradflow.flow.evaluate` forms.
 The area element, mean curvature and unit normal of a cache are formed
 here too, from the ``g_det`` and ``hfrak`` that :func:`gradflow.build_cache`
 makes, since no run reads them.
+
+:func:`velocity_substituted_rate` is the density rate of the coupled flow
+written as one scalar equation, with the height rate substituted by hand: a
+second assembly of what :func:`gradflow.evaluate` forms for
+``FULL_COUPLED``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gradflow import EnergyModel, GeometryCache, Grid, ScalarField, derivatives, surface_integral
-from gradflow.geometry import hessian_trace, truesdell_solve
+from gradflow import (
+    EnergyModel,
+    FlowState,
+    GeometryCache,
+    Grid,
+    Mobilities,
+    ScalarField,
+    build_cache,
+    derivatives,
+    surface_integral,
+)
+from gradflow.geometry import covariant_square, hessian_trace, truesdell_solve
 from gradflow.spectral import _dealias_solve
 
 
@@ -139,3 +154,35 @@ def reconstruct_velocity(
     (vx, vy), hx, hy = v, cache.hx, cache.hy
     s = (dth + vx * hx + vy * hy) / cache.g_det
     return vx - s * hx, vy - s * hy, s
+
+
+def velocity_substituted_rate(
+    state: FlowState, mobilities: Mobilities, energy: EnergyModel
+) -> np.ndarray:
+    """``d psi/dt`` of the fully coupled flow with the height rate substituted
+    into the density equation.  With ``r = m_psi / m_x``, ``amp = 1 + r
+    psi^2``, ``sigma = f - psi f'`` at the clamped density and ``trace`` the
+    surface trace of the Hessian of ``psi``, it is::
+
+        (amp f'' trace + (amp f''' + 2 r psi f'') |grad psi|^2
+         + (r (sigma - psi^2 f'') - f'') (grad psi . grad h) hfrak
+         + r |g| psi sigma hfrak^2) / m_psi
+    """
+    psi = state.psi.values
+    cache = build_cache(state.h)
+    px, py, pxx, pxy, pyy = derivatives(state.psi)
+    hx, hy, g, hfrak = cache.hx, cache.hy, cache.g_det, cache.hfrak
+    r = mobilities.m_psi / mobilities.m_x
+    clamped = energy.clamp(psi)[0]
+    f, fp, fpp, fppp = energy.derivatives(clamped)
+    sigma = f - clamped * fp
+    amp = 1.0 + r * psi**2
+    p_dh = px * hx + py * hy
+    trace = hessian_trace(pxx, pxy, pyy, hx, hy, g)
+    grad_sq = covariant_square(px, py, p_dh, g)
+    return (
+        amp * fpp * trace
+        + (amp * fppp + 2.0 * r * psi * fpp) * grad_sq
+        + (r * (sigma - psi**2 * fpp) - fpp) * p_dh * hfrak
+        + r * g * psi * sigma * hfrak**2
+    ) / mobilities.m_psi

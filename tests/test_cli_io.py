@@ -1,11 +1,13 @@
 """Configuration grammar, snapshot format, run outputs, and the CLI."""
 
 import math
+import re
 import struct
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from gradflow.cli import main
 from gradflow.config import _SCHEMA
 from gradflow.runner import CSV_HEADER
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 MINIMAL = """
 grid.nx = 16
 energy.kind = flory_huggins
@@ -52,6 +56,7 @@ initial.h_amplitude = 0.3
 initial.psi = 0.5
 """
 
+# Explicit Euler at this dt takes the density out of [0, 1] at step 3.
 ABORTING = """
 grid.nx = 16
 energy.kind = flory_huggins
@@ -183,6 +188,10 @@ def test_snapshot_times_parsed_as_tuple():
          "must be <= run.t_end"),
         (MINIMAL + "stepper.stab_h = 0.0\n", "unknown keys: stepper.stab_h"),
         (MINIMAL + "stepper.stab_psi = 0.0\n", "unknown keys: stepper.stab_psi"),
+        # The substituted form of the full flow is no longer a variant.
+        (MINIMAL + "model.variant = velocity_substituted\n",
+         "key 'model.variant' must be one of full, normal_only, material_gauge_quadratic; "
+         "got 'velocity_substituted'"),
         (MINIMAL + "run.record_every = 0\n", "'run.record_every' must be > 0"),
         (MINIMAL + "run.snapshot_times = 0.5\n", "outside [0, t_end"),
         (MINIMAL + "initial.h = bumps\n", "initial.h"),
@@ -280,6 +289,10 @@ def test_the_flory_huggins_bounds_are_closed():
         cfg = parse_config(doc)
         assert parse_config(format_config(cfg)) == cfg
     assert parse_config(docs[0]).energy == FloryHuggins(1.0, 0.75, 1.5)
+    # The rule reads the energy's domain, in the words it always had.
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL.replace("initial.psi = 0.25", "initial.psi = 1.5"))
+    assert str(info.value) == "key 'initial.psi' must be in [0, 1] for flory_huggins, got 1.5"
 
 
 # Values that code can pass for any key: numpy scalars, an int, a tuple of
@@ -574,19 +587,29 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (a / "final.sgf").read_bytes() == (b / "final.sgf").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def escape_message(step, dt=0.05):
+    """A pattern of the abort message of a density that leaves [0, 1] at
+    ``step``: the value and the index are plain Python numbers."""
+    return (
+        rf"density -?\d\S* outside \[0, 1\] at grid index \(\d+, \d+\) "
+        rf"after step {step} \(t = {re.escape(f'{dt * step:.6g}')}\); aborting"
+    )
+
+
 def test_aborted_run_leaves_partial_outputs(tmp_path):
     cfg = parse_config(ABORTING)
     out = tmp_path / "boom"
     result = simulate(cfg, out_dir=out)
     assert result.aborted
-    assert "non-finite" in result.abort_message
+    assert re.fullmatch(escape_message(3), result.abort_message)
     assert (out / "last_valid.sgf").exists()
     assert not (out / "final.sgf").exists()
     last = read_snapshot(out / "last_valid.sgf")
+    assert last.t == result.state.t == 0.1 and result.state.step_index == 2
     assert np.all(np.isfinite(last.h.values))
+    assert 0.0 <= last.psi.values.min() <= last.psi.values.max() <= 1.0
     lines = (out / "series.csv").read_text().splitlines()
-    assert lines[0] == CSV_HEADER and len(lines) > 1
+    assert lines[0] == CSV_HEADER and len(lines) == 4  # steps 0, 1 and 2
     report = (out / "report.txt").read_text()
     assert "status = aborted" in report
     assert "abort_message = " in report
@@ -596,7 +619,37 @@ def test_aborted_run_emits_no_floating_point_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = simulate(parse_config(ABORTING))
-    assert result.aborted and "non-finite" in result.abort_message
+    assert result.aborted and re.fullmatch(escape_message(3), result.abort_message)
+
+
+def test_explicit_relaxation_aborts_when_its_density_leaves_the_domain():
+    # Explicit Euler at dt = 1e-3 is unstable on the 64x64 relaxation.  Its
+    # density leaves [0, 1] at step 32, before any point needs the clamp and
+    # before the fields stop being finite at step 36.
+    config = parse_config((CONFIG_DIR / "relaxation_64.cfg").read_text())
+    result = simulate(replace(config, scheme=Scheme.EXPLICIT_EULER, dt=1e-3, t_end=0.08))
+    assert result.aborted and re.fullmatch(escape_message(32, 1e-3), result.abort_message)
+    psi = result.state.psi.values
+    assert result.state.step_index == 31
+    assert 0.0 <= psi.min() <= psi.max() <= 1.0
+    assert result.clamp_count == 0
+
+
+def test_a_density_touching_both_ends_of_the_domain_aborts_after_one_step(tmp_path):
+    # psi = 0.5 + 0.5 sin x sin y is 0 and 1 at grid points: valid input, on
+    # which f'' of the clamped density is of order 1e10.
+    g = Grid(16, 16)
+    psi = g.from_function(lambda x, y: 0.5 + 0.5 * np.sin(x) * np.sin(y))
+    assert (psi.values.min(), psi.values.max()) == (0.0, 1.0)
+    write_snapshot(FlowState(0.0, g.zeros(), psi), tmp_path / "touching.sgf")
+    doc = MINIMAL.replace("initial.psi = 0.25", f"initial.psi = file:{tmp_path / 'touching.sgf'}")
+    out = tmp_path / "out"
+    result = simulate(parse_config(doc), out_dir=out)
+    assert result.aborted and re.fullmatch(escape_message(1, 1e-3), result.abort_message)
+    # The four points at 0 and 1 of the start were clamped for its step.
+    assert result.state.step_index == 0 and result.clamp_count == 4
+    assert read_snapshot(out / "last_valid.sgf").psi.values.tobytes() == psi.values.tobytes()
+    assert "status = aborted" in (out / "report.txt").read_text()
 
 
 def test_paired_run_writes_the_bytes_of_the_inline_run(tmp_path, pairing):
@@ -815,9 +868,7 @@ def test_cli_compare_with_an_aborted_run_exits_1(tmp_path, capsys):
     assert main(["compare", write_cfg(tmp_path, ABORTING), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: the full variant aborted: non-finite fields after step 7 (t = 0.35); aborting\n"
-    )
+    assert re.fullmatch(f"error: the full variant aborted: {escape_message(3)}\n", captured.err)
     assert not out.exists()
 
 
@@ -827,7 +878,7 @@ def test_cli_sweep_with_an_aborted_run_exits_1(tmp_path, capsys):
     assert main([*args, "--dt-ladder", "0.05,0.025,0.0125"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the run at dt = 0.05 aborted: non-finite fields")
+    assert re.fullmatch(rf"error: the run at dt = 0\.05 aborted: {escape_message(3)}\n", captured.err)
     assert "Traceback" not in captured.err
     assert not out.exists()
 

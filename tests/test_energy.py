@@ -1,5 +1,6 @@
 """Energy-density presets, surface tension, totals, and the density variation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,16 @@ def test_clamp_counts_out_of_domain_points():
     assert clamped.min() >= CLAMP_EPS
     assert clamped.max() <= 1.0 - CLAMP_EPS
     assert model.count_violations(values) == 2
+
+
+def test_each_preset_has_one_closed_domain_that_is_not_a_field():
+    assert FloryHuggins.domain == FloryHuggins(1.0, 0.75, 0.3).domain == (0.0, 1.0)
+    for preset in (Constant, Linear, Quadratic):
+        assert preset.domain == (-math.inf, math.inf)
+    for model in ALL_PRESETS:
+        assert "domain" not in {f.name for f in dataclasses.fields(model)}
+    # The clamp acts inside the domain too: its band holds both ends.
+    assert FloryHuggins().clamp(np.array([0.0, 1.0]))[1] == 2
 
 
 def test_clamp_noop_for_polynomial_presets():

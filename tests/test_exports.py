@@ -44,7 +44,7 @@ run.record_every = 1
 initial.psi = 0.25
 """
 
-# Explicit Euler at this dt leaves finite fields for six steps, then aborts.
+# Explicit Euler at this dt takes the density out of [0, 1] at step 3.
 ABORTING = """
 grid.nx = 16
 energy.kind = flory_huggins

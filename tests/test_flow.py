@@ -17,6 +17,7 @@ import gradflow.diagnostics
 import gradflow.flow
 import gradflow.spectral
 from gradflow import (
+    ConfigError,
     Constant,
     FloryHuggins,
     FlowState,
@@ -42,7 +43,13 @@ from gradflow import (
 
 import oracles
 from gradflow.geometry import truesdell_solve
-from spectral_reference import dealias_solve, gradient, laplace_beltrami, tangential_divergence
+from spectral_reference import (
+    dealias_solve,
+    gradient,
+    laplace_beltrami,
+    tangential_divergence,
+    velocity_substituted_rate,
+)
 
 
 def make_state(n=32, h_amp=0.3, psi_amp=0.1):
@@ -60,7 +67,6 @@ MOB = Mobilities(m_x=2.0, m_psi=1.0)
 
 VARIANT_MODELS = [
     (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.0)),
-    (ModelVariant.VELOCITY_SUBSTITUTED, FloryHuggins(1.0, 0.75, 0.0)),
     (ModelVariant.NORMAL_ONLY, FloryHuggins(1.0, 0.75, 0.0)),
     (ModelVariant.MATERIAL_GAUGE_QUADRATIC, Quadratic(1.5)),
 ]
@@ -254,7 +260,7 @@ def test_velocity_substituted_matches_full_coupled_rhs():
     state = make_state(64)
     for model in (Quadratic(1.5), FloryHuggins(1.0, 0.75, 0.0)):
         r_full = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).rhs_psi
-        r_sub = evaluate(state, ModelVariant.VELOCITY_SUBSTITUTED, MOB, model).rhs_psi
+        r_sub = velocity_substituted_rate(state, MOB, model)
         scale = np.abs(r_full).max()
         assert np.abs(r_full - r_sub).max() < 1e-12 * scale, model
 
@@ -459,9 +465,37 @@ def test_step_with_shared_evaluation_is_bit_identical(variant, model, scheme):
 # Clamp tally
 
 
-def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
+def test_a_snapshot_density_outside_the_domain_is_refused(tmp_path):
+    # psi = 0.5 +- 0.6 leaves [0, 1]: bad input, refused before anything runs.
     state = clamping_state(16)
-    write_snapshot(state, tmp_path / "start.sgf")
+    path = tmp_path / "start.sgf"
+    write_snapshot(state, path)
+    config = parse_config(
+        f"""
+        grid.nx = 16
+        energy.kind = flory_huggins
+        energy.chi = 0.3
+        stepper.dt = 1e-5
+        run.t_end = 4e-5
+        initial.h = file:{path}
+        initial.psi = file:{path}
+        """
+    )
+    with pytest.raises(ConfigError) as info:
+        simulate(config, out_dir=tmp_path / "out")
+    message = str(info.value)
+    psi = state.psi.values
+    prefix = f"key 'initial.psi': snapshot '{path}' holds density {float(psi.min())} outside [0, 1] "
+    assert message.startswith(prefix + "at grid index (")
+    i, j = map(int, message.removeprefix(prefix + "at grid index (").removesuffix(")").split(", "))
+    assert psi[i, j] == psi.min() < 0.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("psi0", [1.0, 0.0])
+def test_series_clamp_counts_are_the_per_step_tally(psi0):
+    # A flat film of uniform density at an end of [0, 1] stays put, and every
+    # point of every stepped state is clamped.
     config = parse_config(
         f"""
         grid.nx = 16
@@ -471,23 +505,25 @@ def test_series_clamp_counts_are_the_per_step_tally(tmp_path):
         stepper.dt = 1e-5
         run.t_end = 4e-5
         run.record_every = 1
-        initial.h = file:{tmp_path / "start.sgf"}
-        initial.psi = file:{tmp_path / "start.sgf"}
+        initial.h = zero
+        initial.psi = {psi0}
         """
     )
     result = simulate(config)
     model = config.energy
     mob = Mobilities(config.m_x, config.m_psi)
     stepper = StepperConfig(dt=config.dt)
-    s, total, expected = state, 0, [0]
+    g = Grid(16, 16)
+    s, total, expected = FlowState(0.0, g.zeros(), g.constant(psi0)), 0, [0]
     for _ in range(4):
         n = model.count_violations(s.psi.values)
         assert n > 0
         total += n
         s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
         expected.append(total)
-    assert [r.clamp_count for r in result.records] == expected
-    assert result.clamp_count == total > 0
+    assert [r.clamp_count for r in result.records] == expected == [0, 256, 512, 768, 1024]
+    assert result.clamp_count == total
+    assert np.all(result.state.psi.values == psi0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +569,7 @@ def _third_derivative_off_the_clamp(state, model):
     return np.where(clamped == psi, model.derivatives(clamped)[3], 0.0)
 
 
-@pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[3]])
+@pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[2]])
 def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
     ev = evaluate(make_state(64), variant, MOB, model)
     dv = tuple(d for c in ev.v for d in gradient(ScalarField(ev.state.grid, c)))
@@ -548,7 +584,7 @@ def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
     "variant, model, state, clamps",
     [
         (*VARIANT_MODELS[0], make_state(32), False),
-        (*VARIANT_MODELS[3], make_state(32), False),
+        (*VARIANT_MODELS[2], make_state(32), False),
         (ModelVariant.FULL_COUPLED, FloryHuggins(1.0, 0.75, 0.3), clamping_state(), True),
     ],
     ids=["full", "material_gauge", "full_clamping"],
