@@ -652,6 +652,22 @@ def test_a_density_touching_both_ends_of_the_domain_aborts_after_one_step(tmp_pa
     assert "status = aborted" in (out / "report.txt").read_text()
 
 
+def test_a_density_outside_0_1_runs_on_where_the_energy_has_no_bounds(tmp_path):
+    # The escape check reads the energy's domain: a quadratic density may
+    # take any value, so a snapshot outside [0, 1] is read and stepped.
+    g = Grid(16, 16)
+    psi = g.from_function(lambda x, y: 0.5 + 1.5 * np.sin(x) * np.sin(y))
+    write_snapshot(FlowState(0.0, g.zeros(), psi), tmp_path / "wide.sgf")
+    doc = MINIMAL.replace("flory_huggins", "quadratic").replace(
+        "initial.psi = 0.25", f"initial.psi = file:{tmp_path / 'wide.sgf'}"
+    )
+    result = simulate(parse_config(doc))
+    assert not result.aborted and result.state.step_index == 10
+    assert result.clamp_count == 0
+    final = result.state.psi.values
+    assert final.min() < 0.0 and final.max() > 1.0 and np.all(np.isfinite(final))
+
+
 def test_paired_run_writes_the_bytes_of_the_inline_run(tmp_path, pairing):
     # Five 256x256 steps, each recorded, with a snapshot midway.
     cfg = parse_config(
