@@ -30,16 +30,20 @@ Three variants are provided, each assembled once by :func:`evaluate`:
 Spatial derivatives are spectral, except the divergence of the tangential
 velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
 psi`` in the surface metric, formed pointwise from the derivatives of
-``psi``.  A step therefore transforms four fields forward and twelve back:
-for each of ``h`` and ``psi`` one forward transform and five derivatives,
-and for each damped increment one transform pair.
+``psi``.  A step therefore transforms four fields forward and twelve back,
+in 14 transform calls: for each of ``h`` and ``psi`` one forward transform
+and five derivatives (three single inverses and one pair), and for each
+damped increment one transform pair.
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
 read the resulting :class:`Evaluation`.  The evaluation allocates only the
-arrays it keeps and forms its intermediates in the grid's five work arrays,
-so a step's working set does not grow with the number of terms.  The state
-holds the two fields; everything evaluated from it is a plain array.
+arrays it keeps, and of the velocity it keeps the factor ``phi`` alone; it
+forms its intermediates in the grid's five work arrays, so a step's working
+set does not grow with the number of terms.  The state holds the two
+fields; everything evaluated from it is a plain array.  A step whose fields
+are not finite, or whose density leaves the energy's domain, raises
+:class:`SolverAbort`.
 
 The two halves of the system are independent within a step, and each
 field is transformed in its own half of the grid's spectral work.  The
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, Quadratic
+from .energy import EnergyModel, Quadratic, _escape
 from .geometry import (
     GeometryCache,
     build_cache,
@@ -152,8 +156,8 @@ class FlowState:
 
 
 class SolverAbort(RuntimeError):
-    """Raised when a step produces non-finite fields, or, in
-    :func:`gradflow.runner.simulate`, a density outside the energy's domain.
+    """Raised when a step produces non-finite fields, or a density outside
+    the energy's domain.
 
     Carries the last valid state so callers can dump it for post-mortem
     inspection.
@@ -177,14 +181,17 @@ class Evaluation:
     """Everything the flow needs from one state, built by :func:`evaluate`.
 
     :func:`step` and :func:`gradflow.diagnostics.record` both read it, so a
-    recorded state is evaluated once.  The rates are arrays: ``dth`` and
-    ``rhs_psi`` are ``(nx, ny)``, and the flat tangential velocity ``v`` is
-    ``(2, nx, ny)``, as is :meth:`flux`.  Besides the rates it keeps what the
-    record reads: the energy density ``f`` and its second derivative ``fpp``
-    at the clamped density, the raw flat gradient ``psi_x, psi_y`` of the
-    density, and ``clamp_count``, the number of clamped points.
-    ``a_h``/``a_psi`` are the IMEX1 damping coefficients of the state,
-    whatever the scheme; :func:`step` applies them only for IMEX1.
+    recorded state is evaluated once.  The rates ``dth`` and ``rhs_psi``
+    are ``(nx, ny)`` arrays.  The flat tangential velocity is ``v = phi grad
+    psi``, and the evaluation keeps its ``(nx, ny)`` factor ``phi``, which
+    is None for NORMAL_ONLY; :meth:`velocity` and :meth:`flux` form ``(2,
+    nx, ny)`` stacks.  Besides the rates it keeps what the record reads: the
+    energy density ``f`` and its second derivative ``fpp`` at the clamped
+    density, the raw flat gradient ``psi_x, psi_y`` of the density, and
+    ``clamp_count``, the number of clamped points.  ``a_h``/``a_psi`` are
+    the IMEX1 damping coefficients of the state, whatever the scheme;
+    :func:`step` applies them only for IMEX1.  ``domain`` is the energy's
+    closed interval of densities, which :func:`step` checks.
     """
 
     state: FlowState
@@ -196,10 +203,23 @@ class Evaluation:
     f: np.ndarray
     fpp: np.ndarray
     dth: np.ndarray
-    v: np.ndarray
+    phi: np.ndarray | None
     rhs_psi: np.ndarray
     a_h: float
     a_psi: float
+    domain: tuple[float, float]
+
+    def velocity(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat components of the tangential velocity, ``phi grad psi``
+        (zero for NORMAL_ONLY), as a ``(2, nx, ny)`` stack written to
+        ``out`` (new if absent)."""
+        v = np.empty((2,) + self.fpp.shape) if out is None else out
+        if self.phi is None:
+            v.fill(0.0)
+        else:
+            np.multiply(self.phi, self.psi_x, out=v[0])
+            np.multiply(self.phi, self.psi_y, out=v[1])
+        return v
 
     def flux(self, out: np.ndarray | None = None) -> np.ndarray:
         """Covariant proxy of the conserved-density flux, ``-f'' grad psi /
@@ -223,9 +243,9 @@ def evaluate(
 
     * height rate ``|g| sigma(psi) hfrak / m_x`` (opposite sign for the
       material-gauge variant);
-    * flat components of the tangential velocity, ``-psi f''(psi) grad psi
-      / m_x`` in the Truesdell gauge (the sign flips for the material-gauge
-      variant), identically zero for NORMAL_ONLY;
+    * the factor ``phi = -psi f''(psi) / m_x`` of the tangential velocity
+      ``v = phi grad psi`` in the Truesdell gauge (the sign flips for the
+      material-gauge variant); NORMAL_ONLY has no velocity and no ``phi``;
     * the density rate of the selected variant: the diffusive rate, plus
       the transport by ``v`` and its divergence unless NORMAL_ONLY, solved
       for ``d psi/dt`` by :func:`gradflow.geometry.truesdell_solve`;
@@ -241,10 +261,11 @@ def evaluate(
     hand.  Where the clamp acts, ``f''`` of the clamped density does
     not vary with ``psi``, and ``phi'`` has no ``f'''`` term there.
 
-    Only the twelve arrays the :class:`Evaluation` keeps are allocated;
-    every intermediate is formed with ``out=`` ufuncs in the grid's five
-    work arrays (:meth:`Grid._work`), which the next evaluation or step
-    overwrites.
+    Only the eleven arrays the :class:`Evaluation` keeps are allocated:
+    the four of its geometry and a block of seven, whose last row holds
+    ``phi`` (the clamped density until then); every intermediate is formed
+    with ``out=`` ufuncs in the grid's five work arrays (:meth:`Grid._work`),
+    which the next evaluation or step overwrites.
 
     The derivatives of ``psi`` are transformed beside the geometry, and the
     rate algebra runs on the row halves that :func:`gradflow.spectral._halves`
@@ -258,29 +279,29 @@ def evaluate(
     psi = state.psi.values
 
     # Only the arrays the evaluation keeps are new.  The derivatives of psi
-    # land in the first five rows of the (psi_x, psi_y, f, f'', dth, rhs)
-    # block; the rate algebra reads the second derivatives, row by row,
+    # land in the first five rows of the (psi_x, psi_y, f, f'', dth, rhs,
+    # phi) block; the rate algebra reads the second derivatives, row by row,
     # before it overwrites them.
-    kept = np.empty((6,) + psi.shape)
-    v = np.empty((2,) + psi.shape)
+    kept = np.empty((7,) + psi.shape)
     slopes, second = kept[:2], kept[2:5]
+    full = variant is not ModelVariant.NORMAL_ONLY
     with np.errstate(**_QUIET):
         cache, _ = _pair(
             grid,
             lambda: build_cache(state.h),
-            lambda: _derivative_stack(grid, psi, out=kept[:5], half=1),
+            lambda: _derivative_stack(grid, psi, slopes, second, half=1),
         )
-        # The clamped density is formed in v[0], which the velocity overwrites
-        # after its last use.
-        clamped, n = energy.clamp(psi, out=v[0])
+        # The clamped density is formed in the phi row, which phi overwrites
+        # after the clamped density's last use.
+        clamped, n = energy.clamp(psi, out=kept[6])
 
         def rates(s: slice) -> tuple[float, float]:
             """The rate algebra on the rows ``s``, which returns the peaks of
             ``|sigma|`` and of ``amp f''`` there.  Each intermediate is formed
             in the rows ``s`` of one of the grid's five work arrays ``w``, or
             of a kept array before its own value is due."""
-            w, vs, (px, py) = grid._work()[:, s], v[:, s], slopes[:, s]
-            f0, fpp, dth, rhs = kept[2:, s]
+            w, (px, py) = grid._work()[:, s], slopes[:, s]
+            f0, fpp, dth, rhs, phi = kept[2:, s]
             ps, cl, hx, hy = psi[s], clamped[s], cache.hx[s], cache.hy[s]
             g, hfrak = cache.g_det[s], cache.hfrak[s]
             trace = hessian_trace(*second[:, s], hx, hy, g, out=w[0], work=w[1:2])
@@ -289,9 +310,8 @@ def evaluate(
             grad_sq = covariant_square(px, py, p_dh, g, out=w[2], work=w[4:])
 
             # f' is formed in dth, where it becomes sigma = f - psi f' and then
-            # the height rate; f''' is formed in v[1], which the velocity
-            # overwrites.
-            _, sigma, _, fppp = energy.derivatives(cl, out=(f0, dth, fpp, vs[1]), work=w[4:])
+            # the height rate.
+            _, sigma, _, fppp = energy.derivatives(cl, out=(f0, dth, fpp, w[3]), work=w[4:])
             sigma *= cl
             np.subtract(f0, sigma, out=sigma)
             peak_sigma = float(np.abs(sigma, out=w[4]).max())
@@ -313,24 +333,20 @@ def evaluate(
             np.add(t, rhs, out=rhs)
             rhs /= m_psi
             div_t = None
-            if variant is ModelVariant.NORMAL_ONLY:
-                vs.fill(0.0)
-            else:
-                phi = np.multiply(ps, fpp, out=w[4])
-                phi *= -sign / m_x
+            if full:
                 # div_t = (f'' + psi f''') (-sign/m_x) grad_sq + phi trace
                 if n:
                     np.copyto(fppp, 0.0, where=cl != ps)
+                np.multiply(ps, fpp, out=phi)
+                phi *= -sign / m_x
                 div_t = np.multiply(ps, fppp, out=fppp)
                 np.add(fpp, div_t, out=div_t)
                 div_t *= -sign / m_x
                 div_t = np.multiply(div_t, grad_sq, out=grad_sq)
                 div_t += np.multiply(phi, trace, out=trace)
-                np.multiply(phi, px, out=vs[0])
-                np.multiply(phi, py, out=vs[1])
             truesdell_solve(
-                rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, None if div_t is None else vs,
-                div_t, out=rhs, work=(w[0], w[3], w[4]),
+                rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, phi if full else None, div_t,
+                out=rhs, work=(w[0], w[3], w[4], div_t),
             )
             return peak_sigma, peak_amp_fpp
 
@@ -348,10 +364,11 @@ def evaluate(
         f=kept[2],
         fpp=kept[3],
         dth=kept[4],
-        v=v,
+        phi=kept[6] if full else None,
         rhs_psi=kept[5],
         a_h=float(peak_sigma) / m_x,
         a_psi=max(0.0, float(peak_amp_fpp)) / m_psi,
+        domain=energy.domain,
     )
 
 
@@ -394,8 +411,8 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     Raises
     ------
     SolverAbort
-        If the updated fields contain NaN/Inf; the exception carries the
-        last valid state.
+        If the updated fields contain NaN/Inf, or the updated density leaves
+        ``ev.domain``; the exception carries the last valid state.
     """
     state = ev.state
     grid = state.grid
@@ -412,9 +429,12 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
 
     if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(psi_new))):
+        fault = "non-finite fields"
+    else:
+        fault = _escape(psi_new, ev.domain)
+    if fault:
         raise SolverAbort(
-            f"non-finite fields after step {state.step_index + 1} "
-            f"(t = {state.t + dt:.6g}); aborting",
+            f"{fault} after step {state.step_index + 1} (t = {state.t + dt:.6g}); aborting",
             last_valid=state,
         )
     return FlowState(

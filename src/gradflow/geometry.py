@@ -97,32 +97,36 @@ def covariant_square(ax, ay, a_dh, g, out=None, work=None):
 
 
 def truesdell_solve(
-    rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, v=None, div_t=None, out=None, work=None
+    rate, psi, px, py, p_dh, dth, hx, hy, g, hfrak, phi=None, div_t=None, out=None, work=None
 ):
     """Time derivative of a surface density whose Truesdell rate is ``rate``.
 
     The Truesdell rate is ``dtpsi - T dth + psi div_t + v.(dpsi - T dh)``
     with the transport coefficient ``T = psi hfrak + p_dh / |g|``; this
     solves it for ``dtpsi``.  ``px, py`` are the flat gradient of ``psi`` and
-    ``p_dh`` its projection on ``dh``; ``dth`` is the height rate.  ``v``
-    holds the flat tangential velocity and ``div_t`` its surface divergence;
-    without them the velocity terms vanish.
-    Three work arrays; ``out`` may be ``rate``.
+    ``p_dh`` its projection on ``dh``; ``dth`` is the height rate.  The flat
+    tangential velocity is ``v = phi (px, py)``, and ``div_t`` its surface
+    divergence; without them the velocity terms vanish.
+    Three work arrays, and a fourth with ``phi``, in which ``phi px`` and
+    then ``phi py`` are formed; the fourth may be ``div_t``, which is read
+    before it.  ``out`` may be ``rate``.
     """
-    out, (transport, t, u) = _buffers(psi, out, work, 3)
+    out, work = _buffers(psi, out, work, 3 if phi is None else 4)
+    transport, t, u = work[:3]
     np.multiply(psi, hfrak, out=transport)
     np.divide(p_dh, g, out=t)
     transport += t
     np.multiply(transport, dth, out=t)
     np.add(t, rate, out=out)
-    if v is not None:
-        vx, vy = v
+    if phi is not None:
+        v_i = work[3]
         np.multiply(psi, div_t, out=t)
         out -= t
-        for a, p, h, prod in ((vx, px, hx, t), (vy, py, hy, u)):
+        for p, h, prod in ((px, hx, t), (py, hy, u)):
             np.multiply(transport, h, out=prod)
             np.subtract(p, prod, out=prod)
-            np.multiply(a, prod, out=prod)
+            np.multiply(phi, p, out=v_i)
+            np.multiply(v_i, prod, out=prod)
         t += u
         out -= t
     return out
@@ -162,11 +166,14 @@ def build_cache(h: ScalarField) -> GeometryCache:
     if not np.all(np.isfinite(h.values)):
         raise FloatingPointError("height field contains non-finite values")
     grid = h.grid
-    # The derivatives land in the grid's work arrays; the slopes, which the
-    # cache keeps, are copied out of them.  :func:`gradflow.flow.evaluate`
-    # may transform the density's derivatives meanwhile, in the other half.
-    work = _derivative_stack(grid, h.values, out=grid._work(), half=0)
-    hx, hy = work[:2].copy()
+    # The slopes, which the cache keeps, are written to their own array, and
+    # the second derivatives to the grid's work arrays.
+    # :func:`gradflow.flow.evaluate` may transform the density's derivatives
+    # meanwhile, in the other half of the spectral work.
+    work = grid._work()
+    slopes = np.empty((2, grid.nx, grid.ny))
+    _derivative_stack(grid, h.values, slopes, work[2:], half=0)
+    hx, hy = slopes
 
     g_det = np.multiply(hx, hx)
     g_det += 1.0

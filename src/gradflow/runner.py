@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_grid, format_config, initial_state
 from .diagnostics import DiagnosticsRecord, record
-from .energy import _escape
 from .flow import (
     Evaluation,
     FlowState,
@@ -169,9 +168,6 @@ def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
             last_valid = ev.state
             try:
                 state = step(ev, stepper)
-                escape = _escape(state.psi.values, energy.domain)
-                if escape:
-                    raise SolverAbort(f"{escape} after step {i} (t = {state.t:.6g}); aborting", last_valid)
                 ev = None  # release the old evaluation before the next is built
                 ev = evaluate(state, variant, mobilities, energy)
             except (SolverAbort, FloatingPointError) as exc:

@@ -9,7 +9,7 @@ rule afterwards.
 A :class:`ScalarField` pairs samples with their grid, and is made only where
 a field enters the program (the grid's constructors, a new state, a
 snapshot).  The transforms the solver runs take the grid and plain
-``(nx, ny)`` arrays; all of them return arrays.
+``(nx, ny)`` arrays, and write their results to arrays.
 
 Conventions
 -----------
@@ -20,6 +20,10 @@ Conventions
   sizes are required for the same reason.
 * The 2/3-rule mask of :func:`_dealias_solve` acts per axis: mode ``m``
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
+* A transformed field works in two half spectra of the grid's work
+  (:meth:`Grid._spectral_work`) and allocates none: its derivatives invert
+  the second derivatives one at a time through one of the two, and a damped
+  solve forms its real damping factor in its own output row.
 * This module alone splits a step's work between threads (:func:`_halves`,
   :func:`_pair`), and only on grids where :func:`_pairs` holds.
 """
@@ -161,34 +165,37 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, out: np.ndarray | None = None, half: int = 0
-) -> np.ndarray:
-    """``(f_x, f_y, f_xx, f_xy, f_yy)`` of the samples ``values`` on ``g`` as
-    one stack, from one forward transform, written to ``out`` (new if
-    absent) and returned.
+    g: "Grid", values: np.ndarray, slopes: np.ndarray, second, half: int = 0
+) -> None:
+    """The derivatives of the samples ``values`` on ``g`` from one forward
+    transform: ``(f_x, f_y)`` written to the ``(2, nx, ny)`` array
+    ``slopes``, and ``(f_xx, f_xy, f_yy)`` to the three arrays of ``second``.
 
-    The work is the three half spectra of :meth:`Grid._spectral_work` from
-    row ``3 * half`` on, so that :func:`_pair` may form a stack with ``half
-    = 0`` beside one with ``half = 1``.  The spectrum goes to the third row.
-    The slopes, the spectrum times a per-axis factor of
-    :attr:`Grid.deriv_factors` each, are inverted first, which frees their
-    two rows; then the second derivatives are, with the mixed multiplier
-    ``-kx ky`` formed in its row and ``f_yy`` in the spectrum's own.
+    The work is the two half spectra of :meth:`Grid._spectral_work` from row
+    ``2 * half`` on, so that :func:`_pair` may form the derivatives of one
+    field with ``half = 0`` beside those of another with ``half = 1``.  The
+    spectrum goes to the first row.  Each second derivative, the spectrum
+    times its multiplier (per-axis factors of :attr:`Grid.deriv_factors`,
+    or the mixed ``-kx ky`` formed in the row), is inverted on its own
+    through the second row; then the slopes, the spectrum times ``1j kx``
+    in its own row and times ``1j ky`` in the second, are inverted as one
+    pair.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
-    work = g._spectral_work()[3 * half : 3 * half + 3]
-    if out is None:
-        out = np.empty((5, g.nx, g.ny))
-    spec = _rfft2(values, out=work[2])
-    np.multiply(ikx, spec, out=work[0])
-    np.multiply(iky, spec, out=work[1])
-    _irfft2(work[:2], g.ny, out=out[:2])
-    np.multiply(kxx, spec, out=work[0])
-    np.multiply(-g.kx, g.ky, out=work[1])
-    work[1] *= spec
-    spec *= kyy
-    _irfft2(work, g.ny, out=out[2:])
-    return out
+    work = g._spectral_work()[2 * half : 2 * half + 2]
+    spec, row = work
+    _rfft2(values, out=spec)
+    np.multiply(kxx, spec, out=row)
+    _irfft2(row, g.ny, out=second[0])
+    np.multiply(-g.kx, g.ky, out=row.real)
+    row.imag = 0.0  # as the cast of a real product would give
+    row *= spec
+    _irfft2(row, g.ny, out=second[1])
+    np.multiply(spec, kyy, out=row)
+    _irfft2(row, g.ny, out=second[2])
+    np.multiply(iky, spec, out=row)
+    np.multiply(ikx, spec, out=spec)
+    _irfft2(work, g.ny, out=slopes)
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,13 @@ class Grid:
 
     ``dealias_mask`` is the 2/3-rule mask of :func:`_dealias_solve`; it is
     always on.  ``deriv_factors`` holds the per-axis derivative multipliers
-    ``(1j kx, 1j ky, -kx^2, -ky^2)`` as vectors; no full multiplier array
-    is stored.
+    ``(1j kx, 1j ky, -kx^2, -ky^2)`` as vectors, and ``k_sq`` the squares
+    ``(kx^2, ky^2)`` with the Nyquist modes kept, from which
+    :func:`_dealias_solve` forms ``|k|^2``; no full multiplier array is
+    stored.
 
-    The grid owns two work stacks, allocated on first use: six half spectra
-    for the transforms (:meth:`_spectral_work`), three for each of two
+    The grid owns two work stacks, allocated on first use: four half spectra
+    for the transforms (:meth:`_spectral_work`), two for each of two
     fields that may be transformed at once, and five real ``(nx, ny)``
     arrays (:meth:`_work`) in which the solves, the geometry, the evaluation
     and the record form every intermediate.  A state's evaluation and step
@@ -251,16 +260,23 @@ class Grid:
         set_attr(self, "kx", kx_d)
         set_attr(self, "ky", ky_d)
 
-        # Full |k|^2 (Nyquist included) for Helmholtz-type solves.
-        set_attr(self, "k2", kx * kx + ky * ky)
+        # Per-axis squares (Nyquist included) of the damped solves' |k|^2.
+        set_attr(self, "k_sq", (kx * kx, ky * ky))
 
-        # Per-axis derivative factors.  ``1j * k`` is multiplied by 1.0, which
-        # makes its real parts +0: the signed zeros of the derivatives of a
-        # constant field depend on it.
+        # Per-axis derivative factors, all complex, so that multiplying a
+        # spectrum by one casts nothing through a buffer; ``-k^2`` becomes
+        # the complex value that the cast would give.  ``1j * k`` is
+        # multiplied by 1.0, which makes its real parts +0: the signed zeros
+        # of the derivatives of a constant field depend on it.
         set_attr(
             self,
             "deriv_factors",
-            (1j * kx_d * 1.0, 1j * ky_d * 1.0, -kx_d * kx_d, -ky_d * ky_d),
+            (
+                1j * kx_d * 1.0,
+                1j * ky_d * 1.0,
+                (-kx_d * kx_d).astype(complex),
+                (-ky_d * ky_d).astype(complex),
+            ),
         )
 
         cut_x = (2.0 / 3.0) * (self.nx / 2.0) * (1.0 + 1e-12)
@@ -280,9 +296,9 @@ class Grid:
         return self._scratch("_real_work", (5, self.nx, self.ny), float)
 
     def _spectral_work(self) -> np.ndarray:
-        """Six half spectra: rows 0-2 for the field of ``half = 0``, 3-5 for
+        """Four half spectra: rows 0-1 for the field of ``half = 0``, 2-3 for
         that of ``half = 1``."""
-        return self._scratch("_spec_work", (6, self.nx, self.ny // 2 + 1), complex)
+        return self._scratch("_spec_work", (4, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
 
@@ -325,18 +341,20 @@ class ScalarField:
 def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
-    One forward transform, and two batched inverse transforms: the slopes,
-    then the second derivatives.  ``f_xy`` is symmetric by construction (a
-    single spectral multiplier).
+    One forward transform, and four inverse transforms: each second
+    derivative, then the slopes as one pair.  ``f_xy`` is symmetric by
+    construction (a single spectral multiplier).
 
-    The solver forms the same stack in the grid's work arrays
+    The solver forms the same derivatives in arrays of its choice
     (:func:`_derivative_stack`); this copy is kept because
-    ``perfbench/test_harness.py`` imports it.
+    ``perfbench/test_harness.py`` imports it.  The slopes and the second
+    derivatives are rows of two separate arrays, so that a caller that keeps
+    the slopes and drops the rest frees the second derivatives.
     """
-    out = _derivative_stack(f.grid, f.values)
-    # The slopes are copied out of the stack, so that a caller that keeps
-    # them and drops the second derivatives frees the stack.
-    return (*out[:2].copy(), *out[2:])
+    g = f.grid
+    slopes, second = np.empty((2, g.nx, g.ny)), np.empty((3, g.nx, g.ny))
+    _derivative_stack(g, f.values, slopes, second)
+    return (*slopes, *second)
 
 
 def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.ndarray:
@@ -345,17 +363,20 @@ def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.n
 
     ``a`` must be nonnegative so the operator is positive definite; the mean
     mode passes through unchanged.  ``a = 0`` gives the dealiased ``values``.
-    The solution is row ``half`` of the grid's real work
-    arrays, which the next use overwrites.  The transform uses half spectrum
-    ``3 * half``, and the next one for the damping factor, so that ``half =
-    0`` and ``half = 1`` may each solve a field at once (see
-    :func:`_derivative_stack`) without a grid-sized temporary."""
-    work = g._spectral_work()[3 * half : 3 * half + 2]
-    spec, factor = _rfft2(values, out=work[0]), work[1]
+    The solution is row ``half`` of the grid's real work arrays, which the
+    next use overwrites.  The transform uses half spectrum ``2 * half``, so
+    that ``half = 0`` and ``half = 1`` may each solve a field at once (see
+    :func:`_derivative_stack`).  The real damping factor ``1 + a |k|^2`` is
+    formed from :attr:`Grid.k_sq` in the memory of the solution's row,
+    which the inverse transform writes only after the division, so the solve
+    needs no grid-sized temporary."""
+    spec = _rfft2(values, out=g._spectral_work()[2 * half])
     spec *= g.dealias_mask
+    solution = g._work()[half]
     if a != 0.0:
-        factor.imag = 0.0  # as a real factor would be cast for the division
-        scale = np.multiply(a, g.k2, out=factor.real)
-        scale += 1.0
+        factor = solution.reshape(-1)[: spec.size].reshape(spec.shape)
+        np.add(*g.k_sq, out=factor)
+        np.multiply(a, factor, out=factor)
+        factor += 1.0
         spec /= factor
-    return _irfft2(spec, g.ny, out=g._work()[half])
+    return _irfft2(spec, g.ny, out=solution)

@@ -132,15 +132,19 @@ def truesdell_rate(
     statement that the integral of the density over the moving surface is
     conserved.  It is ``dtpsi`` minus the rate
     :func:`gradflow.geometry.truesdell_solve` gives for a vanishing
-    Truesdell rate.
+    Truesdell rate without velocity, plus the terms of the flat tangential
+    velocity ``v``, ``psi div_t + v.(dpsi - T dh)`` with the transport
+    coefficient ``T = psi hfrak + p_dh / |g|``.  The kernel takes a velocity
+    of the solver's form ``phi grad psi`` only; ``v`` here is any field.
     """
     px, py = gradient(ScalarField(cache.grid, psi))
     hx, hy, g = cache.hx, cache.hy, cache.g_det
-    still = truesdell_solve(
-        0.0, psi, px, py, px * hx + py * hy, dth, hx, hy, g, cache.hfrak, v=v,
-        div_t=tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, g),
-    )
-    return dtpsi - still
+    p_dh = px * hx + py * hy
+    still = truesdell_solve(0.0, psi, px, py, p_dh, dth, hx, hy, g, cache.hfrak)
+    transport = psi * cache.hfrak + p_dh / g
+    div_t = tangential_divergence(*_velocity_gradients(cache.grid, v), hx, hy, g)
+    vx, vy = v
+    return dtpsi - still + psi * div_t + vx * (px - transport * hx) + vy * (py - transport * hy)
 
 
 def reconstruct_velocity(

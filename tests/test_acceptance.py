@@ -228,7 +228,7 @@ def test_special_case_exactness():
     model = Constant(1.0)
     cache = build_cache(state.h)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, mob, model)
-    v, dth, rhs = ev.v, ev.dth, ev.rhs_psi
+    v, dth, rhs = ev.velocity(), ev.dth, ev.rhs_psi
     assert np.all(v == 0.0)
     dthx, dthy = gradient(ScalarField(g, dth))
     hx, hy, sqrt_g = cache.hx, cache.hy, area_element(cache)
@@ -361,7 +361,7 @@ def test_geometry_operators_converge_against_fd_oracle():
             ),
             "height_rate": (ev.dth, geo.g * sigma * geo.hfrak / mob.m_x),
             "tangential_velocity": (
-                ev.v,
+                ev.velocity(),
                 -psi * fpp * np.stack(geo.grad(psi)) / mob.m_x,
             ),
             "hessian_trace": (
@@ -443,7 +443,7 @@ def test_density_rate_converges_against_fd_oracle(variant, substituted):
         if substituted:
             ev = replace(ev, rhs_psi=velocity_substituted_rate(state, mob, model))
         geo = oracles.FdGeometry(h, g.lx / n, g.ly / n)
-        rate = oracles.fd_truesdell_rate(psi, ev.rhs_psi, *ev.v, ev.dth, geo)
+        rate = oracles.fd_truesdell_rate(psi, ev.rhs_psi, *ev.velocity(), ev.dth, geo)
         diffusion = (
             model.density(psi, 2) * oracles.fd_laplace_beltrami(psi, geo)
             + model.density(psi, 3) * oracles.fd_covariant_grad_sq(psi, geo)

@@ -94,7 +94,7 @@ def test_record_dissipation_rhs_is_negative_and_matches_assembly():
 
     cache = build_cache(state.h)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
-    dth, v, q = ev.dth, ev.v, ev.flux()
+    dth, v, q = ev.dth, ev.velocity(), ev.flux()
     v_sq = covariant_norm_sq(v, cache) + dth**2 / cache.g_det
     expected = -(
         MOB.m_x * surface_integral(v_sq, cache)

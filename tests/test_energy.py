@@ -260,7 +260,7 @@ def test_tangential_variation_vanishes_for_constant_and_linear():
     state = FlowState(0.0, h, psi_field(g))
     for model, slope in ((Constant(2.0), 0.0), (Linear(1.5), 1.5)):
         ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model)
-        assert np.abs(ev.v).max() < 1e-14
+        assert np.abs(ev.velocity()).max() < 1e-14
         assert np.allclose(model.derivatives(state.psi.values)[1], slope, atol=1e-14)
 
 

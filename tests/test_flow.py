@@ -42,6 +42,7 @@ from gradflow import (
 )
 
 import oracles
+from gradflow.config import initial_state
 from gradflow.geometry import truesdell_solve
 from spectral_reference import (
     dealias_solve,
@@ -116,14 +117,16 @@ def test_material_gauge_requires_quadratic():
 
 def test_velocity_zero_for_normal_only():
     state = make_state()
-    v = evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
+    ev = evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    assert ev.phi is None
+    v = ev.velocity()
     assert np.all(v[0] == 0.0)
     assert np.all(v[1] == 0.0)
 
 
 def test_velocity_zero_for_constant_density():
     state = make_state()
-    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(2.0)).v
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Constant(2.0)).velocity()
     assert np.all(v[0] == 0.0)
     assert np.all(v[1] == 0.0)
 
@@ -131,7 +134,7 @@ def test_velocity_zero_for_constant_density():
 def test_velocity_zero_for_uniform_psi():
     g = Grid(32, 32)
     state = FlowState(0.0, g.from_function(lambda x, y: 0.2 * np.sin(x) * np.sin(y)), g.constant(0.4))
-    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).v
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0)).velocity()
     assert np.abs(v[0]).max() < 1e-14
     assert np.abs(v[1]).max() < 1e-14
 
@@ -139,7 +142,7 @@ def test_velocity_zero_for_uniform_psi():
 def test_velocity_closed_form_quadratic():
     state = make_state()
     c = 1.5
-    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).v
+    v = evaluate(state, ModelVariant.FULL_COUPLED, MOB, Quadratic(c)).velocity()
     px, py = gradient(state.psi)
     expected_x = -c * state.psi.values * px / MOB.m_x
     expected_y = -c * state.psi.values * py / MOB.m_x
@@ -150,10 +153,32 @@ def test_velocity_closed_form_quadratic():
 def test_material_gauge_velocity_is_exact_negation():
     state = make_state()
     model = Quadratic(1.5)
-    v_desc = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).v
-    v_gauge = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).v
+    v_desc = evaluate(state, ModelVariant.FULL_COUPLED, MOB, model).velocity()
+    v_gauge = evaluate(state, ModelVariant.MATERIAL_GAUGE_QUADRATIC, MOB, model).velocity()
     assert np.array_equal(v_gauge[0], -v_desc[0])
     assert np.array_equal(v_gauge[1], -v_desc[1])
+
+
+@pytest.mark.parametrize("variant, model", VARIANT_MODELS)
+def test_velocity_is_phi_times_the_density_gradient(variant, model):
+    # The evaluation keeps phi = -sign psi f'' / m_x, and the velocity is its
+    # product with each slope of psi, to the bit; normal-only keeps no phi.
+    state = make_state()
+    ev = evaluate(state, variant, MOB, model)
+    v = ev.velocity()
+    if variant is ModelVariant.NORMAL_ONLY:
+        assert ev.phi is None
+        assert v.tobytes() == np.zeros_like(v).tobytes()
+    else:
+        sign = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
+        psi = state.psi.values
+        fpp = model.derivatives(model.clamp(psi)[0])[2]
+        assert ev.phi.tobytes() == (psi * fpp * (-sign / MOB.m_x)).tobytes()
+        for component, slope in zip(v, (ev.psi_x, ev.psi_y)):
+            assert component.tobytes() == (ev.phi * slope).tobytes()
+    out = np.full_like(v, np.nan)
+    assert ev.velocity(out=out) is out
+    assert out.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +423,70 @@ def test_step_metadata_advances():
     assert state.step_index == 0  # input untouched
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_blowup_raises_solver_abort_with_last_valid_state():
+def _hand_loop(model, dt, steps=200):
+    """Explicit steps of a 16x16 film until ``step`` aborts; the abort."""
     g = Grid(16, 16)
     s = FlowState(0.0, g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y)), g.constant(0.25))
-    stepper = StepperConfig(dt=0.05, scheme=Scheme.EXPLICIT_EULER)
+    stepper = StepperConfig(dt=dt, scheme=Scheme.EXPLICIT_EULER)
     mob = Mobilities(5.0, 1.0)
-    model = FloryHuggins(1.0, 0.75, 0.0)
     with pytest.raises(SolverAbort) as excinfo:
-        for _ in range(200):
+        for _ in range(steps):
             s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
-    err = excinfo.value
+    return excinfo.value
+
+
+def test_blowup_raises_solver_abort_with_last_valid_state():
+    # The quadratic density has no bounds, so the fields run on until they
+    # stop being finite, at step 11.
+    err = _hand_loop(Quadratic(1.0), dt=0.2)
     assert isinstance(err.last_valid, FlowState)
     assert np.all(np.isfinite(err.last_valid.h.values))
     assert np.all(np.isfinite(err.last_valid.psi.values))
-    assert "non-finite" in str(err)
-    assert f"step {err.last_valid.step_index + 1}" in str(err)
+    assert str(err) == "non-finite fields after step 11 (t = 2.2); aborting"
+    assert err.last_valid.step_index == 10
 
 
-def test_blowup_aborts_without_floating_point_warnings():
-    g = Grid(16, 16)
-    s = FlowState(0.0, g.from_function(lambda x, y: np.sin(2 * x) * np.sin(2 * y)), g.constant(0.25))
-    stepper = StepperConfig(dt=0.05, scheme=Scheme.EXPLICIT_EULER)
-    mob = Mobilities(5.0, 1.0)
-    model = FloryHuggins(1.0, 0.75, 0.0)
+@pytest.mark.parametrize(
+    "model, dt, fault",
+    [(FloryHuggins(1.0, 0.75, 0.0), 0.05, "density -"), (Quadratic(1.0), 0.2, "non-finite")],
+    ids=["domain", "non_finite"],
+)
+def test_blowup_aborts_without_floating_point_warnings(model, dt, fault):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SolverAbort) as excinfo:
-            for _ in range(200):
-                s = step(evaluate(s, ModelVariant.FULL_COUPLED, mob, model), stepper)
-    assert np.all(np.isfinite(excinfo.value.last_valid.h.values))
+        err = _hand_loop(model, dt)
+    assert str(err).startswith(fault)
+    assert np.all(np.isfinite(err.last_valid.h.values))
+
+
+def test_a_hand_loop_aborts_where_simulate_does():
+    # Explicit Euler takes this problem's density out of [0, 1] at step 3.
+    config = parse_config(
+        """
+        grid.nx = 16
+        energy.kind = flory_huggins
+        mobility.m_x = 5.0
+        stepper.dt = 0.05
+        stepper.scheme = explicit_euler
+        run.t_end = 0.5
+        run.record_every = 1
+        initial.psi = 0.25
+        """
+    )
+    result = simulate(config)
+    assert result.aborted
+    s = initial_state(config, Grid(config.nx, config.ny))
+    mob = Mobilities(config.m_x, config.m_psi)
+    stepper = StepperConfig(config.dt, config.scheme)
+    with pytest.raises(SolverAbort) as excinfo:
+        for _ in range(10):
+            s = step(evaluate(s, config.variant, mob, config.energy), stepper)
+    err = excinfo.value
+    assert str(err) == result.abort_message
+    assert err.last_valid.step_index == result.state.step_index == 2
+    assert err.last_valid.t == result.state.t
+    assert err.last_valid.h.values.tobytes() == result.state.h.values.tobytes()
+    assert err.last_valid.psi.values.tobytes() == result.state.psi.values.tobytes()
 
 
 def test_explicit_euler_ignores_an_infinite_damping_coefficient():
@@ -544,7 +603,7 @@ def _rhs_with_velocity_gradients(ev, model, dv):
     hx, hy, g = cache.hx, cache.hy, cache.g_det
     return truesdell_solve(
         diffusive, psi.values, px, py, px * hx + py * hy, ev.dth, hx, hy,
-        g, cache.hfrak, v=ev.v,
+        g, cache.hfrak, phi=ev.phi,
         div_t=tangential_divergence(*dv, hx, hy, g),
     )
 
@@ -572,12 +631,13 @@ def _third_derivative_off_the_clamp(state, model):
 @pytest.mark.parametrize("variant, model", [VARIANT_MODELS[0], VARIANT_MODELS[2]])
 def test_analytic_velocity_gradients_match_spectral_ones(variant, model):
     ev = evaluate(make_state(64), variant, MOB, model)
-    dv = tuple(d for c in ev.v for d in gradient(ScalarField(ev.state.grid, c)))
+    v = ev.velocity()
+    dv = tuple(d for c in v for d in gradient(ScalarField(ev.state.grid, c)))
     expected = _rhs_with_velocity_gradients(ev, model, dv)
     scale = np.abs(expected).max()
     assert np.abs(ev.rhs_psi - expected).max() <= 1e-9 * scale
     # The velocity terms are not negligible on this state.
-    assert np.abs(ev.v[0]).max() > 1e-2
+    assert np.abs(v[0]).max() > 1e-2
 
 
 @pytest.mark.parametrize(
@@ -600,7 +660,7 @@ def test_density_rate_takes_the_divergence_of_the_analytic_velocity_gradients(
     dv = _analytic_velocity_gradients(state, model, sign, third)
     expected = _rhs_with_velocity_gradients(ev, model, dv)
     assert np.abs(ev.rhs_psi - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.abs(ev.v[0]).max() > 1e-2
+    assert np.abs(ev.velocity()[0]).max() > 1e-2
     assert (ev.clamp_count > 0) == clamps
 
 
@@ -694,28 +754,33 @@ def test_evaluation_keeps_no_second_derivatives():
     # The slopes of h have their own 2-field array, and those of psi share a
     # block only with arrays the evaluation keeps, whose rows held psi's
     # second derivatives until the rates overwrote them.  So the three second
-    # derivatives of h and of psi are freed when it returns.
+    # derivatives of h and of psi are freed when it returns.  The block's
+    # last row is phi; a normal-only evaluation has none.
     state = make_state(16)
     for variant, model in VARIANT_MODELS:
         ev = evaluate(state, variant, MOB, model)
         for kept in (ev.cache.hx, ev.cache.hy):
             assert kept.base is not None and kept.base.shape[0] <= 2, variant
-        rows = (ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.rhs_psi)
+        rows = (ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.rhs_psi, ev.phi)
         block = ev.psi_x.base
         assert block is not None and block.shape[0] == len(rows), variant
-        assert all(np.shares_memory(row, block[i]) for i, row in enumerate(rows)), variant
+        assert (ev.phi is None) == (variant is ModelVariant.NORMAL_ONLY)
+        assert all(
+            np.shares_memory(row, block[i]) for i, row in enumerate(rows) if row is not None
+        ), variant
 
 
 def test_full_imex_step_transform_budget(calls):
     # The derivatives of h and of psi transform one field forward and five
-    # back each (slopes, then second derivatives), and each damped increment
-    # one field each way; the velocity divergence is analytic.
+    # back each (each second derivative on its own, then the slopes as a
+    # pair), and each damped increment one field each way; the velocity
+    # divergence is analytic.
     state = make_state(16)
     ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
     step(ev, StepperConfig(dt=1e-4))
     assert calls["build_cache"] == 1
     assert (calls["forward"], calls["inverse"]) == (4, 12)
-    assert calls["fft"] == 10
+    assert calls["fft"] == 14
 
 
 def test_normal_only_explicit_step_transform_budget(calls):
@@ -724,7 +789,7 @@ def test_normal_only_explicit_step_transform_budget(calls):
     step(evaluate(state, ModelVariant.NORMAL_ONLY, MOB, FloryHuggins(1.0, 0.75, 0.0)), stepper)
     assert calls["build_cache"] == 1
     assert (calls["forward"], calls["inverse"]) == (4, 12)
-    assert calls["fft"] == 10
+    assert calls["fft"] == 14
 
 
 @pytest.mark.parametrize("variant", [ModelVariant.FULL_COUPLED, ModelVariant.NORMAL_ONLY])
@@ -756,7 +821,7 @@ def _numpy_bytes():
 
 @pytest.mark.parametrize("variant, model", VARIANT_MODELS)
 def test_evaluation_works_in_the_grid_work_arrays(variant, model):
-    # On a warm state, an evaluation allocates the 12 full-grid arrays it
+    # On a warm state, an evaluation allocates the 11 full-grid arrays it
     # keeps and forms every intermediate in the grid's work arrays; a step
     # allocates the new state's two.  The peaks count Python objects too.
     state = make_state(32)
@@ -777,9 +842,64 @@ def test_evaluation_works_in_the_grid_work_arrays(variant, model):
         peak_step = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept <= 12 * array_bytes
-    assert peak - start <= 16 * array_bytes
+    assert kept <= 11 * array_bytes
+    assert peak - start <= 15 * array_bytes
     assert peak_step - start_step <= 3 * array_bytes
+
+
+def _numpy_peak(run):
+    """``run()``, and the most bytes of numpy array data that were alive at a
+    return from a function of ``gradflow`` on this thread while it ran, as
+    tracemalloc traces them.  A temporary that lives only between two such
+    returns is not seen.  Where all traced memory is at most the peak so far,
+    numpy's share is too, and it is not counted."""
+    peak = 0
+
+    def sample(frame, event, arg):
+        nonlocal peak
+        if (
+            event == "return"
+            and "gradflow" in frame.f_code.co_filename
+            and tracemalloc.get_traced_memory()[0] > peak
+        ):
+            peak = max(peak, _numpy_bytes())
+
+    tracemalloc.start()
+    sys.setprofile(sample)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["inline", "paired"])
+def test_a_run_keeps_its_working_set(pairing, on):
+    # At its peak a run holds the grid's vectors, its five real work arrays
+    # and four half spectra, two states (the last valid one and the one a
+    # step makes) and the eleven arrays of an evaluation.  Paired, a sample
+    # may also see the small temporaries of the helper thread's current
+    # call (a reduction's result, a negated wavenumber vector): 1 KiB,
+    # where one more array would be 8 KiB.
+    pairing(on)
+    config = parse_config(
+        """
+        grid.nx = 32
+        energy.kind = flory_huggins
+        stepper.dt = 1e-4
+        run.t_end = 3e-4
+        run.record_every = 3
+        initial.h_amplitude = 0.3
+        initial.psi = 0.25
+        """
+    )
+    result, peak = _numpy_peak(lambda: simulate(config))
+    assert not result.aborted and len(result.records) == 2
+    held = [a for v in vars(Grid(32, 32)).values() for a in (v if isinstance(v, tuple) else (v,))]
+    vectors = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+    array, half_spectrum = 32 * 32 * 8, 32 * 17 * 16
+    assert peak <= vectors + (5 + 2 * 2 + 11) * array + 4 * half_spectrum + 1024
 
 
 @pytest.mark.parametrize("variant, model", VARIANT_MODELS)
@@ -817,10 +937,10 @@ def test_grid_stores_no_derivative_multipliers():
 
 
 def _fingerprint(ev, new_state):
-    """The bytes of every array of an evaluation and of the state it steps
-    to, with its coefficients and clamp count."""
+    """The bytes of every array of an evaluation, of its velocity and of the
+    state it steps to, with its coefficients and clamp count."""
     arrays = (
-        ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.v, ev.rhs_psi,
+        ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.velocity(), ev.rhs_psi,
         ev.cache.hx, ev.cache.hy, ev.cache.g_det, ev.cache.hfrak,
         new_state.h.values, new_state.psi.values,
     )
@@ -836,6 +956,9 @@ def test_paired_evaluation_and_step_are_bit_identical(pairing, variant, model, s
         for on in (False, True):
             pairing(on)
             ev = evaluate(state, variant, MOB, model)
+            # The clamping state lies outside [0, 1], and so does its step;
+            # an unbounded domain lets the step return its fields.
+            ev = dataclasses.replace(ev, domain=(-np.inf, np.inf))
             runs.append(_fingerprint(ev, step(ev, stepper)))
         assert runs[0] == runs[1], variant
     assert pairing.helper_calls == 2 * 3  # per state: psi's derivatives, a half, an increment
@@ -844,8 +967,8 @@ def test_paired_evaluation_and_step_are_bit_identical(pairing, variant, model, s
 def test_paired_evaluation_keeps_its_working_set(pairing):
     # Paired, the derivatives of psi land in the arrays the evaluation keeps,
     # and each half of the rate algebra works in its rows of the work arrays.
-    # The step's two solves hold their half-spectrum temporaries at once, so
-    # its peak is one array above the one-thread bound.
+    # The step's two solves may hold numpy's cast buffers at once, so its
+    # bound is one array above the one-thread bound.
     pairing(True)
     state = make_state(32)
     variant, model = VARIANT_MODELS[0]
@@ -866,8 +989,8 @@ def test_paired_evaluation_keeps_its_working_set(pairing):
         peak_step = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept <= 12 * array_bytes
-    assert peak - start <= 16 * array_bytes
+    assert kept <= 11 * array_bytes
+    assert peak - start <= 15 * array_bytes
     assert peak_step - start_step <= 4 * array_bytes
     assert pairing.helper_calls == 2 * 3
 

@@ -142,8 +142,10 @@ def _plain_transforms(f, a):
     def inverse(s):
         return scipy.fft.irfft2(s, s=(g.nx, g.ny), axes=(-2, -1))
 
+    # |k|^2 from the derivative wavenumbers, whose zeroed Nyquist modes the
+    # mask removes anyway.
     solved = spec * g.dealias_mask
-    solved /= 1.0 + a * g.k2
+    solved /= 1.0 + a * (kx * kx + ky * ky)
     return (
         (derivatives(f), inverse(m * spec)),
         (gradient(f), inverse(m[:2] * spec)),
