@@ -69,15 +69,12 @@ def record(
         sqrt_g = np.sqrt(cache.g_det, out=w[0])  # one area element for the four integrals
         u = surface_integral(ev.f, cache, sqrt_g, out=w[1])
         mass = surface_integral(psi, cache, sqrt_g, out=w[1])
-        # A normal-only evaluation has no velocity, and no integrand of it.
-        if ev.phi is not None:
-            v = ev.velocity(out=w[1:3])
-            v_sq = covariant_norm_sq(v, cache, out=v[0], work=w[3:5])
-        motion = np.square(ev.dth, out=w[2])
-        motion /= cache.g_det
-        if ev.phi is not None:
-            motion = np.add(v_sq, motion, out=motion)
-        v_part = surface_integral(motion, cache, sqrt_g, out=w[2])
+        v = ev.velocity(out=w[1:3])
+        v_sq = covariant_norm_sq(v, cache, out=v[0], work=w[3:5])
+        normal = np.square(ev.dth, out=w[2])
+        normal /= cache.g_det
+        v_sq += normal
+        v_part = surface_integral(v_sq, cache, sqrt_g, out=w[2])
         q = ev.flux(out=w[1:3])
         q_sq = covariant_norm_sq(q, cache, out=q[0], work=w[3:5])
         dissipation_rhs = -(

@@ -20,9 +20,10 @@ The surface tension is the Legendre-type combination
 
 Each model has one closed ``domain``, ``[0, 1]`` for FloryHuggins and all
 reals otherwise; a density outside it is refused as initial data, and a
-step that leaves it aborts (:func:`gradflow.flow.step`).  FloryHuggins densities within ``eps = 1e-10`` of its ends are clamped
-to ``[eps, 1-eps]``, and never silently: :meth:`EnergyModel.clamp` returns
-the number of affected grid points with the clamped values.
+step that leaves it aborts (:func:`gradflow.flow.step`).  FloryHuggins
+densities within ``eps = 1e-10`` of its ends are clamped to ``[eps,
+1-eps]``, and never silently: :meth:`EnergyModel.clamp` returns the number
+of affected grid points with the clamped values.
 
 Both write to caller-supplied arrays when given them, so that the flow
 evaluation forms them in the grid's work arrays.

@@ -30,10 +30,12 @@ Three variants are provided, each assembled once by :func:`evaluate`:
 Spatial derivatives are spectral, except the divergence of the tangential
 velocity: with ``v = phi grad psi`` it is ``phi' |grad psi|^2 + phi tr D2
 psi`` in the surface metric, formed pointwise from the derivatives of
-``psi``.  A step therefore transforms four fields forward and twelve back,
-in 14 transform calls: for each of ``h`` and ``psi`` one forward transform
-and five derivatives (three single inverses and one pair), and for each
-damped increment one transform pair.
+``psi``.  A step therefore transforms four fields forward and twelve back:
+for each of ``h`` and ``psi`` one forward transform and five derivatives,
+and for each damped increment one transform pair.  That is 10 transform
+calls where one field is transformed at a time (the slopes as a pair, the
+second derivatives as a triple), and 14 where :func:`gradflow.spectral._pair`
+transforms the two at once (three single inverses and one pair each).
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both

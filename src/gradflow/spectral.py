@@ -20,10 +20,12 @@ Conventions
   sizes are required for the same reason.
 * The 2/3-rule mask of :func:`_dealias_solve` acts per axis: mode ``m``
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
-* A transformed field works in two half spectra of the grid's work
-  (:meth:`Grid._spectral_work`) and allocates none: its derivatives invert
-  the second derivatives one at a time through one of the two, and a damped
-  solve forms its real damping factor in its own output row.
+* A transformed field works in the grid's half spectra
+  (:meth:`Grid._spectral_work`) and allocates none: three of them where
+  one field is transformed at a time, two where :func:`_pair` transforms
+  two at once, at the cost of two more inverse calls per field
+  (:func:`_derivative_stack`).  A damped solve works in one, and forms its
+  real damping factor in its own output row.
 * This module alone splits a step's work between threads (:func:`_halves`,
   :func:`_pair`), and only on grids where :func:`_pairs` holds.
 """
@@ -164,32 +166,54 @@ def _irfft2(spec: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndar
     return np.fft.irfft(spec, n=ny, axis=-1, out=out)
 
 
+def _times_mixed(g: "Grid", spec: np.ndarray, out: np.ndarray) -> None:
+    """``out = -kx ky spec``, with the multiplier formed in ``out``'s real
+    view and a zero imaginary part, as the cast of a real product would
+    give, so that no product casts through a numpy buffer."""
+    np.multiply(-g.kx, g.ky, out=out.real)
+    out.imag = 0.0
+    out *= spec
+
+
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, slopes: np.ndarray, second, half: int = 0
+    g: "Grid", values: np.ndarray, slopes: np.ndarray, second: np.ndarray, half: int = 0
 ) -> None:
     """The derivatives of the samples ``values`` on ``g`` from one forward
     transform: ``(f_x, f_y)`` written to the ``(2, nx, ny)`` array
-    ``slopes``, and ``(f_xx, f_xy, f_yy)`` to the three arrays of ``second``.
+    ``slopes``, and ``(f_xx, f_xy, f_yy)`` to the ``(3, nx, ny)`` array
+    ``second``.  Each multiplier is a per-axis factor of
+    :attr:`Grid.deriv_factors`, or the mixed ``-kx ky`` (:func:`_times_mixed`).
 
-    The work is the two half spectra of :meth:`Grid._spectral_work` from row
-    ``2 * half`` on, so that :func:`_pair` may form the derivatives of one
-    field with ``half = 0`` beside those of another with ``half = 1``.  The
-    spectrum goes to the first row.  Each second derivative, the spectrum
-    times its multiplier (per-axis factors of :attr:`Grid.deriv_factors`,
-    or the mixed ``-kx ky`` formed in the row), is inverted on its own
-    through the second row; then the slopes, the spectrum times ``1j kx``
-    in its own row and times ``1j ky`` in the second, are inverted as one
-    pair.
+    Where :func:`_pairs` is false, one field is transformed at a time, in
+    the first three half spectra of :meth:`Grid._spectral_work`, and
+    ``half`` is ignored: the spectrum goes to the third, the slopes are
+    inverted as one pair, and then the second derivatives as one triple,
+    ``f_yy`` in the spectrum's own row.  Where it holds, :func:`_pair` may
+    form the derivatives of one field with ``half = 0`` beside those of
+    another with ``half = 1``, each in its two half spectra from row ``2 *
+    half`` on: the spectrum goes to the first, each second derivative is
+    inverted on its own through the second, and then the slopes, in the
+    spectrum's row and the second, as one pair.  The two layouts give the
+    same bytes; the first makes two inverse calls, the second four.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
+    if not _pairs(g):
+        work = g._spectral_work()[:3]
+        spec = _rfft2(values, out=work[2])
+        np.multiply(ikx, spec, out=work[0])
+        np.multiply(iky, spec, out=work[1])
+        _irfft2(work[:2], g.ny, out=slopes)
+        np.multiply(kxx, spec, out=work[0])
+        _times_mixed(g, spec, out=work[1])
+        spec *= kyy
+        _irfft2(work, g.ny, out=second)
+        return
     work = g._spectral_work()[2 * half : 2 * half + 2]
     spec, row = work
     _rfft2(values, out=spec)
     np.multiply(kxx, spec, out=row)
     _irfft2(row, g.ny, out=second[0])
-    np.multiply(-g.kx, g.ky, out=row.real)
-    row.imag = 0.0  # as the cast of a real product would give
-    row *= spec
+    _times_mixed(g, spec, out=row)
     _irfft2(row, g.ny, out=second[1])
     np.multiply(spec, kyy, out=row)
     _irfft2(row, g.ny, out=second[2])
@@ -217,8 +241,8 @@ class Grid:
     stored.
 
     The grid owns two work stacks, allocated on first use: four half spectra
-    for the transforms (:meth:`_spectral_work`), two for each of two
-    fields that may be transformed at once, and five real ``(nx, ny)``
+    for the transforms (:meth:`_spectral_work`), three for one field or two
+    for each of two fields transformed at once, and five real ``(nx, ny)``
     arrays (:meth:`_work`) in which the solves, the geometry, the evaluation
     and the record form every intermediate.  A state's evaluation and step
     therefore allocate only the arrays they return.  Where :func:`_pairs`
@@ -296,8 +320,9 @@ class Grid:
         return self._scratch("_real_work", (5, self.nx, self.ny), float)
 
     def _spectral_work(self) -> np.ndarray:
-        """Four half spectra: rows 0-1 for the field of ``half = 0``, 2-3 for
-        that of ``half = 1``."""
+        """Four half spectra: rows 0-2 for the one field transformed at a
+        time, or, where :func:`_pairs` holds, rows 0-1 for the field of
+        ``half = 0`` and 2-3 for that of ``half = 1``."""
         return self._scratch("_spec_work", (4, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
@@ -341,8 +366,8 @@ class ScalarField:
 def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     """All derivatives up to second order, ``(f_x, f_y, f_xx, f_xy, f_yy)``.
 
-    One forward transform, and four inverse transforms: each second
-    derivative, then the slopes as one pair.  ``f_xy`` is symmetric by
+    One forward transform, and inverse transforms as
+    :func:`_derivative_stack` lays them out.  ``f_xy`` is symmetric by
     construction (a single spectral multiplier).
 
     The solver forms the same derivatives in arrays of its choice
