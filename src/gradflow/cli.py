@@ -67,13 +67,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         print(f"error: cannot read config '{args.config}': {reason}", file=sys.stderr)
         return 2
+    out = args.out
     try:
-        return _dispatch(args, parse_config(text))
+        config = parse_config(text)
+        if out is None:
+            out = config.output_dir
+        return _dispatch(args, config, out)
     except (ConfigError, SolverAbort) as exc:
         # Bad input (exit 2), raised by parsing and by reading the initial
         # state in any command, or an aborted run of a harness (exit 1).
@@ -82,13 +86,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # An output that cannot be written, such as an --out path that is a
         # file, is bad input too; the initial snapshots are read as config.
-        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        # A write that fails once its file is open, as on a full disk, names
+        # no file: the output directory is named then.
+        print(f"error: cannot write '{exc.filename or out}': {exc.strerror}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args: argparse.Namespace, config: RunConfig) -> int:
-    out = args.out if args.out is not None else config.output_dir
-
+def _dispatch(args: argparse.Namespace, config: RunConfig, out: str) -> int:
     if args.command == "run":
         if simulate(config, out_dir=out).aborted:
             print("run aborted; see report.txt and last_valid.sgf", file=sys.stderr)

@@ -272,6 +272,14 @@ def evaluate(
     The derivatives of ``psi`` are transformed beside the geometry, and the
     rate algebra runs on the row halves that :func:`gradflow.spectral._halves`
     gives (see the module docstring).
+
+    Raises
+    ------
+    FloatingPointError
+        If the heights or the curvature of ``state`` are not finite.  A
+        :func:`step` can return such a surface from finite fields: a hand
+        loop meets it here, where :func:`gradflow.runner.simulate` ends the
+        run as an abort at the state before it.
     """
     _require_quadratic(variant, energy)
     grid = state.grid

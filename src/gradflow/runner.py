@@ -26,6 +26,7 @@ import errno
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -33,7 +34,6 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, build_grid, format_config, initial_state
 from .diagnostics import DiagnosticsRecord, record
 from .flow import (
-    Evaluation,
     FlowState,
     Mobilities,
     ModelVariant,
@@ -91,9 +91,12 @@ class RunResult:
     records: list[DiagnosticsRecord]
     state: FlowState
     clamp_count: int
-    aborted: bool
     abort_message: str | None
     wall_time: float
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_message is not None
 
 
 def _step_count(config: RunConfig) -> int:
@@ -103,11 +106,13 @@ def _step_count(config: RunConfig) -> int:
 def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     """Advance the configured problem to ``t_end``.
 
-    Records are taken at step 0, every ``record_every`` steps, and at the
-    final step.  When ``out_dir`` is given, outputs are written there
-    incrementally so a solver abort still leaves the partial series behind.
-    A step whose fields are not finite, or whose density leaves the energy's
-    ``domain``, ends the run as an abort at the state before it.
+    Every state, the first included, goes through the same loop body: it is
+    recorded at step 0, every ``record_every`` steps and the final step, its
+    snapshots are written, and it is stepped.  With ``out_dir``, each
+    ``series.csv`` row is written as it is taken, so an abort still leaves
+    the partial series.  A step whose fields are not finite, whose density
+    leaves the energy's ``domain``, or whose surface has no finite curvature
+    ends the run as an abort at the state before it.
 
     Raises
     ------
@@ -140,68 +145,46 @@ def simulate(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     for idx, t_snap in enumerate(config.snapshot_times):
         snapshot_at.setdefault(math.ceil(t_snap / config.dt - 1e-9), []).append(idx)
 
-    csv_fh = open(out / "series.csv", "w", newline="") if out is not None else None
     records: list[DiagnosticsRecord] = []
-
-    def take_record(ev: Evaluation) -> None:
-        prev = records[-1] if records else None
-        rec = record(ev, prev, clamp_count)
-        records.append(rec)
-        if csv_fh is not None:
-            csv_fh.write(_csv_row(rec) + "\n")
-
-    def take_snapshots(st: FlowState, i: int) -> None:
-        if out is None:
-            return
-        for idx in snapshot_at.get(i, ()):
-            write_snapshot(st, out / f"snapshot_{idx:03d}.sgf")
-
-    if csv_fh is not None:
-        csv_fh.write(CSV_HEADER + "\n")
-    aborted = False
     abort_message = None
-    try:
-        take_record(ev)
-        take_snapshots(state, 0)
-        for i in range(1, n_steps + 1):
+    with open(out / "series.csv", "w", newline="") if out is not None else nullcontext() as csv_fh:
+        if csv_fh is not None:
+            csv_fh.write(CSV_HEADER + "\n")
+        for i in range(n_steps + 1):
+            if i == n_steps or i % config.record_every == 0:
+                records.append(record(ev, records[-1] if records else None, clamp_count))
+                if csv_fh is not None:
+                    csv_fh.write(_csv_row(records[-1]) + "\n")
+            if out is not None:
+                for idx in snapshot_at.get(i, ()):
+                    write_snapshot(state, out / f"snapshot_{idx:03d}.sgf")
+            if i == n_steps:
+                break
             clamp_count += ev.clamp_count
-            last_valid = ev.state
             try:
-                state = step(ev, stepper)
+                new = step(ev, stepper)
                 ev = None  # release the old evaluation before the next is built
-                ev = evaluate(state, variant, mobilities, energy)
+                ev = evaluate(new, variant, mobilities, energy)
             except (SolverAbort, FloatingPointError) as exc:
                 # A step can leave finite fields whose geometry overflows: then
                 # the evaluation of the new state fails, and the run ends at
-                # the last state whose evaluation was finite.
-                aborted = True
+                # the last state whose evaluation was finite, ``state``.
                 abort_message = str(exc)
                 if not isinstance(exc, SolverAbort):
-                    abort_message += f" after step {i} (t = {state.t:.6g}); aborting"
-                state = last_valid
-                if out is not None:
-                    write_snapshot(state, out / "last_valid.sgf")
+                    abort_message += f" after step {i + 1} (t = {new.t:.6g}); aborting"
                 break
-            if i == n_steps or i % config.record_every == 0:
-                take_record(ev)
-            take_snapshots(state, i)
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
+            state = new
 
-    wall = time.perf_counter() - t_start
     result = RunResult(
         config=config,
         records=records,
         state=state,
         clamp_count=clamp_count,
-        aborted=aborted,
         abort_message=abort_message,
-        wall_time=wall,
+        wall_time=time.perf_counter() - t_start,
     )
     if out is not None:
-        if not aborted:
-            write_snapshot(state, out / "final.sgf")
+        write_snapshot(state, out / ("last_valid.sgf" if result.aborted else "final.sgf"))
         _write_report(result, out / "report.txt")
     return result
 

@@ -20,16 +20,20 @@ from gradflow import (
     FlowState,
     Grid,
     Linear,
+    Mobilities,
     ModelVariant,
     Quadratic,
     Scheme,
     SnapshotError,
+    StepperConfig,
     build_grid,
+    evaluate,
     format_config,
     initial_state,
     parse_config,
     read_snapshot,
     simulate,
+    step,
     write_snapshot,
 )
 from gradflow.cli import main
@@ -742,6 +746,51 @@ def test_blowup_ends_as_an_abort_at_the_last_finite_evaluation(text):
     assert result.records[-1].t == last.t
 
 
+def test_a_hand_loop_meets_a_curvature_overflow_as_a_floating_point_error():
+    # Step 10 of this run returns finite fields whose curvature overflows.  A
+    # hand loop gets the FloatingPointError of evaluating them; simulate ends
+    # the run as an abort at step 9, the state before it.
+    config = parse_config(BLOWUPS[0])
+    result = simulate(config)
+    assert result.abort_message == (
+        "curvature evaluation produced non-finite values after step 10 (t = 1.468); aborting"
+    )
+    assert result.state.step_index == 9
+    mob = Mobilities(config.m_x, config.m_psi)
+    stepper = StepperConfig(config.dt, config.scheme)
+    prev, s = None, initial_state(config, build_grid(config))
+    with pytest.raises(FloatingPointError, match="^curvature evaluation produced non-finite values$"):
+        for _ in range(20):
+            prev, s = s, step(evaluate(s, config.variant, mob, config.energy), stepper)
+    assert s.step_index == 10 and s.t == result.state.t + config.dt
+    assert np.all(np.isfinite(s.h.values)) and np.all(np.isfinite(s.psi.values))
+    assert prev.step_index == 9
+    assert prev.h.values.tobytes() == result.state.h.values.tobytes()
+    assert prev.psi.values.tobytes() == result.state.psi.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, last",
+    [(ABORTING, 2), (BLOWUPS[0], 9)],
+    ids=["domain_escape", "curvature_overflow"],
+)
+def test_an_aborted_run_writes_the_snapshots_up_to_its_last_valid_step(tmp_path, text, last):
+    # Snapshots at step 0, at the last valid step and at the step after it.
+    dt = parse_config(text).dt
+    times = ", ".join(repr(k * dt) for k in (0, last, last + 1))
+    out = tmp_path / "o"
+    result = simulate(parse_config(text + f"run.snapshot_times = {times}\n"), out_dir=out)
+    assert result.aborted and result.state.step_index == last
+    assert read_snapshot(out / "snapshot_000.sgf").t == 0.0
+    assert read_snapshot(out / "snapshot_001.sgf").t == result.state.t
+    assert not (out / "snapshot_002.sgf").exists()
+    assert (out / "last_valid.sgf").read_bytes() == (out / "snapshot_001.sgf").read_bytes()
+    assert not (out / "final.sgf").exists()
+    rows = (out / "series.csv").read_text().splitlines()
+    assert len(rows) == 1 + last + 1  # the header and steps 0..last
+    assert float(rows[-1].split(",")[0]) == result.state.t
+
+
 # ---------------------------------------------------------------------------
 # Command-line interface
 
@@ -783,6 +832,15 @@ def test_cli_config_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: cannot read config '{path}': ")
     assert "0xff" in err
     assert err.count(str(path)) == 1, err
+
+
+def test_cli_config_with_a_byte_order_mark_runs_as_without(tmp_path):
+    plain = write_cfg(tmp_path, CHEAP)
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(CHEAP.encode("utf-8-sig"))
+    assert main(["run", plain, "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", str(marked), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "config.cfg").read_bytes() == (tmp_path / "a" / "config.cfg").read_bytes()
 
 
 def test_cli_invalid_config(tmp_path, capsys):
@@ -943,6 +1001,18 @@ def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, comma
     assert "Traceback" not in captured.err
     if command != "run":
         assert runs == []
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_cli_failed_write_names_the_output_directory(tmp_path, capsys):
+    # A write that fails once its file is open carries no file name.
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "series.csv").symlink_to("/dev/full")
+    assert main(["run", write_cfg(tmp_path, CHEAP), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write '{out}': No space left on device\n"
 
 
 def test_cli_sweep_bad_ladder(tmp_path, capsys):
