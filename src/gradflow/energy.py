@@ -157,6 +157,14 @@ class FloryHuggins(EnergyModel):
     ``beta > 0`` scales the entropy, and ``chi`` is the interaction
     parameter; with ``chi = 0`` the derived tension is the Langmuir
     equation of state ``sigma0 + beta ln(1 - psi)``.
+
+    The domain is closed, but the logarithms are evaluated at a density
+    clamped into ``[CLAMP_EPS, 1 - CLAMP_EPS]``, where ``f''`` is about
+    ``beta / CLAMP_EPS``.  A start density that touches 0 or 1 is accepted,
+    but that stiffness can end the run at its first step: on 16^2 under
+    imex1 at dt = 1e-3, a density equal to 0 and 1 at grid points leaves
+    the domain in one step and the run aborts.  Start densities should lie
+    in ``(CLAMP_EPS, 1 - CLAMP_EPS)``.
     """
 
     sigma0: float = 1.0
@@ -178,6 +186,10 @@ class FloryHuggins(EnergyModel):
         return psi, 0
 
     def count_violations(self, psi: np.ndarray) -> int:
+        # Two reductions settle the usual case, a density inside the band,
+        # without a full-grid mask; a NaN fails them and is not counted.
+        if CLAMP_EPS <= psi.min() and psi.max() <= 1.0 - CLAMP_EPS:
+            return 0
         return int(np.count_nonzero((psi < CLAMP_EPS) | (psi > 1.0 - CLAMP_EPS)))
 
     density = EnergyModel.density  # own entry: perfbench/spans.py traces this name

@@ -27,7 +27,9 @@ Conventions
   (:func:`_derivative_stack`).  A damped solve works in one, and forms its
   real damping factor in its own output row.
 * This module alone splits a step's work between threads (:func:`_halves`,
-  :func:`_pair`), and only on grids where :func:`_pairs` holds.
+  :func:`_pair`), and only on grids where :func:`_pairs` holds.  The second
+  thread is one daemon helper, ``gradflow-pair``, started on the first
+  paired call; it serves a queue of calls.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -65,9 +66,10 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 # The smallest grid, in points, whose work :func:`_pair` splits between two
 # threads.  Below it the interpreter lock, which changes hands around every
 # short ufunc, costs more than the second core gives.  On a 2-core x86 VM,
-# pairing made a 500-step 64^2 run 2.1x as slow and a 200-step 128^2 run
-# 31 % slower; it made a 40-step 256^2 run 16 % faster, and a warm 256^2
-# evaluation 35 % faster.
+# in 6 alternating 20-s pairs of ``perfbench/run.py``, pairing made the
+# 500-step 64^2 ``relax64`` runs 1.7x as slow (median wall_s 0.565 ->
+# 0.976 s) and the 40-step 256^2 ``relax256`` runs 17 % faster (0.477 ->
+# 0.398 s).  A 200-step 128^2 run was 31 % slower.
 _PAIR_POINTS = 256 * 256
 
 # The cores this process may run on, read once: every call then runs a
@@ -77,7 +79,7 @@ _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-_helper = None  # the one-thread executor of :func:`_pair`, made on first use
+_requests = None  # the queue that :func:`_pair`'s helper thread serves, made on first use
 _helper_lock = threading.Lock()
 
 
@@ -87,19 +89,48 @@ def _pairs(g: "Grid") -> bool:
 
 
 def _forget_helper() -> None:
-    # A forked child has no helper thread; it makes its own on first use.
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+    # A forked child has no helper thread; it starts its own on first use.
+    global _requests, _helper_lock
+    _requests, _helper_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+class _Call:
+    """One call that :func:`_pair` hands to the helper thread, and its outcome."""
+
+    __slots__ = ("fn", "done", "result", "error")
+
+    def __init__(self, fn) -> None:
+        self.fn, self.done, self.result, self.error = fn, threading.Event(), None, None
+
+    def run(self) -> None:
+        try:
+            self.result = self.fn()
+        except BaseException as exc:  # raised by the caller, in :func:`_pair`
+            self.error = exc
+        self.done.set()
+
+
+def _serve(requests) -> None:
+    """The helper thread: run each :class:`_Call` put on ``requests``, in turn."""
+    np.seterr(**_QUIET)
+    while True:
+        call = requests.get()
+        call.run()
+        # Dropped before the wait for the next call: the served call's
+        # closure may hold the arrays of an evaluation its caller has let go.
+        del call
+
+
 def _pair(g: "Grid", fa, fb) -> tuple:
-    """``(fa(), fb())``: ``fb`` on the helper thread, a one-thread
-    executor made on the first paired call, while ``fa`` runs on this one
-    when :func:`_pairs` holds for ``g``, else ``fa`` and then ``fb`` here.
+    """``(fa(), fb())``: ``fb`` on the helper thread while ``fa`` runs on
+    this one when :func:`_pairs` holds for ``g``, else ``fa`` and then
+    ``fb`` here.  The helper is one daemon thread, ``gradflow-pair``,
+    started on the first paired call; it serves the calls of every thread
+    in turn.
 
     The two calls must touch disjoint arrays, and ``fb`` must not call
     :func:`_pair`.  An exception of either is raised here once both have
@@ -108,19 +139,19 @@ def _pair(g: "Grid", fa, fb) -> tuple:
     it (``perfbench/spans.py`` rebinds ``flow.build_cache``, the energy's
     ``clamp`` and the runner's calls), as such wrappers are not thread-safe.
     """
-    global _helper
+    global _requests
     if not _pairs(g):
         return fa(), fb()
+    call = _Call(fb)
     with _helper_lock:
-        if _helper is None:
-            # Imported on first use: the import costs about 7 ms and 0.45 MB,
-            # which processes whose grids never pair should not pay.
-            import concurrent.futures
+        if _requests is None:
+            import queue
 
-            _helper = concurrent.futures.ThreadPoolExecutor(
-                1, "gradflow-pair", initializer=partial(np.seterr, **_QUIET)
-            )
-        future = _helper.submit(fb)
+            _requests = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_requests,), name="gradflow-pair", daemon=True
+            ).start()
+        _requests.put(call)
     try:
         a = fa()
     finally:
@@ -130,13 +161,15 @@ def _pair(g: "Grid", fa, fb) -> tuple:
         interrupted = None
         while True:
             try:
-                future.exception()  # returns at once when ended: a retry cannot block
+                call.done.wait()  # returns at once when ended: a retry cannot block
                 break
             except BaseException as exc:
                 interrupted = exc
         if interrupted is not None:
             raise interrupted
-    return a, future.result()
+    if call.error is not None:
+        raise call.error
+    return a, call.result
 
 
 def _halves(g: "Grid", n: int, fn) -> list | tuple:
@@ -229,7 +262,7 @@ class Grid:
     Parameters
     ----------
     nx, ny : int
-        Number of points per axis; must be even and at least 8.
+        Number of points per axis; must be an even integer, at least 8.
     lx, ly : float
         Domain extents, finite and positive; default ``2 * pi`` each.
 
@@ -258,8 +291,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n % 2 != 0 or n < 8:
-                raise ValueError(f"{name} must be even and >= 8, got {n}")
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n % 2 or n < 8:
+                raise ValueError(f"{name} must be an even integer >= 8, got {n}")
         for name, l in (("lx", self.lx), ("ly", self.ly)):
             if not (0.0 < l < np.inf):
                 raise ValueError(f"{name} must be finite and positive, got {l}")

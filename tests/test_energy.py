@@ -189,6 +189,19 @@ def test_clamp_counts_out_of_domain_points():
     assert clamped.min() >= CLAMP_EPS
     assert clamped.max() <= 1.0 - CLAMP_EPS
     assert model.count_violations(values) == 2
+    # The band's ends are inside it; one ulp beyond either is counted, and a
+    # NaN is not.
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    for inside in ([lo, hi], [lo, 0.5], [0.5, hi], [0.3, np.nan], [np.nan, np.nan]):
+        assert model.count_violations(np.array(inside)) == 0, inside
+    below, above = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+    for outside, n in (
+        ([below, 0.5], 1),
+        ([0.5, above], 1),
+        ([below, above, hi], 2),
+        ([np.nan, below], 1),
+    ):
+        assert model.count_violations(np.array(outside)) == n, outside
 
 
 def test_each_preset_has_one_closed_domain_that_is_not_a_field():

@@ -4,11 +4,13 @@ import collections
 import dataclasses
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1103,3 +1105,36 @@ def test_forked_child_starts_its_own_helper(pairing):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's pair did not return within 30 s")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+_PAIRED_RUN = """
+import sys, threading
+import numpy as np
+from gradflow import FloryHuggins, FlowState, Grid, ModelVariant, Mobilities, StepperConfig
+from gradflow import evaluate, spectral, step
+
+spectral._CORES, spectral._PAIR_POINTS = 2, 0
+g = Grid(16, 16)
+psi = g.from_function(lambda x, y: 0.5 + 0.1 * np.sin(x) * np.cos(y))
+state = FlowState(0.0, g.from_function(lambda x, y: 0.3 * np.sin(x) * np.sin(y)), psi)
+ev = evaluate(state, ModelVariant.FULL_COUPLED, Mobilities(2.0, 1.0), FloryHuggins())
+assert step(ev, StepperConfig(dt=1e-4)).step_index == 1
+helpers = [t for t in threading.enumerate() if t.name == "gradflow-pair"]
+print(*sorted({"concurrent.futures", "logging"} & set(sys.modules)), "|", len(helpers),
+      all(t.daemon for t in helpers))
+"""
+
+
+def test_a_paired_run_loads_no_executor_and_exits():
+    # A fresh process, so that no other test has loaded the modules.  The
+    # helper is one daemon thread, which does not hold the process at exit.
+    src = str(Path(gradflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _PAIRED_RUN],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout.split()) == (0, ["|", "1", "True"]), done.stderr

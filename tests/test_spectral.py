@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,16 @@ def test_grid_rejects_odd_and_small_sizes():
         Grid(15, 16)
     with pytest.raises(ValueError):
         Grid(16, 6)
+    for nx, ny, message in (
+        (16.0, 16, "nx must be an even integer >= 8, got 16.0"),
+        (16, 16.0, "ny must be an even integer >= 8, got 16.0"),
+        (True, 16, "nx must be an even integer >= 8, got True"),
+        (16, np.float64(16), "ny must be an even integer >= 8, got 16.0"),
+        ("16", 16, "nx must be an even integer >= 8, got 16"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(nx, ny)
+    assert Grid(np.int64(16), np.int32(8)).ky.shape == (1, 5)
     with pytest.raises(ValueError):
         Grid(16, 16, lx=0.0)
     with pytest.raises(ValueError):
