@@ -48,11 +48,14 @@ __all__ = [
 CLAMP_EPS = 1e-10
 
 
-def _escape(psi: np.ndarray, domain: tuple[float, float]) -> str | None:
+def _escape(
+    psi: np.ndarray, domain: tuple[float, float], extremes: tuple | None = None
+) -> str | None:
     """``density <value> outside [lo, hi] at grid index (i, j)`` for the extreme
-    value of ``psi`` outside the closed ``domain``; None if there is none."""
+    value of ``psi`` outside the closed ``domain``; None if there is none.
+    ``extremes`` is ``(psi.min(), psi.max())``, formed here when absent."""
     lo, hi = domain
-    low, high = psi.min(), psi.max()
+    low, high = (psi.min(), psi.max()) if extremes is None else extremes
     if lo <= low and high <= hi:
         return None
     at = psi.argmin() if low < lo else psi.argmax()

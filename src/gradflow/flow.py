@@ -34,8 +34,8 @@ psi`` in the surface metric, formed pointwise from the derivatives of
 for each of ``h`` and ``psi`` one forward transform and five derivatives,
 and for each damped increment one transform pair.  That is 10 transform
 calls where one field is transformed at a time (the slopes as a pair, the
-second derivatives as a triple), and 14 where :func:`gradflow.spectral._pair`
-transforms the two at once (three single inverses and one pair each).
+second derivatives as a triple), and 16 where :func:`gradflow.spectral._pair`
+transforms the two at once (five single inverses each).
 
 A state has one evaluation path: :func:`evaluate` forms every rate of the
 state once, and :func:`step` and :func:`gradflow.diagnostics.record` both
@@ -48,10 +48,11 @@ are not finite, or whose density leaves the energy's domain, raises
 :class:`SolverAbort`.
 
 The two halves of the system are independent within a step, and each
-field is transformed in its own half of the grid's spectral work.  The
-derivatives of ``psi`` are formed beside the geometry of ``h``, and the
-damped increment of ``psi`` beside that of ``h``, each as a
-:func:`gradflow.spectral._pair`; the pointwise rate algebra is split by
+field is transformed in its own arrays.  The derivatives of ``psi`` are
+formed beside the geometry of ``h``, and the damped increment of ``psi``
+beside that of ``h``, each as a :func:`gradflow.spectral._pair`; a paired
+field forms its spectra in arrays that are idle until its transforms end
+(see :mod:`gradflow.spectral`).  The pointwise rate algebra is split by
 rows with :func:`gradflow.spectral._halves`.  These two alone decide
 whether a grid's work runs on two threads, and every grid size makes the
 same transforms.  Each element and each one-dimensional FFT line is
@@ -77,6 +78,7 @@ import numpy as np
 from .energy import EnergyModel, Quadratic, _escape
 from .geometry import (
     GeometryCache,
+    _finite,
     build_cache,
     covariant_square,
     hessian_trace,
@@ -88,6 +90,7 @@ from .spectral import (
     ScalarField,
     _dealias_solve,
     _derivative_stack,
+    _half_spectra,
     _halves,
     _pair,
 )
@@ -253,7 +256,9 @@ def evaluate(
       for ``d psi/dt`` by :func:`gradflow.geometry.truesdell_solve`;
     * the IMEX1 damping coefficients of the state: the grid maxima of the
       linearized diffusion coefficients, ``max |sigma(psi)| / m_x`` and
-      ``max (1 + psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero.
+      ``max (1 + psi^2 m_psi/m_x) f''(psi) / m_psi`` floored at zero, or
+      ``max f''(psi) / m_psi`` for NORMAL_ONLY, whose density has no
+      tangential transport.
 
     The density is clamped into the energy's domain once; the count is
     ``clamp_count``.  The surface algebra is that of the
@@ -271,7 +276,10 @@ def evaluate(
 
     The derivatives of ``psi`` are transformed beside the geometry, and the
     rate algebra runs on the row halves that :func:`gradflow.spectral._halves`
-    gives (see the module docstring).
+    gives (see the module docstring).  Where the two run on two threads, the
+    block's rows 5-6 (``rhs_psi`` and ``phi``, written only after the pair)
+    are the transform scratch of ``psi`` under every variant: a NORMAL_ONLY
+    evaluation keeps its seventh row unread, but needs it until then.
 
     Raises
     ------
@@ -291,15 +299,18 @@ def evaluate(
     # Only the arrays the evaluation keeps are new.  The derivatives of psi
     # land in the first five rows of the (psi_x, psi_y, f, f'', dth, rhs,
     # phi) block; the rate algebra reads the second derivatives, row by row,
-    # before it overwrites them.
+    # before it overwrites them.  Beside the geometry, psi's spectrum is the
+    # grid's one half spectrum, and each derivative goes to its inverse
+    # through the rhs and phi rows, which are written only after the pair.
     kept = np.empty((7,) + psi.shape)
     slopes, second = kept[:2], kept[2:5]
+    spec, (row,) = grid._spectral_work()[0], _half_spectra(kept[5:])
     full = variant is not ModelVariant.NORMAL_ONLY
     with np.errstate(**_QUIET):
         cache, _ = _pair(
             grid,
             lambda: build_cache(state.h),
-            lambda: _derivative_stack(grid, psi, slopes, second, half=1),
+            lambda: _derivative_stack(grid, psi, slopes, second, spec, row),
         )
         # The clamped density is formed in the phi row, which phi overwrites
         # after the clamped density's last use.
@@ -307,9 +318,10 @@ def evaluate(
 
         def rates(s: slice) -> tuple[float, float]:
             """The rate algebra on the rows ``s``, which returns the peaks of
-            ``|sigma|`` and of ``amp f''`` there.  Each intermediate is formed
-            in the rows ``s`` of one of the grid's five work arrays ``w``, or
-            of a kept array before its own value is due."""
+            ``|sigma|`` and of ``amp f''`` there (of ``f''`` for NORMAL_ONLY).
+            Each intermediate is formed in the rows ``s`` of one of the
+            grid's five work arrays ``w``, or of a kept array before its own
+            value is due."""
             w, (px, py) = grid._work()[:, s], slopes[:, s]
             f0, fpp, dth, rhs, phi = kept[2:, s]
             ps, cl, hx, hy = psi[s], clamped[s], cache.hx[s], cache.hy[s]
@@ -325,11 +337,13 @@ def evaluate(
             sigma *= cl
             np.subtract(f0, sigma, out=sigma)
             peak_sigma = float(np.abs(sigma, out=w[4]).max())
-            amp = np.multiply(ps, ps, out=w[4])
-            amp *= r
-            amp += 1.0
-            amp_fpp = np.multiply(amp, fpp, out=rhs)
-            peak_amp_fpp = float(amp_fpp.max())
+            if full:
+                amp = np.multiply(ps, ps, out=w[4])
+                amp *= r
+                amp += 1.0
+                peak_fpp = float(np.multiply(amp, fpp, out=rhs).max())
+            else:
+                peak_fpp = float(fpp.max())
 
             np.multiply(g, sigma, out=dth)
             dth *= hfrak
@@ -358,11 +372,11 @@ def evaluate(
                 rhs, ps, px, py, p_dh, dth, hx, hy, g, hfrak, phi if full else None, div_t,
                 out=rhs, work=(w[0], w[3], w[4], div_t),
             )
-            return peak_sigma, peak_amp_fpp
+            return peak_sigma, peak_fpp
 
         # A NaN-propagating maximum over the halves, as the peaks of the
         # whole grid are.
-        peak_sigma, peak_amp_fpp = np.max(_halves(grid, grid.nx, rates), axis=0)
+        peak_sigma, peak_fpp = np.max(_halves(grid, grid.nx, rates), axis=0)
 
     return Evaluation(
         state=state,
@@ -377,7 +391,7 @@ def evaluate(
         phi=kept[6] if full else None,
         rhs_psi=kept[5],
         a_h=float(peak_sigma) / m_x,
-        a_psi=max(0.0, float(peak_amp_fpp)) / m_psi,
+        a_psi=max(0.0, float(peak_fpp)) / m_psi,
         domain=energy.domain,
     )
 
@@ -428,20 +442,26 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     grid = state.grid
     dt = stepper.dt
     a_h, a_psi = (dt * a for a in _damping(ev, stepper))
+    # The two solves work in the grid's work rows, which the evaluation no
+    # longer uses: their spectra in rows 0-2, their solutions in rows 3-4.
+    # So the step allocates nothing until the solves end, and then only the
+    # new fields.
+    work = grid._work()
+    spectra, inc = _half_spectra(work[:3], 2), work[3:]
     with np.errstate(**_QUIET):
         _pair(
             grid,
-            lambda: _dealias_solve(grid, ev.dth, a_h, 0),
-            lambda: _dealias_solve(grid, ev.rhs_psi, a_psi, 1),
+            lambda: _dealias_solve(grid, ev.dth, a_h, inc[0], spectra[0]),
+            lambda: _dealias_solve(grid, ev.rhs_psi, a_psi, inc[1], spectra[1]),
         )
-        inc = grid._work()[:2]  # the two solutions
         inc *= dt
         h_new, psi_new = state.h.values + inc[0], state.psi.values + inc[1]
+        psi_extremes = psi_new.min(), psi_new.max()
 
-    if not (np.all(np.isfinite(h_new)) and np.all(np.isfinite(psi_new))):
+    if not (_finite(h_new) and np.isfinite(psi_extremes).all()):
         fault = "non-finite fields"
     else:
-        fault = _escape(psi_new, ev.domain)
+        fault = _escape(psi_new, ev.domain, psi_extremes)
     if fault:
         raise SolverAbort(
             f"{fault} after step {state.step_index + 1} (t = {state.t + dt:.6g}); aborting",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, _derivative_stack
+from .spectral import Grid, ScalarField, _derivative_stack, _half_spectra, _pairs
 
 __all__ = [
     "hessian_trace",
@@ -55,6 +55,13 @@ __all__ = [
 # for its intermediates; either is new when not given, and neither may be an
 # input unless the kernel says so.  Each expression keeps its operation
 # order, one ufunc per operation: output bytes depend on it.
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, from its two extremes: a NaN
+    propagates to both, and an infinity is one of them.  Two reductions, and
+    no boolean temporary."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _buffers(like, out, work, k):
@@ -156,31 +163,42 @@ class GeometryCache:
 
 
 def build_cache(h: ScalarField) -> GeometryCache:
-    """Assemble the :class:`GeometryCache` for a height field.
+    """Assemble the :class:`GeometryCache` for a height field.  Where
+    :func:`gradflow.spectral._pairs` holds, its arrays are the rows of one
+    ``(4, nx, ny)`` block ``[hx, hy, g_det, hfrak]``; elsewhere the slopes
+    share a ``(2, nx, ny)`` block, and ``g_det`` and ``hfrak`` are arrays
+    of their own.
 
     Raises
     ------
     FloatingPointError
         If the height field or any derived quantity is non-finite.
     """
-    if not np.all(np.isfinite(h.values)):
+    if not _finite(h.values):
         raise FloatingPointError("height field contains non-finite values")
     grid = h.grid
-    # The slopes, which the cache keeps, are written to their own array, and
-    # the second derivatives to the grid's work arrays.
-    # :func:`gradflow.flow.evaluate` may transform the density's derivatives
-    # meanwhile, in the other half of the spectral work.
+    # The slopes are written to the block, and the second derivatives to the
+    # grid's work rows 2-4.  Where the field may be transformed beside
+    # another (:func:`gradflow.spectral._pair`), its spectrum lives in the
+    # g_det and hfrak rows, and its derivative row in work rows 0-1: all are
+    # written only after the transforms.  Elsewhere g_det and hfrak are
+    # allocated after the transforms: on 64^2 grids a 4-row block changed
+    # the heap's layout enough that glibc trimmed and faulted back about
+    # 250 KiB per step, in checkouts of some path lengths.
     work = grid._work()
-    slopes = np.empty((2, grid.nx, grid.ny))
-    _derivative_stack(grid, h.values, slopes, work[2:], half=0)
-    hx, hy = slopes
+    paired = _pairs(grid)
+    block = np.empty((4 if paired else 2, grid.nx, grid.ny))
+    spec = _half_spectra(block[2:])[0] if paired else None
+    _derivative_stack(grid, h.values, block[:2], work[2:], spec)
+    hx, hy = block[:2]
+    g_det, hfrak = block[2:] if paired else (None, None)
 
-    g_det = np.multiply(hx, hx)
+    g_det = np.multiply(hx, hx, out=g_det)
     g_det += 1.0
     g_det += np.multiply(hy, hy, out=work[0])
-    hfrak = hessian_trace(*work[2:], hx, hy, g_det, work=work[:1])
+    hfrak = hessian_trace(*work[2:], hx, hy, g_det, out=hfrak, work=work[:1])
     hfrak /= g_det
-    if not np.all(np.isfinite(hfrak)):
+    if not _finite(hfrak):
         raise FloatingPointError("curvature evaluation produced non-finite values")
     return GeometryCache(grid, hx, hy, g_det, hfrak)
 

@@ -20,12 +20,16 @@ Conventions
   sizes are required for the same reason.
 * The 2/3-rule mask of :func:`_dealias_solve` acts per axis: mode ``m``
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
-* A transformed field works in the grid's half spectra
-  (:meth:`Grid._spectral_work`) and allocates none: three of them where
-  one field is transformed at a time, two where :func:`_pair` transforms
-  two at once, at the cost of two more inverse calls per field
-  (:func:`_derivative_stack`).  A damped solve works in one, and forms its
-  real damping factor in its own output row.
+* A transform forms its spectra in memory that is idle at the time, and
+  allocates none.  Where one field is transformed at a time, a field's
+  derivatives use the grid's three half spectra (:meth:`Grid._spectral_work`).
+  Where :func:`_pair` transforms two at once, each field works in two half
+  spectra that its caller names: any two adjacent real rows that are idle
+  until the transforms end serve as one (:func:`_half_spectra`), and the
+  grid keeps a single half spectrum, at the cost of three more inverse calls
+  per field (:func:`_derivative_stack`).  A damped solve works in a half
+  spectrum its caller names, and forms its real damping factor in its own
+  output.
 * This module alone splits a step's work between threads (:func:`_halves`,
   :func:`_pair`), and only on grids where :func:`_pairs` holds.  The second
   thread is one daemon helper, ``gradflow-pair``, started on the first
@@ -208,8 +212,26 @@ def _times_mixed(g: "Grid", spec: np.ndarray, out: np.ndarray) -> None:
     out *= spec
 
 
+def _half_spectra(rows: np.ndarray, count: int = 1) -> np.ndarray:
+    """The memory of ``rows``, a C-contiguous stack of real ``(nx, ny)``
+    arrays, as ``count`` consecutive half spectra: a complex ``(count, nx,
+    ny // 2 + 1)`` array.  A half spectrum fills one real array and ``2 *
+    nx`` values of the next, so two rows hold one, and three hold two.
+    ``nx`` is even, so each real array and each half spectrum is a whole
+    number of 16-byte complex values long, and every view of a stack's rows
+    is as aligned as the stack."""
+    _, nx, ny = rows.shape
+    flat = rows.reshape(-1)[: count * nx * (ny + 2)]
+    return flat.view(complex).reshape(count, nx, ny // 2 + 1)
+
+
 def _derivative_stack(
-    g: "Grid", values: np.ndarray, slopes: np.ndarray, second: np.ndarray, half: int = 0
+    g: "Grid",
+    values: np.ndarray,
+    slopes: np.ndarray,
+    second: np.ndarray,
+    spec: np.ndarray | None = None,
+    row: np.ndarray | None = None,
 ) -> None:
     """The derivatives of the samples ``values`` on ``g`` from one forward
     transform: ``(f_x, f_y)`` written to the ``(2, nx, ny)`` array
@@ -218,16 +240,18 @@ def _derivative_stack(
     :attr:`Grid.deriv_factors`, or the mixed ``-kx ky`` (:func:`_times_mixed`).
 
     Where :func:`_pairs` is false, one field is transformed at a time, in
-    the first three half spectra of :meth:`Grid._spectral_work`, and
-    ``half`` is ignored: the spectrum goes to the third, the slopes are
-    inverted as one pair, and then the second derivatives as one triple,
-    ``f_yy`` in the spectrum's own row.  Where it holds, :func:`_pair` may
-    form the derivatives of one field with ``half = 0`` beside those of
-    another with ``half = 1``, each in its two half spectra from row ``2 *
-    half`` on: the spectrum goes to the first, each second derivative is
-    inverted on its own through the second, and then the slopes, in the
-    spectrum's row and the second, as one pair.  The two layouts give the
-    same bytes; the first makes two inverse calls, the second four.
+    the grid's three half spectra (:meth:`Grid._spectral_work`), and
+    ``spec`` and ``row`` are ignored: the spectrum goes to the third, the
+    slopes are inverted as one pair, and then the second derivatives as one
+    triple, ``f_yy`` in the spectrum's own row.  Where it holds, :func:`_pair`
+    may form the derivatives of two fields at once, each in its own two half
+    spectra: ``spec`` holds the spectrum (by default the grid's one half
+    spectrum), and ``row`` each derivative on its way to its inverse (by
+    default the :func:`_half_spectra` of the grid's real work rows 0-1); each
+    of the five derivatives is inverted on its own, the slopes last.
+    ``spec``, ``row``, ``slopes`` and ``second`` must not overlap.  The two
+    layouts give the same bytes; the first makes two inverse calls, the
+    second five.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
     if not _pairs(g):
@@ -241,8 +265,10 @@ def _derivative_stack(
         spec *= kyy
         _irfft2(work, g.ny, out=second)
         return
-    work = g._spectral_work()[2 * half : 2 * half + 2]
-    spec, row = work
+    if spec is None:
+        spec = g._spectral_work()[0]
+    if row is None:
+        (row,) = _half_spectra(g._work()[:2])
     _rfft2(values, out=spec)
     np.multiply(kxx, spec, out=row)
     _irfft2(row, g.ny, out=second[0])
@@ -251,8 +277,9 @@ def _derivative_stack(
     np.multiply(spec, kyy, out=row)
     _irfft2(row, g.ny, out=second[2])
     np.multiply(iky, spec, out=row)
+    _irfft2(row, g.ny, out=slopes[1])
     np.multiply(ikx, spec, out=spec)
-    _irfft2(work, g.ny, out=slopes)
+    _irfft2(spec, g.ny, out=slopes[0])
 
 
 @dataclass(frozen=True)
@@ -273,15 +300,15 @@ class Grid:
     :func:`_dealias_solve` forms ``|k|^2``; no full multiplier array is
     stored.
 
-    The grid owns two work stacks, allocated on first use: four half spectra
-    for the transforms (:meth:`_spectral_work`), three for one field or two
-    for each of two fields transformed at once, and five real ``(nx, ny)``
+    The grid owns two work stacks, allocated on first use: the half spectra
+    of :meth:`_spectral_work`, three where one field is transformed at a
+    time and one where :func:`_pairs` holds, and five real ``(nx, ny)``
     arrays (:meth:`_work`) in which the solves, the geometry, the evaluation
     and the record form every intermediate.  A state's evaluation and step
     therefore allocate only the arrays they return.  Where :func:`_pairs`
     holds, :func:`_pair` and :func:`_halves` share this work with one helper
-    thread, each thread on its own rows of the stacks; a grid is still not
-    for use from several threads of the caller at once.
+    thread, each thread in its own arrays; a grid is still not for use from
+    several threads of the caller at once.
     """
 
     nx: int
@@ -341,9 +368,11 @@ class Grid:
         set_attr(self, "dealias_mask", (np.abs(mx) <= cut_x) & (np.abs(my) <= cut_y))
 
     def _scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """The grid's work array ``name``, allocated on first use."""
+        """The grid's work stack ``name``, of at least ``shape[0]`` rows:
+        allocated on first use, and again where a caller needs more rows
+        than it has."""
         work = self.__dict__.get(name)
-        if work is None:
+        if work is None or len(work) < shape[0]:
             work = np.empty(shape, dtype)
             object.__setattr__(self, name, work)
         return work
@@ -353,10 +382,12 @@ class Grid:
         return self._scratch("_real_work", (5, self.nx, self.ny), float)
 
     def _spectral_work(self) -> np.ndarray:
-        """Four half spectra: rows 0-2 for the one field transformed at a
-        time, or, where :func:`_pairs` holds, rows 0-1 for the field of
-        ``half = 0`` and 2-3 for that of ``half = 1``."""
-        return self._scratch("_spec_work", (4, self.nx, self.ny // 2 + 1), complex)
+        """The half spectra of :func:`_derivative_stack`: three for the one
+        field transformed at a time, or, where :func:`_pairs` holds, one
+        for a field whose caller names no spectrum.  A grid whose side of
+        :func:`_pairs` changes, as tests make it do, keeps the larger stack."""
+        rows = 1 if _pairs(self) else 3
+        return self._scratch("_spec_work", (rows, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
 
@@ -415,26 +446,27 @@ def derivatives(f: ScalarField) -> tuple[np.ndarray, ...]:
     return (*slopes, *second)
 
 
-def _dealias_solve(g: Grid, values: np.ndarray, a: float, half: int = 0) -> np.ndarray:
+def _dealias_solve(
+    g: Grid, values: np.ndarray, a: float, out: np.ndarray, spec: np.ndarray
+) -> np.ndarray:
     """Solve ``(I - a * laplacian) u = values`` on ``g`` mode by mode on the
-    modes the grid's 2/3-rule mask keeps, in one transform pair.
+    modes the grid's 2/3-rule mask keeps, in one transform pair, and write
+    the solution ``u`` to the C-contiguous real array ``out``, returned.
 
     ``a`` must be nonnegative so the operator is positive definite; the mean
     mode passes through unchanged.  ``a = 0`` gives the dealiased ``values``.
-    The solution is row ``half`` of the grid's real work arrays, which the
-    next use overwrites.  The transform uses half spectrum ``2 * half``, so
-    that ``half = 0`` and ``half = 1`` may each solve a field at once (see
-    :func:`_derivative_stack`).  The real damping factor ``1 + a |k|^2`` is
-    formed from :attr:`Grid.k_sq` in the memory of the solution's row,
-    which the inverse transform writes only after the division, so the solve
-    needs no grid-sized temporary."""
-    spec = _rfft2(values, out=g._spectral_work()[2 * half])
+    The transform works in the half spectrum ``spec``, which overlaps
+    neither ``values`` nor ``out``, so that two solves in disjoint arrays may
+    run at once.  The real damping factor ``1 + a |k|^2`` is formed from
+    :attr:`Grid.k_sq` in the memory of ``out``, which the inverse transform
+    writes only after the division, so the solve needs no grid-sized
+    temporary."""
+    spec = _rfft2(values, out=spec)
     spec *= g.dealias_mask
-    solution = g._work()[half]
     if a != 0.0:
-        factor = solution.reshape(-1)[: spec.size].reshape(spec.shape)
+        factor = out.reshape(-1)[: spec.size].reshape(spec.shape)
         np.add(*g.k_sq, out=factor)
         np.multiply(a, factor, out=factor)
         factor += 1.0
         spec /= factor
-    return _irfft2(spec, g.ny, out=solution)
+    return _irfft2(spec, g.ny, out=out)

@@ -66,7 +66,9 @@ def dealias_solve(rhs: ScalarField, a: float) -> np.ndarray:
     mask keeps, as a new array; ``a`` must be nonnegative."""
     if a < 0.0:
         raise ValueError(f"helmholtz coefficient must be >= 0, got {a}")
-    return _dealias_solve(rhs.grid, rhs.values, a).copy()
+    g = rhs.grid
+    spec = np.empty((g.nx, g.ny // 2 + 1), complex)
+    return _dealias_solve(g, rhs.values, a, np.empty_like(rhs.values), spec)
 
 
 def total_energy(model: EnergyModel, psi: np.ndarray, cache: GeometryCache) -> float:

@@ -29,6 +29,11 @@ One test per advertised guarantee of the solver, each printing a PASS line
     to 64^2 ladder approach a 96^2 run by a set factor per refinement.
     The mass error has a spatial floor at 16^2 that a smaller dt does not
     move, and at 32^2 it is first order in dt down to far below that floor.
+10. Linear response: about a flat surface and a uniform density, small
+    Fourier modes of the height and the density change per step by the
+    closed-form factors of every variant and scheme; imex1 is backward
+    Euler on the density of the Truesdell-gauge variants; and the
+    material-gauge density mode grows below its threshold mobility.
 
 The heavier reference-resolution (128^2) runs are marked ``slow``; enable
 them with ``pytest --runslow``.
@@ -610,4 +615,119 @@ def test_mass_error_floor_is_spatial_at_16_and_gone_at_32():
     print(
         "ACCEPTANCE 9 PASS (mass floor): |mass_error|/mass at dt = 1e-3, 2.5e-4, 6.25e-5: "
         + "; ".join(f"{n}^2 " + ", ".join(f"{e:.2e}" for e in v) for n, v in relative.items())
+    )
+
+
+# ---------------------------------------------------------------------------
+# 10. Linear response against closed forms
+#
+# About a flat surface and a uniform density psi0 the two fields decouple to
+# first order: h diffuses at c_h = s sigma(psi0) / m_x, and psi at c_psi =
+# f''(psi0) (1/m_psi + s psi0^2 / m_x), or f''(psi0) / m_psi under
+# NORMAL_ONLY, with s = -1 for the material gauge and +1 otherwise.  A
+# Fourier mode with |k|^2 = k2 changes per step by 1 - dt c k2 under explicit
+# Euler, and by 1 - dt c k2 / (1 + dt a k2) under imex1, where a is the
+# evaluation's a_h or a_psi.
+
+# (model, psi0, sigma(psi0), f''(psi0)), the last two in closed form.
+LINEAR_ENERGIES = {
+    "flory_huggins": (FloryHuggins(1.0, 0.75, 0.0), 0.25, 1.0 + 0.75 * math.log(0.75), 4.0),
+    "quadratic": (Quadratic(2.0), 0.5, -0.25, 2.0),
+}
+LINEAR_EPS, LINEAR_K_SQ, LINEAR_DT = 1e-6, 5.0, 1e-3
+# Both modes have |k|^2 = 5: cos(x + 2y) in h, cos(2x + y) in psi.
+LINEAR_MODES = {"h": (1, 2), "psi": (2, 1)}
+# Measured per-step errors of the factors, at most 9.0e-12 under explicit
+# Euler and 5.9e-12 under imex1 over every case below: the roundoff of a
+# 1e-6 mode's coefficient beside psi0 (h's modes stay below 3.4e-14).  Each
+# bound is about 3x its maximum.
+LINEAR_BOUNDS = {Scheme.EXPLICIT_EULER: 2.7e-11, Scheme.IMEX1: 1.8e-11}
+
+
+def linear_factors(variant, energy, m_x, scheme, m_psi=1.0, steps=10):
+    """``(field, measured, expected, c)`` for each field and each of
+    ``steps`` steps from a flat surface of uniform density ``psi0`` carrying
+    a mode of amplitude ``LINEAR_EPS`` in each field: the factor by which
+    the step changed the mode's coefficient, its closed form, and the
+    field's diffusion coefficient."""
+    model, psi0, sigma, fpp = LINEAR_ENERGIES[energy]
+    g = Grid(32, 32)
+    h = g.from_function(lambda x, y: LINEAR_EPS * np.cos(x + 2.0 * y))
+    psi = g.from_function(lambda x, y: psi0 + LINEAR_EPS * np.cos(2.0 * x + y))
+    state = FlowState(0.0, h, psi)
+    s = -1.0 if variant is ModelVariant.MATERIAL_GAUGE_QUADRATIC else 1.0
+    c = {
+        "h": s * sigma / m_x,
+        "psi": fpp / m_psi
+        if variant is ModelVariant.NORMAL_ONLY
+        else fpp * (1.0 / m_psi + s * psi0**2 / m_x),
+    }
+    mob, stepper = Mobilities(m_x, m_psi), StepperConfig(LINEAR_DT, scheme)
+    rows = []
+    for _ in range(steps):
+        ev = evaluate(state, variant, mob, model)
+        new = step(ev, stepper)
+        for name, a in (("h", ev.a_h), ("psi", ev.a_psi)):
+            mode = LINEAR_MODES[name]
+            before = np.fft.rfft2(getattr(state, name).values)[mode]
+            after = np.fft.rfft2(getattr(new, name).values)[mode]
+            damping = 1.0 + LINEAR_DT * a * LINEAR_K_SQ if scheme is Scheme.IMEX1 else 1.0
+            expected = 1.0 - LINEAR_DT * c[name] * LINEAR_K_SQ / damping
+            rows.append((name, after / before, expected, c[name]))
+        state = new
+    return rows
+
+
+LINEAR_CASES = [
+    (variant, energy, m_x)
+    for energy, m_xs in (("flory_huggins", (5.0, 0.2)), ("quadratic", (5.0, 0.1)))
+    for variant in ModelVariant
+    if energy == "quadratic" or variant is not ModelVariant.MATERIAL_GAUGE_QUADRATIC
+    for m_x in m_xs
+]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("variant, energy, m_x", LINEAR_CASES)
+def test_small_modes_change_by_the_closed_form_factors(variant, energy, m_x, scheme):
+    rows = linear_factors(variant, energy, m_x, scheme)
+    worst = max(abs(measured / expected - 1.0) for _, measured, expected, _ in rows)
+    assert worst < LINEAR_BOUNDS[scheme], worst
+    line = f"ACCEPTANCE 10 PASS: {variant.value}, {energy}, m_x = {m_x}, {scheme.value}: {worst:.1e}"
+    if scheme is Scheme.IMEX1 and variant is not ModelVariant.MATERIAL_GAUGE_QUADRATIC:
+        # a_psi is the variant's own linear coefficient at its grid maximum,
+        # so imex1 is backward Euler on psi, to O(eps).  Measured at most
+        # 3.4e-9 (full) and 1.0e-9 (normal-only).
+        backward = max(
+            abs(measured * (1.0 + LINEAR_DT * c * LINEAR_K_SQ) - 1.0)
+            for name, measured, _, c in rows
+            if name == "psi"
+        )
+        assert backward < 1e-8, backward
+        line += f"; backward Euler on psi to {backward:.1e}"
+    print(line)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_material_gauge_density_mode_grows_below_its_threshold_mobility(scheme):
+    # c_psi = f'' (1/m_psi - psi0^2/m_x) changes sign at m_x = psi0^2 m_psi,
+    # 0.25 here: the density mode grows at half that m_x and decays at twice
+    # it, each at its closed-form rate.  This is the mechanism of
+    # acceptance 6.
+    factors = {}
+    for m_x, grows in ((0.125, True), (0.5, False)):
+        psi = [
+            (measured, expected)
+            for name, measured, expected, _ in linear_factors(
+                ModelVariant.MATERIAL_GAUGE_QUADRATIC, "quadratic", m_x, scheme
+            )
+            if name == "psi"
+        ]
+        assert all((abs(measured) > 1.0) == grows for measured, _ in psi), (m_x, psi)
+        worst = max(abs(measured / expected - 1.0) for measured, expected in psi)
+        assert worst < LINEAR_BOUNDS[scheme], (m_x, worst)
+        factors[m_x] = abs(psi[0][0])
+    print(
+        f"ACCEPTANCE 10 PASS (gauge threshold, {scheme.value}): density factor per step "
+        + ", ".join(f"{f:.6f} at m_x = {m_x}" for m_x, f in factors.items())
     )

@@ -461,6 +461,25 @@ def test_blowup_aborts_without_floating_point_warnings(model, dt, fault):
     assert np.all(np.isfinite(err.last_valid.h.values))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["h", "psi"])
+def test_a_single_non_finite_value_aborts_the_step(field, value):
+    # The finite checks read the two extremes of each new field: a NaN
+    # propagates to both, and an infinity is one of them.  A non-finite
+    # density is reported as such, before any escape from the domain.
+    state = make_state(16)
+    ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    values = getattr(state, field).values.copy()
+    values[3, 5] = value
+    bad = dataclasses.replace(state, **{field: ScalarField(state.grid, values)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort) as excinfo:
+            step(dataclasses.replace(ev, state=bad), StepperConfig(dt=1e-4))
+    assert str(excinfo.value) == "non-finite fields after step 1 (t = 0.0001); aborting"
+    assert excinfo.value.last_valid is bad
+
+
 def test_a_hand_loop_aborts_where_simulate_does():
     # Explicit Euler takes this problem's density out of [0, 1] at step 3.
     config = parse_config(
@@ -752,17 +771,24 @@ def test_record_with_an_evaluation_makes_no_transform(calls):
         assert calls["fft"] == 0 and calls["build_cache"] == 0, variant
 
 
-def test_evaluation_keeps_no_second_derivatives():
-    # The slopes of h have their own 2-field array, and those of psi share a
+@pytest.mark.parametrize("on", [False, True], ids=["inline", "paired"])
+def test_evaluation_keeps_no_second_derivatives(pairing, on):
+    # The slopes of h share a block only with the geometry the cache keeps:
+    # paired, the one (hx, hy, g_det, hfrak) block whose last two rows held
+    # h's spectrum, inline a block of their own.  The slopes of psi share a
     # block only with arrays the evaluation keeps, whose rows held psi's
-    # second derivatives until the rates overwrote them.  So the three second
-    # derivatives of h and of psi are freed when it returns.  The block's
-    # last row is phi; a normal-only evaluation has none.
+    # second derivatives until the rates overwrote them.  So the three
+    # second derivatives of h and of psi are freed when it returns.  The
+    # block's last row is phi; a normal-only evaluation has none.
+    pairing(on)
     state = make_state(16)
     for variant, model in VARIANT_MODELS:
         ev = evaluate(state, variant, MOB, model)
-        for kept in (ev.cache.hx, ev.cache.hy):
-            assert kept.base is not None and kept.base.shape[0] <= 2, variant
+        cache = ev.cache
+        geometry = (cache.hx, cache.hy, cache.g_det, cache.hfrak)[: 4 if on else 2]
+        block = cache.hx.base
+        assert block is not None and block.shape[0] == len(geometry), variant
+        assert all(np.shares_memory(a, block[i]) for i, a in enumerate(geometry)), variant
         rows = (ev.psi_x, ev.psi_y, ev.f, ev.fpp, ev.dth, ev.rhs_psi, ev.phi)
         block = ev.psi_x.base
         assert block is not None and block.shape[0] == len(rows), variant
@@ -797,10 +823,9 @@ def test_normal_only_explicit_step_transform_budget(calls):
 @pytest.mark.parametrize("variant", [ModelVariant.FULL_COUPLED, ModelVariant.NORMAL_ONLY])
 def test_paired_step_transforms_the_same_fields(calls, pairing, variant):
     # A step transforms the same fields on and off.  Paired, each of the two
-    # fields whose derivatives are transformed at once has two half spectra,
-    # and inverts its second derivatives one at a time instead of as a
-    # triple: the same forward and pair calls, and three single inverse
-    # calls per field in place of the triple.
+    # fields whose derivatives are transformed at once has two half spectra
+    # that need not be adjacent, and inverts its five derivatives one at a
+    # time instead of as a pair and a triple.
     state = make_state(16)
     model = FloryHuggins(1.0, 0.75, 0.0)
     made = []
@@ -810,7 +835,7 @@ def test_paired_step_transforms_the_same_fields(calls, pairing, variant):
         step(evaluate(state, variant, MOB, model), StepperConfig(dt=1e-4))
         made.append(collections.Counter(calls.transforms))
     assert made[0] == {("forward", 1): 4, ("inverse", 1): 2, ("inverse", 2): 2, ("inverse", 3): 2}
-    assert made[1] == {("forward", 1): 4, ("inverse", 1): 8, ("inverse", 2): 2}
+    assert made[1] == {("forward", 1): 4, ("inverse", 1): 12}
     assert pairing.helper_calls == 3
 
 
@@ -881,12 +906,14 @@ def _numpy_peak(run):
 
 @pytest.mark.parametrize("on", [False, True], ids=["inline", "paired"])
 def test_a_run_keeps_its_working_set(pairing, on):
-    # At its peak a run holds the grid's vectors, its five real work arrays
-    # and four half spectra, two states (the last valid one and the one a
-    # step makes) and the eleven arrays of an evaluation.  Paired, a sample
-    # may also see the small temporaries of the helper thread's current
-    # call (a reduction's result, a negated wavenumber vector): 1 KiB,
-    # where one more array would be 8 KiB.
+    # At its peak a run holds the grid's vectors, its five real work arrays,
+    # two states (the last valid one and the one a step makes), the eleven
+    # arrays of an evaluation, and the half spectra of the transforms: three
+    # inline, and one paired, where every other spectrum lives in rows that
+    # are idle at the time.  Paired, a sample may also see the small
+    # temporaries of the helper thread's current call (a reduction's
+    # result, a negated wavenumber vector): 1 KiB, where one more half
+    # spectrum would be 8.5 KiB.
     pairing(on)
     config = parse_config(
         """
@@ -904,7 +931,8 @@ def test_a_run_keeps_its_working_set(pairing, on):
     held = [a for v in vars(Grid(32, 32)).values() for a in (v if isinstance(v, tuple) else (v,))]
     vectors = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
     array, half_spectrum = 32 * 32 * 8, 32 * 17 * 16
-    assert peak <= vectors + (5 + 2 * 2 + 11) * array + 4 * half_spectrum + 1024
+    spectra = 1 if on else 3
+    assert peak <= vectors + (5 + 2 * 2 + 11) * array + spectra * half_spectrum + 1024
 
 
 @pytest.mark.parametrize("variant, model", VARIANT_MODELS)

@@ -99,11 +99,13 @@ def test_metric_even_and_gradient_odd_under_h_negation():
     assert np.allclose(plus.hy, -minus.hy, atol=1e-13)
 
 
-def test_cache_rejects_nonfinite_height():
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [(0, 0), (9, 4)])
+def test_cache_rejects_nonfinite_height(value, at):
     g = Grid(16, 16)
     values = np.zeros((16, 16))
-    values[0, 0] = np.inf
-    with pytest.raises(FloatingPointError):
+    values[at] = value
+    with pytest.raises(FloatingPointError, match="^height field contains non-finite values$"):
         build_cache(ScalarField(g, values))
 
 
