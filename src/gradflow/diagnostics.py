@@ -54,8 +54,9 @@ def record(
     energy density and rates, and transforms nothing.  ``prev`` supplies the
     backward-difference energy rate and the reference mass of the initial
     record; on the first record ``dissipation_lhs`` is absent and
-    ``mass_error`` is zero by construction.  ``clamp_count`` is the
-    cumulative clamp tally the caller reports.
+    ``mass_error`` is zero by construction.  A record at the time of
+    ``prev`` has no energy rate either: its ``dissipation_lhs`` is absent.
+    ``clamp_count`` is the cumulative clamp tally the caller reports.
     """
     state, mobilities = ev.state, ev.mobilities
     cache = ev.cache
@@ -64,7 +65,7 @@ def record(
     # A state whose rates overflow is recorded as it is; the step from it
     # aborts.  Every full-grid intermediate is formed in the grid's five work
     # arrays ``w``, which the evaluation no longer uses.
-    w = cache.grid._work()
+    w = cache.grid._work
     with np.errstate(**_QUIET):
         sqrt_g = np.sqrt(cache.g_det, out=w[0])  # one area element for the four integrals
         u = surface_integral(ev.f, cache, sqrt_g, out=w[1])
@@ -88,7 +89,8 @@ def record(
     else:
         mass0 = prev.mass - prev.mass_error
         mass_error = mass - mass0
-        dissipation_lhs = (u - prev.energy) / (state.t - prev.t)
+        span = state.t - prev.t
+        dissipation_lhs = (u - prev.energy) / span if span else None
 
     return DiagnosticsRecord(
         t=state.t,

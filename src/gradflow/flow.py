@@ -271,7 +271,7 @@ def evaluate(
     Only the eleven arrays the :class:`Evaluation` keeps are allocated:
     the four of its geometry and a block of seven, whose last row holds
     ``phi`` (the clamped density until then); every intermediate is formed
-    with ``out=`` ufuncs in the grid's five work arrays (:meth:`Grid._work`),
+    with ``out=`` ufuncs in the grid's five work arrays (:attr:`Grid._work`),
     which the next evaluation or step overwrites.
 
     The derivatives of ``psi`` are transformed beside the geometry, and the
@@ -304,7 +304,7 @@ def evaluate(
     # through the rhs and phi rows, which are written only after the pair.
     kept = np.empty((7,) + psi.shape)
     slopes, second = kept[:2], kept[2:5]
-    spec, (row,) = grid._spectral_work()[0], _half_spectra(kept[5:])
+    spec, (row,) = grid._spectral_work[0], _half_spectra(kept[5:])
     full = variant is not ModelVariant.NORMAL_ONLY
     with np.errstate(**_QUIET):
         cache, _ = _pair(
@@ -322,7 +322,7 @@ def evaluate(
             Each intermediate is formed in the rows ``s`` of one of the
             grid's five work arrays ``w``, or of a kept array before its own
             value is due."""
-            w, (px, py) = grid._work()[:, s], slopes[:, s]
+            w, (px, py) = grid._work[:, s], slopes[:, s]
             f0, fpp, dth, rhs, phi = kept[2:, s]
             ps, cl, hx, hy = psi[s], clamped[s], cache.hx[s], cache.hy[s]
             g, hfrak = cache.g_det[s], cache.hfrak[s]
@@ -446,7 +446,7 @@ def step(ev: Evaluation, stepper: StepperConfig) -> FlowState:
     # longer uses: their spectra in rows 0-2, their solutions in rows 3-4.
     # So the step allocates nothing until the solves end, and then only the
     # new fields.
-    work = grid._work()
+    work = grid._work
     spectra, inc = _half_spectra(work[:3], 2), work[3:]
     with np.errstate(**_QUIET):
         _pair(

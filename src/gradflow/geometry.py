@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, _derivative_stack, _half_spectra, _pairs
+from .spectral import Grid, ScalarField, _derivative_stack, _half_spectra
 
 __all__ = [
     "hessian_trace",
@@ -163,8 +163,8 @@ class GeometryCache:
 
 
 def build_cache(h: ScalarField) -> GeometryCache:
-    """Assemble the :class:`GeometryCache` for a height field.  Where
-    :func:`gradflow.spectral._pairs` holds, its arrays are the rows of one
+    """Assemble the :class:`GeometryCache` for a height field.  On a
+    :attr:`~gradflow.spectral.Grid.paired` grid, its arrays are the rows of one
     ``(4, nx, ny)`` block ``[hx, hy, g_det, hfrak]``; elsewhere the slopes
     share a ``(2, nx, ny)`` block, and ``g_det`` and ``hfrak`` are arrays
     of their own.
@@ -185,8 +185,7 @@ def build_cache(h: ScalarField) -> GeometryCache:
     # allocated after the transforms: on 64^2 grids a 4-row block changed
     # the heap's layout enough that glibc trimmed and faulted back about
     # 250 KiB per step, in checkouts of some path lengths.
-    work = grid._work()
-    paired = _pairs(grid)
+    work, paired = grid._work, grid.paired
     block = np.empty((4 if paired else 2, grid.nx, grid.ny))
     spec = _half_spectra(block[2:])[0] if paired else None
     _derivative_stack(grid, h.values, block[:2], work[2:], spec)

@@ -14,7 +14,8 @@ directory writes:
   ``final.sgf`` (``last_valid.sgf`` after a solver abort).
 * ``report.txt`` -- final diagnostics, clamp count, wall time, steps per
   second, and ``threads``: 2 where the solver shared each step with its
-  helper thread (:func:`gradflow.spectral._pairs`), else 1.
+  helper thread, as the final state's grid fixed when it was made
+  (:attr:`gradflow.spectral.Grid.paired`), else 1.
 * ``sweep.csv`` -- dt, error, observed order and dissipation mismatch per
   ladder point; ``compare.txt`` -- the transient window and the two
   ordering claims.
@@ -43,7 +44,6 @@ from .flow import (
     step,
 )
 from .snapshot import write_snapshot
-from .spectral import _pairs
 
 __all__ = [
     "RunResult",
@@ -205,7 +205,7 @@ def _write_report(result: RunResult, path: Path) -> None:
         f"clamp_count = {result.clamp_count}",
         f"wall_time_seconds = {result.wall_time:.3f}",
         f"steps_per_second = {result.state.step_index / result.wall_time:.3f}",
-        f"threads = {2 if _pairs(result.state.grid) else 1}",
+        f"threads = {2 if result.state.grid.paired else 1}",
     ]
     if result.abort_message:
         lines.insert(1, f"abort_message = {result.abort_message}")
@@ -336,7 +336,9 @@ class CompareResult:
     identity.
 
     ``energy_ordered``: the fully coupled run has energy at or below the
-    normal-only run at every recorded time past the transient window.
+    normal-only run at every recorded time past the transient window; it is
+    vacuously true where no record lies past the window, as in a run that
+    ends before it.
     ``final_range_smaller``: the density extrema spread at the final time
     is no larger for the fully coupled run.
     """

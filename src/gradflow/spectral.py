@@ -22,7 +22,7 @@ Conventions
   survives iff ``|m| <= (2/3) * (n/2)``, equality included.
 * A transform forms its spectra in memory that is idle at the time, and
   allocates none.  Where one field is transformed at a time, a field's
-  derivatives use the grid's three half spectra (:meth:`Grid._spectral_work`).
+  derivatives use the grid's three half spectra (:attr:`Grid._spectral_work`).
   Where :func:`_pair` transforms two at once, each field works in two half
   spectra that its caller names: any two adjacent real rows that are idle
   until the transforms end serve as one (:func:`_half_spectra`), and the
@@ -31,9 +31,11 @@ Conventions
   spectrum its caller names, and forms its real damping factor in its own
   output.
 * This module alone splits a step's work between threads (:func:`_halves`,
-  :func:`_pair`), and only on grids where :func:`_pairs` holds.  The second
-  thread is one daemon helper, ``gradflow-pair``, started on the first
-  paired call; it serves a queue of calls.
+  :func:`_pair`), and only on grids whose :attr:`Grid.paired` is true.  A
+  grid fixes that layout when it is made, from its size and the cores read
+  at import, and keeps it.  The second thread is one daemon helper,
+  ``gradflow-pair``, started on the first paired call; it serves a queue of
+  calls.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,20 +79,15 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 # 0.398 s).  A 200-step 128^2 run was 31 % slower.
 _PAIR_POINTS = 256 * 256
 
-# The cores this process may run on, read once: every call then runs a
-# grid's work on the same threads.  Where the affinity mask cannot be read,
-# all cores of the machine count.
+# The cores this process may run on, read once: every grid made in the
+# process then takes its layout (:attr:`Grid.paired`) from the same count.
+# Where the affinity mask cannot be read, all cores of the machine count.
 _CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
 _requests = None  # the queue that :func:`_pair`'s helper thread serves, made on first use
 _helper_lock = threading.Lock()
-
-
-def _pairs(g: "Grid") -> bool:
-    """Whether :func:`_pair` runs its two calls on two threads on ``g``."""
-    return g.nx * g.ny >= _PAIR_POINTS and _CORES >= 2
 
 
 def _forget_helper() -> None:
@@ -131,7 +129,7 @@ def _serve(requests) -> None:
 
 def _pair(g: "Grid", fa, fb) -> tuple:
     """``(fa(), fb())``: ``fb`` on the helper thread while ``fa`` runs on
-    this one when :func:`_pairs` holds for ``g``, else ``fa`` and then
+    this one where ``g`` is :attr:`~Grid.paired`, else ``fa`` and then
     ``fb`` here.  The helper is one daemon thread, ``gradflow-pair``,
     started on the first paired call; it serves the calls of every thread
     in turn.
@@ -144,7 +142,7 @@ def _pair(g: "Grid", fa, fb) -> tuple:
     ``clamp`` and the runner's calls), as such wrappers are not thread-safe.
     """
     global _requests
-    if not _pairs(g):
+    if not g.paired:
         return fa(), fb()
     call = _Call(fb)
     with _helper_lock:
@@ -177,9 +175,9 @@ def _pair(g: "Grid", fa, fb) -> tuple:
 
 
 def _halves(g: "Grid", n: int, fn) -> list | tuple:
-    """``[fn(slice(0, n))]`` where :func:`_pairs` is false for ``g``, else
+    """``[fn(slice(0, n))]`` where ``g`` is not :attr:`~Grid.paired`, else
     ``fn`` of the two halves of ``range(n)``, run as a :func:`_pair`."""
-    if not _pairs(g):
+    if not g.paired:
         return [fn(slice(0, n))]
     mid = n // 2
     return _pair(g, lambda: fn(slice(0, mid)), lambda: fn(slice(mid, n)))
@@ -239,11 +237,11 @@ def _derivative_stack(
     ``second``.  Each multiplier is a per-axis factor of
     :attr:`Grid.deriv_factors`, or the mixed ``-kx ky`` (:func:`_times_mixed`).
 
-    Where :func:`_pairs` is false, one field is transformed at a time, in
-    the grid's three half spectra (:meth:`Grid._spectral_work`), and
+    Where ``g`` is not :attr:`~Grid.paired`, one field is transformed at a
+    time, in the grid's three half spectra (:attr:`Grid._spectral_work`), and
     ``spec`` and ``row`` are ignored: the spectrum goes to the third, the
     slopes are inverted as one pair, and then the second derivatives as one
-    triple, ``f_yy`` in the spectrum's own row.  Where it holds, :func:`_pair`
+    triple, ``f_yy`` in the spectrum's own row.  Where it is paired, :func:`_pair`
     may form the derivatives of two fields at once, each in its own two half
     spectra: ``spec`` holds the spectrum (by default the grid's one half
     spectrum), and ``row`` each derivative on its way to its inverse (by
@@ -254,8 +252,8 @@ def _derivative_stack(
     second five.
     """
     ikx, iky, kxx, kyy = g.deriv_factors
-    if not _pairs(g):
-        work = g._spectral_work()[:3]
+    if not g.paired:
+        work = g._spectral_work
         spec = _rfft2(values, out=work[2])
         np.multiply(ikx, spec, out=work[0])
         np.multiply(iky, spec, out=work[1])
@@ -266,9 +264,9 @@ def _derivative_stack(
         _irfft2(work, g.ny, out=second)
         return
     if spec is None:
-        spec = g._spectral_work()[0]
+        spec = g._spectral_work[0]
     if row is None:
-        (row,) = _half_spectra(g._work()[:2])
+        (row,) = _half_spectra(g._work[:2])
     _rfft2(values, out=spec)
     np.multiply(kxx, spec, out=row)
     _irfft2(row, g.ny, out=second[0])
@@ -300,15 +298,19 @@ class Grid:
     :func:`_dealias_solve` forms ``|k|^2``; no full multiplier array is
     stored.
 
-    The grid owns two work stacks, allocated on first use: the half spectra
-    of :meth:`_spectral_work`, three where one field is transformed at a
-    time and one where :func:`_pairs` holds, and five real ``(nx, ny)``
-    arrays (:meth:`_work`) in which the solves, the geometry, the evaluation
-    and the record form every intermediate.  A state's evaluation and step
-    therefore allocate only the arrays they return.  Where :func:`_pairs`
-    holds, :func:`_pair` and :func:`_halves` share this work with one helper
-    thread, each thread in its own arrays; a grid is still not for use from
-    several threads of the caller at once.
+    ``paired`` is the grid's thread layout, fixed when it is made: true on
+    grids of at least ``_PAIR_POINTS`` points where the process may run on
+    two cores or more (``_CORES``, read at import).  There :func:`_pair` and
+    :func:`_halves` share a step's work with one helper thread, each thread
+    in its own arrays; a grid is still not for use from several threads of
+    the caller at once.
+
+    The grid owns two work stacks, each allocated on first use at its final
+    size: five real ``(nx, ny)`` arrays (:attr:`_work`) in which the solves,
+    the geometry, the evaluation and the record form every intermediate, and
+    the half spectra of :attr:`_spectral_work`, three where one field is
+    transformed at a time and one where the grid is ``paired``.  A state's
+    evaluation and step therefore allocate only the arrays they return.
     """
 
     nx: int
@@ -321,7 +323,8 @@ class Grid:
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n % 2 or n < 8:
                 raise ValueError(f"{name} must be an even integer >= 8, got {n}")
         for name, l in (("lx", self.lx), ("ly", self.ly)):
-            if not (0.0 < l < np.inf):
+            real = isinstance(l, (int, float, np.integer, np.floating)) and not isinstance(l, bool)
+            if not (real and 0.0 < l < np.inf):
                 raise ValueError(f"{name} must be finite and positive, got {l}")
 
         set_attr = object.__setattr__
@@ -366,28 +369,19 @@ class Grid:
         cut_x = (2.0 / 3.0) * (self.nx / 2.0) * (1.0 + 1e-12)
         cut_y = (2.0 / 3.0) * (self.ny / 2.0) * (1.0 + 1e-12)
         set_attr(self, "dealias_mask", (np.abs(mx) <= cut_x) & (np.abs(my) <= cut_y))
+        set_attr(self, "paired", self.nx * self.ny >= _PAIR_POINTS and _CORES >= 2)
 
-    def _scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """The grid's work stack ``name``, of at least ``shape[0]`` rows:
-        allocated on first use, and again where a caller needs more rows
-        than it has."""
-        work = self.__dict__.get(name)
-        if work is None or len(work) < shape[0]:
-            work = np.empty(shape, dtype)
-            object.__setattr__(self, name, work)
-        return work
-
+    @cached_property
     def _work(self) -> np.ndarray:
         """The five real ``(nx, ny)`` work arrays, as one stack."""
-        return self._scratch("_real_work", (5, self.nx, self.ny), float)
+        return np.empty((5, self.nx, self.ny))
 
+    @cached_property
     def _spectral_work(self) -> np.ndarray:
         """The half spectra of :func:`_derivative_stack`: three for the one
-        field transformed at a time, or, where :func:`_pairs` holds, one
-        for a field whose caller names no spectrum.  A grid whose side of
-        :func:`_pairs` changes, as tests make it do, keeps the larger stack."""
-        rows = 1 if _pairs(self) else 3
-        return self._scratch("_spec_work", (rows, self.nx, self.ny // 2 + 1), complex)
+        field transformed at a time, or, on a :attr:`paired` grid, one for a
+        field whose caller names no spectrum."""
+        return np.empty((1 if self.paired else 3, self.nx, self.ny // 2 + 1), complex)
 
     # -- field constructors -------------------------------------------------
 

@@ -59,10 +59,11 @@ def smooth_field(rng):
 
 
 class Pairing:
-    """``pairing(True)`` makes every grid share its steps with the helper
-    thread, as grids of ``spectral._PAIR_POINTS`` points do on two cores;
-    ``pairing(False)`` makes none do.  Two cores are reported either way, and
-    ``helper_calls`` counts the calls of the solver that ran on another
+    """``pairing(True)`` makes every grid made afterwards share its steps
+    with the helper thread, as grids of ``spectral._PAIR_POINTS`` points do
+    on two cores; ``pairing(False)`` makes none do.  A grid keeps the layout
+    it was made with (``Grid.paired``).  Two cores are reported either way,
+    and ``helper_calls`` counts the calls of the solver that ran on another
     thread."""
 
     def __init__(self, monkeypatch):

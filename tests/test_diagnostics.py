@@ -129,6 +129,17 @@ def test_record_chained_mass_error_and_energy_rate():
     assert rec2.mass_error == pytest.approx(rec2.mass - rec0.mass, abs=1e-15)
 
 
+def test_record_at_the_time_of_prev_has_no_energy_rate():
+    # Two records of one instant span no time: the second has no backward
+    # difference, as the first record has none, and keeps its mass error.
+    ev = evaluate(curved_state(16), ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
+    first = record(ev)
+    again = record(ev, first)
+    assert again.dissipation_lhs is None
+    assert again.mass_error == 0.0
+    assert replace(again, dissipation_lhs=None) == first
+
+
 @pytest.mark.parametrize(
     "variant, model",
     [

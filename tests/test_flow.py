@@ -826,17 +826,33 @@ def test_paired_step_transforms_the_same_fields(calls, pairing, variant):
     # fields whose derivatives are transformed at once has two half spectra
     # that need not be adjacent, and inverts its five derivatives one at a
     # time instead of as a pair and a triple.
-    state = make_state(16)
     model = FloryHuggins(1.0, 0.75, 0.0)
     made = []
     for on in (False, True):
         pairing(on)
+        state = make_state(16)
         calls.transforms.clear()
         step(evaluate(state, variant, MOB, model), StepperConfig(dt=1e-4))
         made.append(collections.Counter(calls.transforms))
     assert made[0] == {("forward", 1): 4, ("inverse", 1): 2, ("inverse", 2): 2, ("inverse", 3): 2}
     assert made[1] == {("forward", 1): 4, ("inverse", 1): 12}
     assert pairing.helper_calls == 3
+
+
+def test_a_grid_keeps_the_layout_it_was_made_with(pairing):
+    # Whether a grid pairs is fixed when it is made: a later change of the
+    # threshold moves only the grids made after it.
+    model, stepper = FloryHuggins(1.0, 0.75, 0.0), StepperConfig(dt=1e-4)
+    pairing(False)
+    inline = make_state(16)
+    pairing(True)
+    step(evaluate(inline, ModelVariant.FULL_COUPLED, MOB, model), stepper)
+    assert not inline.grid.paired and pairing.helper_calls == 0
+    assert inline.grid._spectral_work.shape == (3, 16, 9)
+    paired = make_state(16)
+    step(evaluate(paired, ModelVariant.FULL_COUPLED, MOB, model), stepper)
+    assert paired.grid.paired and pairing.helper_calls == 3
+    assert paired.grid._spectral_work.shape == (1, 16, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +975,7 @@ def test_grid_stores_no_derivative_multipliers():
     # its two work stacks the grid holds nothing larger than one spectrum.
     g = make_state(32).grid
     derivatives(g.from_function(lambda x, y: np.sin(x) * np.cos(y)))
-    work = (g._work(), g._spectral_work())
+    work = (g._work, g._spectral_work)
     held = [a for v in vars(g).values() for a in (v if isinstance(v, tuple) else (v,))]
     stored = [a for a in held if isinstance(a, np.ndarray) and not any(a is w for w in work)]
     assert stored and all(a.size <= g.nx * (g.ny // 2 + 1) for a in stored)
@@ -984,11 +1000,11 @@ def _fingerprint(ev, new_state):
 @pytest.mark.parametrize("variant, model", VARIANT_MODELS)
 def test_paired_evaluation_and_step_are_bit_identical(pairing, variant, model, scheme):
     stepper = StepperConfig(dt=1e-4, scheme=scheme)
-    for state in (make_state(32), clamping_state(32)):
+    for make in (make_state, clamping_state):
         runs = []
         for on in (False, True):
             pairing(on)
-            ev = evaluate(state, variant, MOB, model)
+            ev = evaluate(make(32), variant, MOB, model)
             # The clamping state lies outside [0, 1], and so does its step;
             # an unbounded domain lets the step return its fields.
             ev = dataclasses.replace(ev, domain=(-np.inf, np.inf))
@@ -1032,12 +1048,12 @@ def test_paired_evaluation_keeps_its_working_set(pairing):
 def test_paired_damping_coefficient_keeps_a_nan(pairing, row):
     # A NaN in either half of sigma makes a_h NaN, as it does on one thread:
     # the peaks of the halves are combined by a NaN-propagating maximum.
-    state = make_state(32)
-    psi = state.psi.values.copy()
-    psi[row, 5] = np.nan
-    state = FlowState(0.0, state.h, ScalarField(state.grid, psi))
     for on in (False, True):
         pairing(on)
+        state = make_state(32)
+        psi = state.psi.values.copy()
+        psi[row, 5] = np.nan
+        state = FlowState(0.0, state.h, ScalarField(state.grid, psi))
         ev = evaluate(state, ModelVariant.FULL_COUPLED, MOB, FloryHuggins(1.0, 0.75, 0.0))
         assert np.isnan(ev.a_h), on
         assert ev.a_psi >= 0.0

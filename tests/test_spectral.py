@@ -52,6 +52,17 @@ def test_grid_rejects_odd_and_small_sizes():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             Grid(16, 16, lx=bad)
+    for name, bad, shown in (
+        ("lx", True, "True"),
+        ("ly", np.True_, "True"),
+        ("lx", "6.28", "6.28"),
+        ("ly", None, "None"),
+        ("lx", 1 + 0j, "(1+0j)"),
+    ):
+        message = f"{name} must be finite and positive, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(16, 16, **{name: bad})
+    assert Grid(16, 16, lx=np.float32(2.0), ly=np.int64(3)).cell_area == 2.0 * 3 / 256
 
 
 def test_wavenumbers_start_at_zero():
